@@ -4,15 +4,30 @@ Everything here runs over arbitrary-precision integers or `fractions.Fraction`;
 no floating point is used anywhere, so downstream invariant checks can assert
 equality with zero tolerance.
 
-The three public computations are Smith normal form with unimodular
-transforms, rational rank, and the inertia (signature) of a symmetric
+The public computations are Smith normal form, rational rank, rational
+kernels and independence tests, and the inertia (signature) of a symmetric
 rational form under congruence diagonalization.
+
+Smith normal form, rational rank, `left_kernel` and `independent_modulo`
+share one sparse elimination kernel over the integers. A matrix is held as
+sparse rows (`{column: entry}` dicts) with an index from each column to the
+rows that use it, and entries equal to +1 or -1 are eliminated first, in
+order of least Markowitz cost (row count - 1) * (column count - 1). Boundary
+matrices of triangulations are mostly zeros with unit entries, so this step
+usually finishes the job. For invariant factors, whatever block is left has
+no unit entry and goes to the dense Smith loop; for kernels and independence
+over the rationals, elimination continues fraction-free. No `Fraction`,
+float or modular rank is involved. The unimodular transforms of a Smith
+normal form are computed only when asked for, by the dense Smith loop run
+on the whole matrix, which stays as the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 
 class NonSymmetricMatrix(ValueError):
@@ -74,12 +89,30 @@ class SNFResult:
     """Smith normal form data: U * A * V = diag(d_1 ... d_r) padded with zeros.
 
     `diag` lists only the nonzero invariant factors, each dividing the next;
-    `left` and `right` are unimodular.
+    `left` and `right` are unimodular. The transforms are computed on first
+    access, by the dense reference loop on `matrix`, the input A.
     """
 
     diag: tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
+    matrix: IntMatrix = field(repr=False)
+
+    @cached_property
+    def _transforms(self) -> tuple[IntMatrix, IntMatrix]:
+        A = self.matrix
+        u = IntMatrix.identity(A.rows).to_rows()
+        v = IntMatrix.identity(A.cols).to_rows()
+        _smith_loop(A.to_rows(), A.rows, A.cols, u, v)
+        left = IntMatrix.from_rows(u) if A.rows else IntMatrix.zeros(0, 0)
+        right = IntMatrix.from_rows(v) if A.cols else IntMatrix.zeros(0, 0)
+        return left, right
+
+    @property
+    def left(self) -> IntMatrix:
+        return self._transforms[0]
+
+    @property
+    def right(self) -> IntMatrix:
+        return self._transforms[1]
 
     def diagonal_matrix(self, rows: int, cols: int) -> IntMatrix:
         entries = [[0] * cols for _ in range(rows)]
@@ -105,6 +138,8 @@ class SignatureTriple:
         return self.n_plus - self.n_minus
 
 
+# -- dense Smith loop ------------------------------------------------------------
+
 def _min_pivot(m, t, rows, cols):
     """Position of the smallest nonzero |entry| in the trailing block, scan order row-major."""
     best = None
@@ -117,37 +152,40 @@ def _min_pivot(m, t, rows, cols):
     return best
 
 
-def smith_normal_form(A: IntMatrix) -> SNFResult:
-    """Diagonalize A over the integers with unimodular row/column transforms.
+def _smith_loop(m, rows, cols, u=None, v=None) -> tuple[int, ...]:
+    """Diagonalize the dense rows `m` in place; returns the nonzero invariant factors.
 
     Pivot choice is the smallest nonzero absolute value in the remaining
     block, ties broken by row-major scan order, which makes the output
-    deterministic.
+    deterministic. When the identity rows `u` (rows x rows) and `v`
+    (cols x cols) are given, they receive the row and column operations, so
+    that u * A * v ends up diagonal.
     """
-    rows, cols = A.rows, A.cols
-    m = A.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
+    track = u is not None
 
     def row_op(dst, src, q):
         m[dst] = [a - q * b for a, b in zip(m[dst], m[src])]
-        u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
+        if track:
+            u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
 
     def col_op(dst, src, q):
         for r in m:
             r[dst] -= q * r[src]
-        for r in v:
-            r[dst] -= q * r[src]
+        if track:
+            for r in v:
+                r[dst] -= q * r[src]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
+        if track:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in m:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        if track:
+            for r in v:
+                r[i], r[j] = r[j], r[i]
 
     t = 0
     while t < min(rows, cols):
@@ -188,36 +226,287 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
             pos = _min_pivot(m, t, rows, cols)
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
+            if track:
+                u[t] = [-x for x in u[t]]
         t += 1
+    return tuple(m[i][i] for i in range(t))
 
-    diag = tuple(m[i][i] for i in range(t))
-    left = IntMatrix.from_rows(u) if rows else IntMatrix.zeros(0, 0)
-    right = IntMatrix.from_rows(v) if cols else IntMatrix.zeros(0, 0)
-    return SNFResult(diag, left, right)
+
+# -- sparse elimination kernel ---------------------------------------------------
+
+def _sparse_rows(A: IntMatrix) -> list[dict[int, int]]:
+    """One {column: nonzero entry} dict per row of A."""
+    cols, e = A.cols, A.entries
+    if cols == 0:
+        return [{} for _ in range(A.rows)]
+    return [{j: x for j, x in enumerate(e[s:s + cols]) if x} for s in range(0, len(e), cols)]
+
+
+def _sub_multiple(row: dict, f: int, prow: dict) -> None:
+    """row -= f * prow, dropping entries that cancel."""
+    for k, x in prow.items():
+        y = row.get(k, 0) - f * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+class _Elimination:
+    """Exact row elimination on sparse integer rows.
+
+    Pivoting on (r, c) clears column c from every other active row with
+    multiples of row r, then retires row r to `pivots`. Each retired row is
+    therefore free of the pivot columns retired before it, so one pass over
+    `pivots` in order reduces any vector. With `track`, every row carries a
+    tag recording which combination of the input rows it is; tags of rows
+    that become zero are collected in `kernel`.
+    """
+
+    def __init__(self, rows: list[dict[int, int]], track: bool = False):
+        self.rows: dict[int, dict[int, int]] = {}
+        self.tags = {} if track else None
+        self.kernel: list[dict[int, int]] = []
+        self.where: dict[int, set[int]] = {}
+        self.pivots: list[tuple[int, int, dict[int, int]]] = []  # (column, entry, row)
+        # rows by length and columns by count, for the Markowitz search
+        self.row_size: dict[int, int] = {}
+        self.col_size: dict[int, int] = {}
+        self.rows_by_size: dict[int, set[int]] = {}
+        self.cols_by_size: dict[int, set[int]] = {}
+        for i, row in enumerate(rows):
+            if row:
+                self.rows[i] = row
+                if track:
+                    self.tags[i] = {i: 1}
+                for c in row:
+                    self.where.setdefault(c, set()).add(i)
+                self._file(self.row_size, self.rows_by_size, i, len(row))
+            elif track:
+                self.kernel.append({i: 1})
+        for c, users in self.where.items():
+            self._file(self.col_size, self.cols_by_size, c, len(users))
+
+    @staticmethod
+    def _file(size, by_size, key, n):
+        """Record that row or column `key` now has n entries (0 removes it)."""
+        old = size.get(key)
+        if old == n:
+            return
+        if old is not None:
+            by_size[old].discard(key)
+        if n:
+            size[key] = n
+            by_size.setdefault(n, set()).add(key)
+        else:
+            del size[key]
+
+    def _unit_pivot(self):
+        """A +1/-1 entry of least Markowitz cost (r - 1) * (c - 1), or None.
+
+        Rows and columns are examined in order of size. An entry not yet
+        examined lies in an unexamined row and an unexamined column, so it
+        costs at least (least such row size - 1) * (least such column
+        size - 1); the search stops once the best cost found reaches that.
+        """
+        rows, where = self.rows, self.where
+        row_levels = sorted(n for n, keys in self.rows_by_size.items() if keys)
+        col_levels = sorted(n for n, keys in self.cols_by_size.items() if keys)
+        best = None
+        best_cost = None
+        i = j = 0
+        while i < len(row_levels) and j < len(col_levels):
+            rn, cn = row_levels[i], col_levels[j]
+            floor = (rn - 1) * (cn - 1)
+            if best_cost is not None and best_cost <= floor:
+                break
+            if rn <= cn:
+                i += 1
+                for r in self.rows_by_size[rn]:
+                    for c, x in rows[r].items():
+                        if x == 1 or x == -1:
+                            cost = (rn - 1) * (len(where[c]) - 1)
+                            if best_cost is None or cost < best_cost:
+                                if cost <= floor:
+                                    return r, c
+                                best, best_cost = (r, c), cost
+            else:
+                j += 1
+                for c in self.cols_by_size[cn]:
+                    for r in where[c]:
+                        x = rows[r][c]
+                        if x == 1 or x == -1:
+                            cost = (len(rows[r]) - 1) * (cn - 1)
+                            if best_cost is None or cost < best_cost:
+                                if cost <= floor:
+                                    return r, c
+                                best, best_cost = (r, c), cost
+        return best
+
+    def _least_pivot(self):
+        """An entry of least absolute value, then least Markowitz cost, or None."""
+        best = None
+        best_key = None
+        for c, users in self.where.items():
+            for r in users:
+                row = self.rows[r]
+                key = (abs(row[c]), (len(row) - 1) * (len(users) - 1))
+                if best_key is None or key < best_key:
+                    best, best_key = (r, c), key
+        return best
+
+    def _pivot(self, r: int, c: int) -> None:
+        rows, where, tags = self.rows, self.where, self.tags
+        prow = rows.pop(r)
+        ptag = tags.pop(r) if tags is not None else None
+        self._file(self.row_size, self.rows_by_size, r, 0)
+        self._file(self.col_size, self.cols_by_size, c, 0)
+        for k in prow:
+            where[k].discard(r)
+        p = prow[c]
+        unit = p == 1 or p == -1
+        for i in where.pop(c):
+            row = rows[i]
+            a = row[c]
+            if unit:
+                f = a * p
+            else:  # fraction-free: row <- (p/g) * row - (a/g) * prow
+                g = gcd(a, p)
+                f, scale = a // g, p // g
+                for k in row:
+                    row[k] *= scale
+                if tags is not None:
+                    for k in tags[i]:
+                        tags[i][k] *= scale
+            for k, x in prow.items():
+                y = row.get(k, 0) - f * x
+                if y:
+                    if k not in row:
+                        where[k].add(i)
+                    row[k] = y
+                else:
+                    del row[k]
+                    if k != c:
+                        where[k].discard(i)
+            if tags is not None:
+                _sub_multiple(tags[i], f, ptag)
+            if not unit and row:
+                content = gcd(*row.values(), *(tags[i].values() if tags is not None else ()))
+                if content > 1:
+                    for k in row:
+                        row[k] //= content
+                    if tags is not None:
+                        for k in tags[i]:
+                            tags[i][k] //= content
+            self._file(self.row_size, self.rows_by_size, i, len(row))
+            if not row:
+                del rows[i]
+                if tags is not None:
+                    self.kernel.append(tags.pop(i))
+        for k in prow:
+            if k != c:
+                self._file(self.col_size, self.cols_by_size, k, len(where[k]))
+                if not where[k]:
+                    del where[k]
+        self.pivots.append((c, p, prow))
+
+    def eliminate_units(self) -> int:
+        """Pivot on +1/-1 entries until none is left; returns how many were used."""
+        count = 0
+        while (pos := self._unit_pivot()) is not None:
+            self._pivot(*pos)
+            count += 1
+        return count
+
+    def eliminate(self) -> None:
+        """Pivot until every row is zero, unit entries first, fraction-free after."""
+        self.eliminate_units()
+        while (pos := self._least_pivot()) is not None:
+            self._pivot(*pos)
+            self.eliminate_units()
+
+    def remainder(self) -> tuple[list[list[int]], int]:
+        """The active block as dense rows, and its column count."""
+        cols = sorted(self.where)
+        return [[row.get(c, 0) for c in cols] for row in self.rows.values()], len(cols)
+
+    def reduce(self, v: dict[int, int]) -> dict[int, int]:
+        """Reduce v in place modulo the rows of `pivots` (over the rationals)."""
+        for c, p, prow in self.pivots:
+            a = v.get(c)
+            if not a:
+                continue
+            if p == 1 or p == -1:
+                f = a * p
+            else:
+                g = gcd(a, p)
+                f, scale = a // g, p // g
+                for k in v:
+                    v[k] *= scale
+            _sub_multiple(v, f, prow)
+        return v
+
+    def append(self, v: dict[int, int]) -> None:
+        """Retire a nonzero vector already reduced by `reduce` as a new pivot row."""
+        c = min(v, key=lambda k: abs(v[k]))
+        self.pivots.append((c, v[c], v))
+
+
+def _invariant_factors(A: IntMatrix) -> tuple[int, ...]:
+    """Nonzero invariant factors of A: one per unit pivot, then the dense
+    Smith loop on the block the unit pivots leave behind."""
+    elim = _Elimination(_sparse_rows(A))
+    units = elim.eliminate_units()
+    rest, cols = elim.remainder()
+    return (1,) * units + _smith_loop(rest, len(rest), cols)
+
+
+def smith_normal_form(A: IntMatrix) -> SNFResult:
+    """Smith normal form of A over the integers.
+
+    The invariant factors come from the sparse kernel; the unimodular
+    transforms `left` and `right` are computed only when first read.
+    """
+    return SNFResult(_invariant_factors(A), A)
 
 
 def rational_rank(A: IntMatrix) -> int:
-    """Rank of A over the rationals, by fraction-exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in A.to_rows()]
-    rows, cols = A.rows, A.cols
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank of A over the rationals: the number of nonzero invariant factors."""
+    return len(_invariant_factors(A))
 
+
+def _dense(vector: dict[int, int], length: int) -> tuple[int, ...]:
+    out = [0] * length
+    for k, x in vector.items():
+        out[k] = x
+    return tuple(out)
+
+
+def left_kernel(A: IntMatrix) -> list[tuple[int, ...]]:
+    """Integer vectors y forming a rational basis of {y : y * A = 0}."""
+    elim = _Elimination(_sparse_rows(A), track=True)
+    elim.eliminate()
+    return [_dense(tag, A.rows) for tag in elim.kernel]
+
+
+def independent_modulo(span: IntMatrix, vectors) -> list[tuple[int, ...]]:
+    """The vectors, in order, that are rationally independent modulo the row
+    span of `span` together with the vectors kept before them."""
+    elim = _Elimination(_sparse_rows(span))
+    elim.eliminate()
+    kept = []
+    for vector in vectors:
+        vector = tuple(vector)
+        if len(vector) != span.cols:
+            raise ValueError("vector length does not match the span's column count")
+        v = elim.reduce({k: x for k, x in enumerate(vector) if x})
+        if v:
+            elim.append(v)
+            kept.append(vector)
+    return kept
+
+
+# -- symmetric forms and determinants --------------------------------------------
 
 def symmetric_signature(Q) -> SignatureTriple:
     """Inertia of a symmetric matrix of exact rationals via congruence moves.

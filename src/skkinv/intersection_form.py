@@ -11,11 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import SignatureTriple, symmetric_signature
+from .exact_linalg import (
+    SignatureTriple,
+    independent_modulo,
+    left_kernel,
+    symmetric_signature,
+)
 from .simplicial import (
     NotClosed,
     SimplicialComplex,
     boundary_matrix,
+    check_orientation,
     orient,
     validate_closed,
 )
@@ -33,7 +39,7 @@ class DegeneratePairing(ValueError):
 class IntersectionMatrix:
     """Symmetric rational pairing matrix on a chosen basis of H^2."""
 
-    basis: tuple[tuple[Fraction, ...], ...]  # cocycle representatives, one per row
+    basis: tuple[tuple[int, ...], ...]  # integer cocycle representatives, one per row
     pairing: tuple[tuple[Fraction, ...], ...]
 
     @property
@@ -41,87 +47,17 @@ class IntersectionMatrix:
         return len(self.pairing)
 
 
-def _rref(mat):
-    """Row-reduce a rational matrix in place; returns (matrix, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def _h2_representatives(K: SimplicialComplex) -> list[tuple[int, ...]]:
+    """Integer cocycle representatives of a rational basis of H^2.
 
-
-def _nullspace(mat):
-    """Basis of the rational kernel of a matrix given as list-of-rows."""
-    cols = len(mat[0]) if mat else 0
-    m, pivots = _rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
-
-
-class _EchelonReducer:
-    """Incremental rational row echelon for independence tests."""
-
-    def __init__(self):
-        self.rows: dict[int, list[Fraction]] = {}  # pivot column -> normalized row
-
-    def reduce(self, vector):
-        v = [Fraction(x) for x in vector]
-        for pc, row in self.rows.items():
-            if v[pc] != 0:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def insert(self, vector) -> bool:
-        """Reduce and insert; True when the vector was independent."""
-        v = self.reduce(vector)
-        pc = next((i for i, x in enumerate(v) if x != 0), None)
-        if pc is None:
-            return False
-        inv = 1 / v[pc]
-        self.rows[pc] = [x * inv for x in v]
-        return True
-
-
-def _h2_representatives(K: SimplicialComplex):
-    """Cocycle representatives of a rational basis of H^2.
-
-    Kernel vectors of the degree-2 coboundary are kept when independent
-    modulo the image of the degree-1 coboundary; the deterministic kernel
-    basis order makes the choice reproducible.
+    A 2-cochain is a cocycle when it annihilates the boundaries of the
+    3-cells, so the cocycles are the left kernel of the degree-3 boundary
+    matrix; kernel vectors are kept when independent modulo the coboundaries,
+    the rows of the degree-2 boundary matrix. The kernel order is
+    deterministic, which makes the choice reproducible.
     """
-    d3 = boundary_matrix(K, 3).to_rows()        # C_3 -> C_2
-    delta2 = [list(col) for col in zip(*d3)] if d3 else []
-    if not delta2:                               # no 3-cells: every 2-cochain is a cocycle
-        n2 = len(K.simplices(2))
-        kernel = [[Fraction(1 if i == j else 0) for j in range(n2)] for i in range(n2)]
-    else:
-        kernel = _nullspace(delta2)
-    d2 = boundary_matrix(K, 2).to_rows()        # rows span the coboundaries in C^2
-    reducer = _EchelonReducer()
-    for row in d2:
-        reducer.insert(row)
-    return [v for v in kernel if reducer.insert(v)]
+    cocycles = left_kernel(boundary_matrix(K, 3))    # C_3 -> C_2, rows are 2-cells
+    return independent_modulo(boundary_matrix(K, 2), cocycles)
 
 
 def _require_oriented_4(K: SimplicialComplex) -> SimplicialComplex:
@@ -131,6 +67,7 @@ def _require_oriented_4(K: SimplicialComplex) -> SimplicialComplex:
         raise NotClosed("intersection form requires a closed complex")
     if K.orientations is None:
         return orient(K)  # raises NotOrientable when impossible
+    check_orientation(K)  # supplied signs must form a fundamental cycle
     return K
 
 
@@ -139,21 +76,23 @@ def intersection_matrix(K: SimplicialComplex) -> IntersectionMatrix:
     K = _require_oriented_4(K)
     reps = _h2_representatives(K)
     tri_index = {t: i for i, t in enumerate(K.simplices(2))}
+    terms = [(sign, tri_index[facet[:3]], tri_index[facet[2:]])
+             for sign, facet in zip(K.orientations, K.facets)]
 
-    def pair(alpha, beta) -> Fraction:
-        total = Fraction(0)
-        for sign, facet in zip(K.orientations, K.facets):
-            front = facet[:3]
-            back = facet[2:]
-            total += sign * alpha[tri_index[front]] * beta[tri_index[back]]
+    def pair(alpha, beta) -> int:
+        total = 0
+        for sign, front, back in terms:
+            a = alpha[front]
+            if a:
+                b = beta[back]
+                if b:
+                    total += sign * a * b
         return total
 
     raw = [[pair(a, b) for b in reps] for a in reps]
-    sym = [[(raw[i][j] + raw[j][i]) / 2 for j in range(len(reps))] for i in range(len(reps))]
-    return IntersectionMatrix(
-        tuple(tuple(v) for v in reps),
-        tuple(tuple(row) for row in sym),
-    )
+    n = len(reps)
+    sym = [[Fraction(raw[i][j] + raw[j][i], 2) for j in range(n)] for i in range(n)]
+    return IntersectionMatrix(tuple(reps), tuple(tuple(row) for row in sym))
 
 
 def signature(K: SimplicialComplex) -> int:

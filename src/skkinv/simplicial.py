@@ -5,8 +5,9 @@ tuples) with optional orientation signs. From the facet closure we compute
 the Euler characteristic, integral / rational / mod-2 homology via Smith
 normal form of boundary matrices, and the Kervaire semicharacteristic.
 
-Only closedness and orientability are ever verified; inputs are trusted to
-be manifold triangulations beyond that.
+Only closedness, orientability and the consistency of supplied orientation
+signs are ever verified; inputs are trusted to be manifold triangulations
+beyond that.
 """
 
 from __future__ import annotations
@@ -153,6 +154,25 @@ def orient(K: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(K.dim, K.facets, tuple(signs))
 
 
+def check_orientation(K: SimplicialComplex) -> None:
+    """Raise NotOrientable unless the facet signs K carries form a cycle.
+
+    Each facet, with its sign, induces a sign on each of its codimension-1
+    faces; on a closed complex the signs are a fundamental cycle exactly when
+    the two signs induced on every such face cancel.
+    """
+    if K.orientations is None:
+        raise ValueError("complex carries no orientation to check")
+    induced: dict[tuple[int, ...], int] = {}
+    for sign, f in zip(K.orientations, K.facets):
+        for omit in range(K.dim + 1):
+            face = f[:omit] + f[omit + 1:]
+            induced[face] = induced.get(face, 0) + (-sign if omit % 2 else sign)
+    bad = next((face for face, total in induced.items() if total), None)
+    if bad is not None:
+        raise NotOrientable(f"orientation signs do not cancel on the face {list(bad)}")
+
+
 def is_orientable(K: SimplicialComplex) -> bool:
     try:
         orient(K)
@@ -171,14 +191,12 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> IntMatrix:
     kcells = K.simplices(k)
     k1cells = K.simplices(k - 1)
     idx = {c: i for i, c in enumerate(k1cells)}
-    rows = [[0] * len(kcells) for _ in range(len(k1cells))]
+    cols = len(kcells)
+    entries = [0] * (len(k1cells) * cols)
     for j, c in enumerate(kcells):
         for i in range(len(c)):
-            face = c[:i] + c[i + 1:]
-            rows[idx[face]][j] += (-1) ** i
-    if not rows:
-        return IntMatrix.zeros(0, len(kcells))
-    return IntMatrix.from_rows(rows)
+            entries[idx[c[:i] + c[i + 1:]] * cols + j] += -1 if i % 2 else 1
+    return IntMatrix(len(k1cells), cols, tuple(entries))
 
 
 def _rank_mod2(A: IntMatrix) -> int:
@@ -263,6 +281,11 @@ def complex_to_json(K: SimplicialComplex) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: `bool` is a subclass of `int` but true/false are not numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def complex_from_json(text: str) -> SimplicialComplex:
     """Parse the complex document format; unknown fields are rejected."""
     try:
@@ -276,18 +299,19 @@ def complex_from_json(text: str) -> SimplicialComplex:
         raise ComplexFormatError(f"unknown fields: {sorted(unknown)}")
     if "dim" not in doc or "facets" not in doc:
         raise ComplexFormatError("document requires 'dim' and 'facets'")
-    if not isinstance(doc["dim"], int):
-        raise ComplexFormatError("'dim' must be an integer")
+    dim = doc["dim"]
+    if not _is_int(dim) or dim < 0:
+        raise ComplexFormatError("'dim' must be a non-negative integer")
     facets = doc["facets"]
     if not isinstance(facets, list) or not all(
-        isinstance(f, list) and all(isinstance(v, int) for v in f) for f in facets
+        isinstance(f, list) and all(_is_int(v) for v in f) for f in facets
     ):
         raise ComplexFormatError("'facets' must be an array of integer arrays")
     ori = doc.get("orientations")
     if ori is not None:
-        if not isinstance(ori, list) or not all(s in (1, -1) for s in ori):
+        if not isinstance(ori, list) or not all(_is_int(s) and s in (1, -1) for s in ori):
             raise ComplexFormatError("'orientations' must be an array of +1/-1")
     try:
-        return SimplicialComplex.from_facets(doc["dim"], facets, ori)
+        return SimplicialComplex.from_facets(dim, facets, ori)
     except ValueError as exc:
         raise ComplexFormatError(str(exc)) from exc

@@ -6,7 +6,7 @@ import pytest
 
 from skkinv import fixtures
 from skkinv.cli import run
-from skkinv.simplicial import complex_to_json
+from skkinv.simplicial import SimplicialComplex, complex_to_json
 
 
 @pytest.fixture
@@ -53,6 +53,20 @@ class TestInvariantsCommand:
         assert result.exit_code == 0
         assert "chi = 3" in result.report
         assert "sigma = 1" in result.report
+
+    @pytest.mark.parametrize("command", [["invariants"], ["skk", "class"]])
+    def test_inconsistent_orientation_is_input_error(self, tmp_path, command):
+        K = fixtures.cp2_9()
+        path = tmp_path / "cp2_all_plus.json"
+        path.write_text(complex_to_json(SimplicialComplex(4, K.facets, (1,) * len(K.facets))))
+        result = run(command + [str(path)])
+        assert result.exit_code == 2
+        assert "orientation" in result.report
+
+    def test_boolean_dimension_is_input_error(self, tmp_path):
+        path = tmp_path / "bool_dim.json"
+        path.write_text('{"dim": true, "facets": [[0, 1], [1, 2], [0, 2]]}')
+        assert run(["invariants", str(path)]).exit_code == 2
 
 
 class TestCutpasteCommand:

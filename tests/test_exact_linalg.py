@@ -12,14 +12,18 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skkinv import fixtures
 from skkinv.exact_linalg import (
     IntMatrix,
     NonSymmetricMatrix,
     determinant,
+    independent_modulo,
+    left_kernel,
     rational_rank,
     smith_normal_form,
     symmetric_signature,
 )
+from skkinv.simplicial import SimplicialComplex, boundary_matrix
 
 
 def minor_gcd(rows, k):
@@ -82,6 +86,42 @@ def int_matrices(draw, max_dim=6):
     return IntMatrix.from_rows(data) if rows else IntMatrix.zeros(0, cols)
 
 
+@st.composite
+def sparse_matrices(draw, max_dim=6, values=(1, -1, 2, -2, 3, -3)):
+    """Mostly-zero matrices with small entries, like boundary matrices."""
+    rows = draw(st.integers(min_value=0, max_value=max_dim))
+    cols = draw(st.integers(min_value=0, max_value=max_dim))
+    entry = st.sampled_from((0,) * (2 * len(values)) + tuple(values))
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return IntMatrix.from_rows(data) if rows else IntMatrix.zeros(0, cols)
+
+
+# no entry is +1 or -1, so the whole matrix goes to the dense Smith loop
+no_unit_matrices = sparse_matrices(values=(2, -2, 3, -3, 4, 6))
+
+any_matrices = st.one_of(int_matrices(), sparse_matrices(), no_unit_matrices)
+
+
+def relabelled(K, seed):
+    """K with its vertices renamed by a seeded random injection."""
+    rng = random.Random(seed)
+    verts = K.vertices()
+    rename = dict(zip(verts, rng.sample(range(3 * len(verts)), len(verts))))
+    return SimplicialComplex.from_facets(K.dim, [[rename[v] for v in f] for f in K.facets])
+
+
+# (fixture, degree, nonzero invariant factors) of small boundary matrices
+BOUNDARY_CASES = [
+    (fixtures.torus7, 1, (1,) * 6),
+    (fixtures.torus7, 2, (1,) * 13),
+    (fixtures.projective_plane6, 1, (1,) * 5),
+    (fixtures.projective_plane6, 2, (1,) * 9 + (2,)),
+    (lambda: fixtures.simplex_boundary(4), 2, (1,) * 6),
+    (lambda: fixtures.simplex_boundary(4), 3, (1,) * 4),
+]
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         result = smith_normal_form(IntMatrix.identity(2))
@@ -97,7 +137,7 @@ class TestSmithNormalForm:
         result = smith_normal_form(IntMatrix.from_rows(rows))
         assert result.diag == (2, 4)
 
-    @given(int_matrices())
+    @given(any_matrices)
     @settings(max_examples=120, deadline=None)
     def test_transform_identity(self, A):
         result = smith_normal_form(A)
@@ -113,10 +153,36 @@ class TestSmithNormalForm:
         assert abs(determinant(result.left)) == 1
         assert abs(determinant(result.right)) == 1
 
-    @given(int_matrices(max_dim=4))
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(int_matrices(max_dim=4), sparse_matrices(max_dim=5),
+                     sparse_matrices(max_dim=5, values=(2, -2, 3, -3, 4, 6))))
+    @settings(max_examples=120, deadline=None)
     def test_against_determinantal_oracle(self, A):
         assert smith_normal_form(A).diag == snf_oracle(A.to_rows())
+
+    def test_no_unit_entries(self):
+        # the dense remainder is the whole matrix
+        rows = [[2, 0, 4], [0, 6, 0], [4, 0, 2]]
+        assert smith_normal_form(IntMatrix.from_rows(rows)).diag == snf_oracle(rows) == (2, 6, 6)
+
+    def test_non_unit_block_left_by_unit_pivots(self):
+        # one unit pivot leaves the 1 x 1 block [[-2]] behind
+        rows = [[1, 1], [1, -1]]
+        assert smith_normal_form(IntMatrix.from_rows(rows)).diag == snf_oracle(rows) == (1, 2)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("make, degree, diag", BOUNDARY_CASES)
+    def test_relabelled_boundary_matrices(self, make, degree, diag, seed):
+        A = boundary_matrix(relabelled(make(), seed), degree)
+        result = smith_normal_form(A)
+        assert result.diag == diag
+        assert rational_rank(A) == rank_oracle(A.to_rows()) == len(diag)
+        doubled = IntMatrix(A.rows, A.cols, tuple(2 * x for x in A.entries))
+        assert smith_normal_form(doubled).diag == tuple(2 * d for d in diag)
+
+    def test_boundary_matrix_against_reference_transforms(self):
+        A = boundary_matrix(relabelled(fixtures.projective_plane6(), 7), 2)
+        result = smith_normal_form(A)
+        assert result.left.mul(A).mul(result.right) == result.diagonal_matrix(A.rows, A.cols)
 
     def test_deterministic(self):
         rows = [[3, 1, -4], [2, 0, 5], [-6, 7, 1]]
@@ -135,17 +201,53 @@ class TestRationalRank:
     def test_zero(self):
         assert rational_rank(IntMatrix.zeros(3, 2)) == 0
 
-    @given(int_matrices())
-    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(any_matrices, sparse_matrices(max_dim=12)))
+    @settings(max_examples=150, deadline=None)
     def test_matches_oracle_and_snf(self, A):
         rank = rational_rank(A)
         assert rank == rank_oracle(A.to_rows())
         assert rank == len(smith_normal_form(A).diag)
 
-    @given(int_matrices())
+    @given(any_matrices)
     @settings(max_examples=60, deadline=None)
     def test_transpose_invariance(self, A):
         assert rational_rank(A) == rational_rank(A.transpose())
+
+
+class TestKernelAndIndependence:
+    @given(st.one_of(any_matrices, sparse_matrices(max_dim=10)))
+    @settings(max_examples=100, deadline=None)
+    def test_left_kernel_is_a_basis(self, A):
+        kernel = left_kernel(A)
+        assert len(kernel) == A.rows - rank_oracle(A.to_rows())
+        for y in kernel:
+            assert len(y) == A.rows
+            assert all(sum(y[i] * A[i, j] for i in range(A.rows)) == 0 for j in range(A.cols))
+        assert rank_oracle([list(y) for y in kernel]) == len(kernel)
+
+    def test_left_kernel_of_a_cycle(self):
+        # the orientation cycle of the torus spans the kernel of its top boundary
+        A = boundary_matrix(fixtures.torus7(), 2).transpose()
+        (y,) = left_kernel(A)
+        assert set(map(abs, y)) == {1}
+
+    @given(st.one_of(any_matrices, sparse_matrices(max_dim=8)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_independent_modulo(self, span, data):
+        vectors = data.draw(st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)),
+                                              min_size=span.cols, max_size=span.cols),
+                                     max_size=5))
+        kept = independent_modulo(span, vectors)
+        base = rank_oracle(span.to_rows())
+        assert len(kept) == rank_oracle(span.to_rows() + vectors) - base
+        assert rank_oracle(span.to_rows() + [list(v) for v in kept]) == base + len(kept)
+        # kept vectors are a subsequence of the input
+        it = iter(tuple(v) for v in vectors)
+        assert all(any(k == v for v in it) for k in kept)
+
+    def test_independent_modulo_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            independent_modulo(IntMatrix.identity(2), [(1, 0, 0)])
 
 
 class TestSymmetricSignature:

@@ -1,5 +1,7 @@
 """Cup-product intersection forms on triangulated 4-manifolds."""
 
+import random
+
 import pytest
 
 from skkinv import fixtures
@@ -53,6 +55,18 @@ class TestIntersectionMatrix:
         with pytest.raises(NotClosed):
             intersection_matrix(K)
 
+    def test_inconsistent_supplied_signs_rejected(self):
+        # supplied signs are a fundamental cycle only when they cancel on
+        # every tetrahedron; all +1, or one facet flipped, is not one
+        K = fixtures.cp2_9()
+        all_plus = SimplicialComplex(4, K.facets, (1,) * len(K.facets))
+        one_flipped = SimplicialComplex(4, K.facets, (-K.orientations[0],) + K.orientations[1:])
+        for bad in (all_plus, one_flipped):
+            with pytest.raises(NotOrientable):
+                intersection_matrix(bad)
+            with pytest.raises(NotOrientable):
+                signature(bad)
+
     def test_not_orientable_rejected(self):
         # a non-orientable closed complex only exists here in dimension 2,
         # so check the error comes through orient() on unoriented input
@@ -78,6 +92,28 @@ class TestSignature:
         assert signature(same) == 2
         mixed = disjoint_union(K, K.reversed_orientation())
         assert signature(mixed) == 0
+
+    def test_union_reversed(self):
+        union = disjoint_union(fixtures.cp2_9(), fixtures.cp2_9())
+        assert signature(union.reversed_orientation()) == -2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_relabelled_cp2(self, seed):
+        """A relabelling is an isomorphism; carried along with the sign of the
+        permutation that re-sorts each facet, the orientation is preserved."""
+        rng = random.Random(seed)
+        K = fixtures.cp2_9()
+        verts = K.vertices()
+        rename = dict(zip(verts, rng.sample(range(3 * len(verts)), len(verts))))
+        facets, signs = [], []
+        for sign, facet in zip(K.orientations, K.facets):
+            image = [rename[v] for v in facet]
+            inversions = sum(a > b for i, a in enumerate(image) for b in image[i + 1:])
+            facets.append(image)
+            signs.append(sign * (-1) ** inversions)
+        relabelled = SimplicialComplex.from_facets(4, facets, signs)
+        assert signature(relabelled) == 1
+        assert signature(relabelled.reversed_orientation()) == -1
 
     def test_sigma_equals_chi_mod_2(self):
         for K in (fixtures.cp2_9(), orient(fixtures.sphere4()),

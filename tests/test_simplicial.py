@@ -212,6 +212,17 @@ class TestComplexFormat:
         with pytest.raises(ComplexFormatError):
             complex_from_json('{"dim": 2, "facets": [[0,1,2]], "orientations": [2]}')
 
+    @pytest.mark.parametrize("text", [
+        '{"dim": true, "facets": [[0,1]]}',                             # boolean dimension
+        '{"dim": 1, "facets": [[0,true]]}',                             # boolean vertex
+        '{"dim": 1, "facets": [[0,1]], "orientations": [true]}',        # boolean sign
+        '{"dim": -1, "facets": []}',                                    # negative dimension
+        '{"dim": 1.0, "facets": [[0,1]]}',                              # non-integer dimension
+    ])
+    def test_booleans_and_negative_dimension_rejected(self, text):
+        with pytest.raises(ComplexFormatError):
+            complex_from_json(text)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ComplexFormatError):
             complex_from_json("{not json")
