@@ -84,13 +84,14 @@ class IntMatrix:
         return IntMatrix.from_rows(out) if out else IntMatrix.zeros(0, other.cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SNFResult:
     """Smith normal form data: U * A * V = diag(d_1 ... d_r) padded with zeros.
 
     `diag` lists only the nonzero invariant factors, each dividing the next;
     `left` and `right` are unimodular. The transforms are computed on first
-    access, by the dense reference loop on `matrix`, the input A.
+    access, by the dense reference loop on `matrix`, the input A. Two results
+    are equal when `diag`, `left` and `right` all agree.
     """
 
     diag: tuple[int, ...]
@@ -113,6 +114,14 @@ class SNFResult:
     @property
     def right(self) -> IntMatrix:
         return self._transforms[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, SNFResult):
+            return NotImplemented
+        return (self.diag, self.left, self.right) == (other.diag, other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.diag, self.left, self.right))
 
     def diagonal_matrix(self, rows: int, cols: int) -> IntMatrix:
         entries = [[0] * cols for _ in range(rows)]
@@ -242,14 +251,33 @@ def _sparse_rows(A: IntMatrix) -> list[dict[int, int]]:
     return [{j: x for j, x in enumerate(e[s:s + cols]) if x} for s in range(0, len(e), cols)]
 
 
-def _sub_multiple(row: dict, f: int, prow: dict) -> None:
-    """row -= f * prow, dropping entries that cancel."""
-    for k, x in prow.items():
-        y = row.get(k, 0) - f * x
+def _multipliers(a: int, p: int) -> tuple[int, int]:
+    """(scale, f) such that scale * a - f * p == 0, with scale > 0 as small as possible."""
+    if p == 1 or p == -1:
+        return 1, a * p
+    g = gcd(a, p) if p > 0 else -gcd(a, p)
+    return p // g, a // g
+
+
+def _combine(v: dict, scale: int, f: int, w: dict) -> list[int]:
+    """v <- scale * v - f * w, dropping entries that cancel.
+
+    Returns the keys of w that entered v or left it.
+    """
+    if scale != 1:
+        for k in v:
+            v[k] *= scale
+    changed = []
+    for k, x in w.items():
+        y = v.get(k, 0) - f * x
         if y:
-            row[k] = y
+            if k not in v:
+                changed.append(k)
+            v[k] = y
         else:
-            del row[k]
+            del v[k]
+            changed.append(k)
+    return changed
 
 
 class _Elimination:
@@ -269,11 +297,6 @@ class _Elimination:
         self.kernel: list[dict[int, int]] = []
         self.where: dict[int, set[int]] = {}
         self.pivots: list[tuple[int, int, dict[int, int]]] = []  # (column, entry, row)
-        # rows by length and columns by count, for the Markowitz search
-        self.row_size: dict[int, int] = {}
-        self.col_size: dict[int, int] = {}
-        self.rows_by_size: dict[int, set[int]] = {}
-        self.cols_by_size: dict[int, set[int]] = {}
         for i, row in enumerate(rows):
             if row:
                 self.rows[i] = row
@@ -281,66 +304,33 @@ class _Elimination:
                     self.tags[i] = {i: 1}
                 for c in row:
                     self.where.setdefault(c, set()).add(i)
-                self._file(self.row_size, self.rows_by_size, i, len(row))
             elif track:
                 self.kernel.append({i: 1})
-        for c, users in self.where.items():
-            self._file(self.col_size, self.cols_by_size, c, len(users))
-
-    @staticmethod
-    def _file(size, by_size, key, n):
-        """Record that row or column `key` now has n entries (0 removes it)."""
-        old = size.get(key)
-        if old == n:
-            return
-        if old is not None:
-            by_size[old].discard(key)
-        if n:
-            size[key] = n
-            by_size.setdefault(n, set()).add(key)
-        else:
-            del size[key]
 
     def _unit_pivot(self):
         """A +1/-1 entry of least Markowitz cost (r - 1) * (c - 1), or None.
 
-        Rows and columns are examined in order of size. An entry not yet
-        examined lies in an unexamined row and an unexamined column, so it
-        costs at least (least such row size - 1) * (least such column
-        size - 1); the search stops once the best cost found reaches that.
+        Columns are searched in order of count. An entry in a column used by
+        n rows costs at least (shortest row length - 1) * (n - 1), so the
+        search stops once the best cost found reaches that bound.
         """
-        rows, where = self.rows, self.where
-        row_levels = sorted(n for n, keys in self.rows_by_size.items() if keys)
-        col_levels = sorted(n for n, keys in self.cols_by_size.items() if keys)
+        rows = self.rows
+        if not rows:
+            return None
+        shortest = min(map(len, rows.values())) - 1
         best = None
         best_cost = None
-        i = j = 0
-        while i < len(row_levels) and j < len(col_levels):
-            rn, cn = row_levels[i], col_levels[j]
-            floor = (rn - 1) * (cn - 1)
-            if best_cost is not None and best_cost <= floor:
+        for c, users in sorted(self.where.items(), key=lambda item: len(item[1])):
+            cn = len(users) - 1
+            if best_cost is not None and best_cost <= shortest * cn:
                 break
-            if rn <= cn:
-                i += 1
-                for r in self.rows_by_size[rn]:
-                    for c, x in rows[r].items():
-                        if x == 1 or x == -1:
-                            cost = (rn - 1) * (len(where[c]) - 1)
-                            if best_cost is None or cost < best_cost:
-                                if cost <= floor:
-                                    return r, c
-                                best, best_cost = (r, c), cost
-            else:
-                j += 1
-                for c in self.cols_by_size[cn]:
-                    for r in where[c]:
-                        x = rows[r][c]
-                        if x == 1 or x == -1:
-                            cost = (len(rows[r]) - 1) * (cn - 1)
-                            if best_cost is None or cost < best_cost:
-                                if cost <= floor:
-                                    return r, c
-                                best, best_cost = (r, c), cost
+            for r in users:
+                row = rows[r]
+                x = row[c]
+                if x == 1 or x == -1:
+                    cost = (len(row) - 1) * cn
+                    if best_cost is None or cost < best_cost:
+                        best, best_cost = (r, c), cost
         return best
 
     def _least_pivot(self):
@@ -359,38 +349,20 @@ class _Elimination:
         rows, where, tags = self.rows, self.where, self.tags
         prow = rows.pop(r)
         ptag = tags.pop(r) if tags is not None else None
-        self._file(self.row_size, self.rows_by_size, r, 0)
-        self._file(self.col_size, self.cols_by_size, c, 0)
         for k in prow:
             where[k].discard(r)
         p = prow[c]
-        unit = p == 1 or p == -1
         for i in where.pop(c):
             row = rows[i]
-            a = row[c]
-            if unit:
-                f = a * p
-            else:  # fraction-free: row <- (p/g) * row - (a/g) * prow
-                g = gcd(a, p)
-                f, scale = a // g, p // g
-                for k in row:
-                    row[k] *= scale
-                if tags is not None:
-                    for k in tags[i]:
-                        tags[i][k] *= scale
-            for k, x in prow.items():
-                y = row.get(k, 0) - f * x
-                if y:
-                    if k not in row:
-                        where[k].add(i)
-                    row[k] = y
-                else:
-                    del row[k]
-                    if k != c:
-                        where[k].discard(i)
+            scale, f = _multipliers(row[c], p)
+            for k in _combine(row, scale, f, prow):
+                if k in row:
+                    where[k].add(i)
+                elif k != c:
+                    where[k].discard(i)
             if tags is not None:
-                _sub_multiple(tags[i], f, ptag)
-            if not unit and row:
+                _combine(tags[i], scale, f, ptag)
+            if scale != 1 and row:  # fraction-free step: divide out the content
                 content = gcd(*row.values(), *(tags[i].values() if tags is not None else ()))
                 if content > 1:
                     for k in row:
@@ -398,16 +370,13 @@ class _Elimination:
                     if tags is not None:
                         for k in tags[i]:
                             tags[i][k] //= content
-            self._file(self.row_size, self.rows_by_size, i, len(row))
             if not row:
                 del rows[i]
                 if tags is not None:
                     self.kernel.append(tags.pop(i))
         for k in prow:
-            if k != c:
-                self._file(self.col_size, self.cols_by_size, k, len(where[k]))
-                if not where[k]:
-                    del where[k]
+            if k != c and not where[k]:
+                del where[k]
         self.pivots.append((c, p, prow))
 
     def eliminate_units(self) -> int:
@@ -434,16 +403,8 @@ class _Elimination:
         """Reduce v in place modulo the rows of `pivots` (over the rationals)."""
         for c, p, prow in self.pivots:
             a = v.get(c)
-            if not a:
-                continue
-            if p == 1 or p == -1:
-                f = a * p
-            else:
-                g = gcd(a, p)
-                f, scale = a // g, p // g
-                for k in v:
-                    v[k] *= scale
-            _sub_multiple(v, f, prow)
+            if a:
+                _combine(v, *_multipliers(a, p), prow)
         return v
 
     def append(self, v: dict[int, int]) -> None:

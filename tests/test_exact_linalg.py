@@ -16,6 +16,7 @@ from skkinv import fixtures
 from skkinv.exact_linalg import (
     IntMatrix,
     NonSymmetricMatrix,
+    SNFResult,
     determinant,
     independent_modulo,
     left_kernel,
@@ -100,7 +101,9 @@ def sparse_matrices(draw, max_dim=6, values=(1, -1, 2, -2, 3, -3)):
 # no entry is +1 or -1, so the whole matrix goes to the dense Smith loop
 no_unit_matrices = sparse_matrices(values=(2, -2, 3, -3, 4, 6))
 
-any_matrices = st.one_of(int_matrices(), sparse_matrices(), no_unit_matrices)
+sparse_or_no_unit = st.one_of(sparse_matrices(), no_unit_matrices)
+
+any_matrices = st.one_of(int_matrices(), sparse_or_no_unit)
 
 
 def relabelled(K, seed):
@@ -137,9 +140,16 @@ class TestSmithNormalForm:
         result = smith_normal_form(IntMatrix.from_rows(rows))
         assert result.diag == (2, 4)
 
-    @given(any_matrices)
+    @given(int_matrices())
     @settings(max_examples=120, deadline=None)
     def test_transform_identity(self, A):
+        result = smith_normal_form(A)
+        D = result.left.mul(A).mul(result.right)
+        assert D == result.diagonal_matrix(A.rows, A.cols)
+
+    @given(sparse_or_no_unit)
+    @settings(max_examples=80, deadline=None)
+    def test_transform_identity_sparse(self, A):
         result = smith_normal_form(A)
         D = result.left.mul(A).mul(result.right)
         assert D == result.diagonal_matrix(A.rows, A.cols)
@@ -153,10 +163,15 @@ class TestSmithNormalForm:
         assert abs(determinant(result.left)) == 1
         assert abs(determinant(result.right)) == 1
 
-    @given(st.one_of(int_matrices(max_dim=4), sparse_matrices(max_dim=5),
-                     sparse_matrices(max_dim=5, values=(2, -2, 3, -3, 4, 6))))
-    @settings(max_examples=120, deadline=None)
+    @given(int_matrices(max_dim=4))
+    @settings(max_examples=60, deadline=None)
     def test_against_determinantal_oracle(self, A):
+        assert smith_normal_form(A).diag == snf_oracle(A.to_rows())
+
+    @given(st.one_of(sparse_matrices(max_dim=5),
+                     sparse_matrices(max_dim=5, values=(2, -2, 3, -3, 4, 6))))
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_against_determinantal_oracle(self, A):
         assert smith_normal_form(A).diag == snf_oracle(A.to_rows())
 
     def test_no_unit_entries(self):
@@ -190,6 +205,15 @@ class TestSmithNormalForm:
         second = smith_normal_form(IntMatrix.from_rows(rows))
         assert first == second
 
+    def test_equality_covers_the_transforms(self):
+        A = IntMatrix.from_rows([[2, 0], [0, 3]])
+        same = smith_normal_form(A)
+        other = SNFResult(same.diag, IntMatrix.from_rows([[3, 0], [0, 2]]))
+        assert same == smith_normal_form(A)
+        assert other.diag == same.diag == (1, 6)
+        assert (other.left, other.right) != (same.left, same.right)
+        assert other != same
+
 
 class TestRationalRank:
     def test_identity(self):
@@ -201,16 +225,28 @@ class TestRationalRank:
     def test_zero(self):
         assert rational_rank(IntMatrix.zeros(3, 2)) == 0
 
-    @given(st.one_of(any_matrices, sparse_matrices(max_dim=12)))
-    @settings(max_examples=150, deadline=None)
+    @given(int_matrices())
+    @settings(max_examples=100, deadline=None)
     def test_matches_oracle_and_snf(self, A):
         rank = rational_rank(A)
         assert rank == rank_oracle(A.to_rows())
         assert rank == len(smith_normal_form(A).diag)
 
-    @given(any_matrices)
+    @given(st.one_of(sparse_or_no_unit, sparse_matrices(max_dim=12)))
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_matches_oracle_and_snf(self, A):
+        rank = rational_rank(A)
+        assert rank == rank_oracle(A.to_rows())
+        assert rank == len(smith_normal_form(A).diag)
+
+    @given(int_matrices())
     @settings(max_examples=60, deadline=None)
     def test_transpose_invariance(self, A):
+        assert rational_rank(A) == rational_rank(A.transpose())
+
+    @given(sparse_or_no_unit)
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_transpose_invariance(self, A):
         assert rational_rank(A) == rational_rank(A.transpose())
 
 
