@@ -89,7 +89,7 @@ def _parse_surface_expr(expr: str) -> sf.Surface:
 
 def _scalar_pair(args) -> InvertibleTQFT2:
     has_rat = args.cap is not None or args.cup is not None
-    has_exp = getattr(args, "cap_exp", None) is not None or getattr(args, "cup_exp", None) is not None
+    has_exp = args.cap_exp is not None or args.cup_exp is not None
     if has_rat and has_exp:
         raise VariantMismatch("do not mix --cap/--cup with --cap-exp/--cup-exp")
     if has_rat:
@@ -102,6 +102,14 @@ def _scalar_pair(args) -> InvertibleTQFT2:
         return InvertibleTQFT2(exp_scalar(Fraction(args.cap_exp)),
                                exp_scalar(Fraction(args.cup_exp)))
     raise ValueError("give --cap/--cup or --cap-exp/--cup-exp")
+
+
+def _checks_result(report, command: str, **fields) -> CommandResult:
+    """Result of a verification command: its checks, exit 1 if any failed."""
+    doc = {"schema": SCHEMA, "command": command, **fields,
+           "checks": [{"name": c.name, "passed": c.passed, "witness": c.witness}
+                      for c in report.checks]}
+    return CommandResult(0 if report.all_passed else 1, report.summary(), doc)
 
 
 def _cmd_homology(args) -> CommandResult:
@@ -194,11 +202,8 @@ def _cmd_tqft_verify(args) -> CommandResult:
     if args.corrupt:
         T = corrupted_tqft(T)
     report = verify_axioms(T, seed=args.seed, budget=args.budget)
-    doc = {"schema": SCHEMA, "command": "tqft verify", "seed": args.seed,
-           "budget": args.budget, "corrupt": bool(args.corrupt),
-           "checks": [{"name": c.name, "passed": c.passed, "witness": c.witness}
-                      for c in report.checks]}
-    return CommandResult(0 if report.all_passed else 1, report.summary(), doc)
+    return _checks_result(report, "tqft verify", seed=args.seed, budget=args.budget,
+                          corrupt=bool(args.corrupt))
 
 
 def _cmd_skk_class(args) -> CommandResult:
@@ -221,12 +226,9 @@ def _cmd_skk_verify_sequence(args) -> CommandResult:
     grid = skk.default_grid(args.grid)
     splitting = skk.corrupted_splitting if args.corrupt_splitting else skk.splitting_S
     report = skk.verify_split_sequence(grid=grid, seed=args.seed, splitting=splitting)
-    doc = {"schema": SCHEMA, "command": "skk verify-sequence", "seed": args.seed,
-           "grid_half_width": args.grid,
-           "corrupt_splitting": bool(args.corrupt_splitting),
-           "checks": [{"name": c.name, "passed": c.passed, "witness": c.witness}
-                      for c in report.checks]}
-    return CommandResult(0 if report.all_passed else 1, report.summary(), doc)
+    return _checks_result(report, "skk verify-sequence", seed=args.seed,
+                          grid_half_width=args.grid,
+                          corrupt_splitting=bool(args.corrupt_splitting))
 
 
 def _cmd_skk_demo_bsigma(args) -> CommandResult:
@@ -241,10 +243,7 @@ def _cmd_skk_demo_bsigma(args) -> CommandResult:
 
 def _cmd_selftest(args) -> CommandResult:
     report = run_selftest(seed=args.seed)
-    doc = {"schema": SCHEMA, "command": "selftest", "seed": args.seed,
-           "checks": [{"name": c.name, "passed": c.passed, "witness": c.witness}
-                      for c in report.checks]}
-    return CommandResult(0 if report.all_passed else 1, report.summary(), doc)
+    return _checks_result(report, "selftest", seed=args.seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -254,6 +253,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
+    scalars = argparse.ArgumentParser(add_help=False)
+    scalars.add_argument("--cap")
+    scalars.add_argument("--cup")
+    scalars.add_argument("--cap-exp", dest="cap_exp")
+    scalars.add_argument("--cup-exp", dest="cup_exp")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("homology", parents=[common],
@@ -281,22 +285,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--dim", type=int, choices=(1, 2), default=2)
     p.set_defaults(func=_cmd_cob_normal_form)
-    p = cob_sub.add_parser("eval", parents=[common], help="evaluate a TQFT on a word")
+    p = cob_sub.add_parser("eval", parents=[common, scalars],
+                           help="evaluate a TQFT on a word")
     p.add_argument("word")
-    p.add_argument("--cap")
-    p.add_argument("--cup")
-    p.add_argument("--cap-exp", dest="cap_exp")
-    p.add_argument("--cup-exp", dest="cup_exp")
     p.set_defaults(func=_cmd_cob_eval)
 
     tq = sub.add_parser("tqft", help="TQFT verification")
     tq_sub = tq.add_subparsers(dest="tqft_command", required=True)
-    p = tq_sub.add_parser("verify", parents=[common],
+    p = tq_sub.add_parser("verify", parents=[common, scalars],
                           help="check the functor laws on random words")
-    p.add_argument("--cap")
-    p.add_argument("--cup")
-    p.add_argument("--cap-exp", dest="cap_exp")
-    p.add_argument("--cup-exp", dest="cup_exp")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--corrupt", action="store_true",

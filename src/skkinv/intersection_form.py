@@ -2,14 +2,14 @@
 
 The pairing on degree-2 cohomology is evaluated at cochain level with the
 front-face / back-face cup product in the complex's sorted vertex order,
-against the fundamental cycle given by the facet orientation signs, and
-then symmetrized on the chosen cohomology representatives.
+against the fundamental cycle given by the facet orientation signs. On
+cocycles, a cup b - b cup a is a coboundary (Steenrod's cup-1 product), so
+the pairing needs no symmetrization: it is an integer symmetric matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact_linalg import (
     SignatureTriple,
@@ -37,10 +37,10 @@ class DegeneratePairing(ValueError):
 
 @dataclass(frozen=True)
 class IntersectionMatrix:
-    """Symmetric rational pairing matrix on a chosen basis of H^2."""
+    """Symmetric integer pairing matrix on a chosen basis of H^2."""
 
     basis: tuple[tuple[int, ...], ...]  # integer cocycle representatives, one per row
-    pairing: tuple[tuple[Fraction, ...], ...]
+    pairing: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
@@ -75,7 +75,7 @@ def intersection_matrix(K: SimplicialComplex) -> IntersectionMatrix:
     """Cup-product pairing of H^2 evaluated on the fundamental cycle."""
     K = _require_oriented_4(K)
     reps = _h2_representatives(K)
-    tri_index = {t: i for i, t in enumerate(K.simplices(2))}
+    tri_index = K.face_index.position[2]
     terms = [(sign, tri_index[facet[:3]], tri_index[facet[2:]])
              for sign, facet in zip(K.orientations, K.facets)]
 
@@ -89,10 +89,8 @@ def intersection_matrix(K: SimplicialComplex) -> IntersectionMatrix:
                     total += sign * a * b
         return total
 
-    raw = [[pair(a, b) for b in reps] for a in reps]
-    n = len(reps)
-    sym = [[Fraction(raw[i][j] + raw[j][i], 2) for j in range(n)] for i in range(n)]
-    return IntersectionMatrix(tuple(reps), tuple(tuple(row) for row in sym))
+    pairing = tuple(tuple(pair(a, b) for b in reps) for a in reps)
+    return IntersectionMatrix(tuple(reps), pairing)
 
 
 def signature(K: SimplicialComplex) -> int:

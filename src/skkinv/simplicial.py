@@ -1,9 +1,11 @@
 """Simplicial-complex models of closed oriented manifolds.
 
 A complex is stored as its list of top-dimensional facets (sorted vertex
-tuples) with optional orientation signs. From the facet closure we compute
-the Euler characteristic, integral / rational / mod-2 homology via Smith
-normal form of boundary matrices, and the Kervaire semicharacteristic.
+tuples) with optional orientation signs. Its facet closure is enumerated
+once, into a face index, and everything else reads that index: the Euler
+characteristic, integral / rational / mod-2 homology via Smith normal form
+of boundary matrices, the Kervaire semicharacteristic, closedness and
+orientation.
 
 Only closedness, orientability and the consistency of supplied orientation
 signs are ever verified; inputs are trusted to be manifold triangulations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact_linalg import IntMatrix, rational_rank, smith_normal_form
 
@@ -37,6 +40,16 @@ class DimensionMismatch(ValueError):
 
 class ComplexFormatError(ValueError):
     """Malformed complex document."""
+
+
+@dataclass(frozen=True)
+class FaceIndex:
+    """The facet closure of a complex, enumerated once."""
+
+    cells: tuple[tuple[tuple[int, ...], ...], ...]    # cells[k]: the k-simplices, sorted
+    position: tuple[dict[tuple[int, ...], int], ...]  # position[k][c]: index of c in cells[k]
+    # each codimension-1 face -> (facet index, omitted vertex position) per facet containing it
+    ridges: dict[tuple[int, ...], list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,19 @@ class SimplicialComplex:
         paired = sorted(zip(norm, (int(s) for s in orientations)))
         return cls(dim, tuple(f for f, _ in paired), tuple(s for _, s in paired))
 
+    @cached_property
+    def face_index(self) -> FaceIndex:
+        """The facet closure, enumerated on first use and kept with the complex."""
+        closure = [set() for _ in range(self.dim + 1)]
+        ridges: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for i, f in enumerate(self.facets):
+            for k, cells in enumerate(closure):
+                cells.update(itertools.combinations(f, k + 1))
+            for omit in range(self.dim + 1):
+                ridges.setdefault(f[:omit] + f[omit + 1:], []).append((i, omit))
+        cells = tuple(tuple(sorted(c)) for c in closure)
+        return FaceIndex(cells, tuple({c: i for i, c in enumerate(cs)} for cs in cells), ridges)
+
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted({v for f in self.facets for v in f}))
 
@@ -82,10 +108,7 @@ class SimplicialComplex:
         """All k-simplices of the facet closure, sorted."""
         if k < 0 or k > self.dim:
             return ()
-        cells = set()
-        for f in self.facets:
-            cells.update(itertools.combinations(f, k + 1))
-        return tuple(sorted(cells))
+        return self.face_index.cells[k]
 
     def reversed_orientation(self) -> "SimplicialComplex":
         if self.orientations is None:
@@ -103,21 +126,7 @@ class HomologyProfile:
 
 def validate_closed(K: SimplicialComplex) -> bool:
     """True iff every (dim-1)-face lies in exactly two facets."""
-    if not K.facets:
-        return True
-    count: dict[tuple[int, ...], int] = {}
-    for f in K.facets:
-        for face in itertools.combinations(f, K.dim):
-            count[face] = count.get(face, 0) + 1
-    return all(c == 2 for c in count.values())
-
-
-def _facet_adjacency(K: SimplicialComplex):
-    face2fac: dict[tuple[int, ...], list[int]] = {}
-    for i, f in enumerate(K.facets):
-        for face in itertools.combinations(f, K.dim):
-            face2fac.setdefault(face, []).append(i)
-    return face2fac
+    return all(len(entries) == 2 for entries in K.face_index.ridges.values())
 
 
 def orient(K: SimplicialComplex) -> SimplicialComplex:
@@ -129,7 +138,7 @@ def orient(K: SimplicialComplex) -> SimplicialComplex:
     """
     if not validate_closed(K):
         raise NotClosed("orientation requires a closed complex")
-    face2fac = _facet_adjacency(K)
+    ridges = K.face_index.ridges
     signs = [0] * len(K.facets)
     for start in range(len(K.facets)):
         if signs[start]:
@@ -140,10 +149,8 @@ def orient(K: SimplicialComplex) -> SimplicialComplex:
             i = stack.pop()
             fi = K.facets[i]
             for omit in range(K.dim + 1):
-                face = fi[:omit] + fi[omit + 1:]
-                a, b = face2fac[face]
-                j = a if b == i else b
-                omit_j = next(p for p, v in enumerate(K.facets[j]) if v not in face)
+                a, b = ridges[fi[:omit] + fi[omit + 1:]]
+                j, omit_j = b if a[0] == i else a
                 # compatible orientations induce opposite signs on the shared face
                 want = -signs[i] * (-1) ** omit * (-1) ** omit_j
                 if signs[j] == 0:
@@ -163,12 +170,9 @@ def check_orientation(K: SimplicialComplex) -> None:
     """
     if K.orientations is None:
         raise ValueError("complex carries no orientation to check")
-    induced: dict[tuple[int, ...], int] = {}
-    for sign, f in zip(K.orientations, K.facets):
-        for omit in range(K.dim + 1):
-            face = f[:omit] + f[omit + 1:]
-            induced[face] = induced.get(face, 0) + (-sign if omit % 2 else sign)
-    bad = next((face for face, total in induced.items() if total), None)
+    signs = K.orientations
+    bad = next((face for face, entries in K.face_index.ridges.items()
+                if sum(-signs[i] if omit % 2 else signs[i] for i, omit in entries)), None)
     if bad is not None:
         raise NotOrientable(f"orientation signs do not cancel on the face {list(bad)}")
 
@@ -183,19 +187,19 @@ def is_orientable(K: SimplicialComplex) -> bool:
 
 def euler_characteristic(K: SimplicialComplex) -> int:
     """Alternating sum of simplex counts over the facet closure."""
-    return sum((-1) ** k * len(K.simplices(k)) for k in range(K.dim + 1))
+    return sum((-1) ** k * len(cells) for k, cells in enumerate(K.face_index.cells))
 
 
 def boundary_matrix(K: SimplicialComplex, k: int) -> IntMatrix:
     """Matrix of the boundary map from k-chains to (k-1)-chains."""
-    kcells = K.simplices(k)
-    k1cells = K.simplices(k - 1)
-    idx = {c: i for i, c in enumerate(k1cells)}
+    kcells, k1cells = K.simplices(k), K.simplices(k - 1)
     cols = len(kcells)
     entries = [0] * (len(k1cells) * cols)
-    for j, c in enumerate(kcells):
-        for i in range(len(c)):
-            entries[idx[c[:i] + c[i + 1:]] * cols + j] += -1 if i % 2 else 1
+    if 0 < k <= K.dim:
+        row = K.face_index.position[k - 1]
+        for j, c in enumerate(kcells):
+            for i in range(len(c)):
+                entries[row[c[:i] + c[i + 1:]] * cols + j] += -1 if i % 2 else 1
     return IntMatrix(len(k1cells), cols, tuple(entries))
 
 
@@ -225,7 +229,7 @@ def homology(K: SimplicialComplex, coefficients: str = "integers") -> HomologyPr
     if coefficients not in ("integers", "rationals", "mod2"):
         raise ValueError(f"unknown coefficient system {coefficients!r}")
     n = K.dim
-    dims = [len(K.simplices(k)) for k in range(n + 1)]
+    dims = [len(cells) for cells in K.face_index.cells]
     ranks = [0] * (n + 2)
     torsion: list[tuple[int, ...]] = [()] * (n + 1)
     for k in range(1, n + 1):

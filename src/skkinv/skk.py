@@ -383,6 +383,8 @@ def corrupted_splitting(descriptor, dim: int = 2, catalog: Catalog | None = None
 def default_grid(half_width: int = 4):
     """(2*half_width + 1)^2 signed-exponential grid; signs alternate with the
     exponent index so both components of the scalar group are exercised."""
+    if half_width < 0:
+        raise ValueError(f"grid half-width must be non-negative, got {half_width}")
     scalars = []
     for k in range(-half_width, half_width + 1):
         sign = -1 if k % 2 else 1

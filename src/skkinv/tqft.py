@@ -273,6 +273,8 @@ def verify_axioms(T, seed: int = 0, budget: int = 200) -> Report:
     functoriality under composition, the cylinder law, monoidality, and the
     empty-word law. Violations are reported with witnesses, not raised.
     """
+    if budget < 0:
+        raise ValueError(f"word budget must be non-negative, got {budget}")
     rng = random.Random(seed)
     checks = []
 

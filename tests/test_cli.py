@@ -125,6 +125,11 @@ class TestTqftVerifyCommand:
                       "--seed", "3", "--budget", "60"])
         assert result.exit_code == 0
 
+    def test_negative_budget_rejected(self):
+        result = run(["tqft", "verify", "--cap", "2", "--cup", "1/2", "--budget", "-5"])
+        assert result.exit_code == 2
+        assert "budget" in result.report
+
     def test_corrupt_flag_finds_violation(self):
         result = run(["tqft", "verify", "--cap", "2", "--cup", "1/2",
                       "--seed", "3", "--budget", "60", "--corrupt"])
@@ -155,6 +160,11 @@ class TestSkkCommands:
         result = run(["skk", "verify-sequence", "--grid", "2", "--seed", "1",
                       "--corrupt-splitting"])
         assert result.exit_code == 1
+
+    def test_verify_sequence_negative_grid_rejected(self):
+        result = run(["skk", "verify-sequence", "--grid", "-3"])
+        assert result.exit_code == 2
+        assert "grid" in result.report
 
     def test_demo_bsigma(self):
         result = run(["skk", "demo-bsigma"])

@@ -20,6 +20,22 @@ from skkinv.simplicial import (
 )
 
 
+def relabelled(K, seed):
+    """K with its vertices renamed by a seeded random injection. A relabelling
+    is an isomorphism; carried along with the sign of the permutation that
+    re-sorts each facet, the orientation is preserved."""
+    rng = random.Random(seed)
+    verts = K.vertices()
+    rename = dict(zip(verts, rng.sample(range(3 * len(verts)), len(verts))))
+    facets, signs = [], []
+    for sign, facet in zip(K.orientations, K.facets):
+        image = [rename[v] for v in facet]
+        inversions = sum(a > b for i, a in enumerate(image) for b in image[i + 1:])
+        facets.append(image)
+        signs.append(sign * (-1) ** inversions)
+    return SimplicialComplex.from_facets(K.dim, facets, signs)
+
+
 class TestIntersectionMatrix:
     def test_sphere4_empty(self):
         form = intersection_matrix(orient(fixtures.sphere4()))
@@ -39,12 +55,15 @@ class TestIntersectionMatrix:
         assert q_rev == -q
 
     def test_symmetry(self):
-        union = disjoint_union(fixtures.cp2_9(), fixtures.cp2_9())
-        form = intersection_matrix(union)
-        assert form.size == 2
-        for i in range(2):
-            for j in range(2):
-                assert form.pairing[i][j] == form.pairing[j][i]
+        K = fixtures.cp2_9()
+        mixed = relabelled(disjoint_union(K, K.reversed_orientation()), 5)
+        for union in (disjoint_union(K, K), mixed):
+            form = intersection_matrix(union)
+            assert form.size == 2
+            for i in range(2):
+                for j in range(2):
+                    assert type(form.pairing[i][j]) is int
+                    assert form.pairing[i][j] == form.pairing[j][i]
 
     def test_wrong_dimension(self):
         with pytest.raises(WrongDimension):
@@ -99,21 +118,9 @@ class TestSignature:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_relabelled_cp2(self, seed):
-        """A relabelling is an isomorphism; carried along with the sign of the
-        permutation that re-sorts each facet, the orientation is preserved."""
-        rng = random.Random(seed)
-        K = fixtures.cp2_9()
-        verts = K.vertices()
-        rename = dict(zip(verts, rng.sample(range(3 * len(verts)), len(verts))))
-        facets, signs = [], []
-        for sign, facet in zip(K.orientations, K.facets):
-            image = [rename[v] for v in facet]
-            inversions = sum(a > b for i, a in enumerate(image) for b in image[i + 1:])
-            facets.append(image)
-            signs.append(sign * (-1) ** inversions)
-        relabelled = SimplicialComplex.from_facets(4, facets, signs)
-        assert signature(relabelled) == 1
-        assert signature(relabelled.reversed_orientation()) == -1
+        K = relabelled(fixtures.cp2_9(), seed)
+        assert signature(K) == 1
+        assert signature(K.reversed_orientation()) == -1
 
     def test_sigma_equals_chi_mod_2(self):
         for K in (fixtures.cp2_9(), orient(fixtures.sphere4()),

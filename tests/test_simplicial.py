@@ -1,6 +1,7 @@
 """Simplicial complexes: fixtures, homology, orientation, semicharacteristic."""
 
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,8 @@ from skkinv.simplicial import (
     NotOrientable,
     OddEulerCharacteristic,
     SimplicialComplex,
+    boundary_matrix,
+    check_orientation,
     complex_from_json,
     complex_to_json,
     disjoint_union,
@@ -31,6 +34,66 @@ def face_incidence_oracle(K):
         for face in itertools.combinations(facet, K.dim):
             counter[face] = counter.get(face, 0) + 1
     return counter
+
+
+def closure_oracle(K):
+    """Brute-force facet closure: the sorted k-simplices for each k."""
+    return [sorted({c for f in K.facets for c in itertools.combinations(f, k + 1)})
+            for k in range(K.dim + 1)]
+
+
+def boundary_oracle(K, k):
+    """Rows of the degree-k boundary matrix, read off the brute-force closure."""
+    cells = closure_oracle(K)
+    rows = [[0] * len(cells[k]) for _ in cells[k - 1]]
+    for j, c in enumerate(cells[k]):
+        for i in range(len(c)):
+            rows[cells[k - 1].index(c[:i] + c[i + 1:])][j] += (-1) ** i
+    return rows
+
+
+def relabelled(K, seed):
+    """K without signs, its vertices renamed by a seeded random injection."""
+    rng = random.Random(seed)
+    verts = K.vertices()
+    rename = dict(zip(verts, rng.sample(range(3 * len(verts)), len(verts))))
+    return SimplicialComplex.from_facets(K.dim, [[rename[v] for v in f] for f in K.facets])
+
+
+def _variants():
+    """Every fixture, a relabelling of each, and each with its first facet removed."""
+    out = {}
+    for name, make in fixtures.FIXTURES.items():
+        K = make()
+        out[name] = K
+        out[f"{name}~relabelled"] = relabelled(K, 1)
+        out[f"{name}~punctured"] = SimplicialComplex(K.dim, K.facets[1:])
+    return out
+
+
+COMPLEXES = _variants()
+ORIENTABLE = [n for n in COMPLEXES if "punctured" not in n and "projective" not in n]
+
+
+class TestFaceIndex:
+    @pytest.mark.parametrize("name", list(COMPLEXES))
+    def test_against_brute_force(self, name):
+        K = COMPLEXES[name]
+        cells = closure_oracle(K)
+        for k in range(-1, K.dim + 2):
+            assert K.simplices(k) == (tuple(cells[k]) if 0 <= k <= K.dim else ())
+        closed = all(c == 2 for c in face_incidence_oracle(K).values())
+        assert closed == ("punctured" not in name)
+        assert validate_closed(K) == closed
+        assert euler_characteristic(K) == sum((-1) ** k * len(c) for k, c in enumerate(cells))
+        for k in range(1, K.dim + 1):
+            assert boundary_matrix(K, k).to_rows() == boundary_oracle(K, k)
+
+    @pytest.mark.parametrize("name", [n for n in COMPLEXES if n not in ORIENTABLE])
+    def test_orient_rejects(self, name):
+        error = NotClosed if "punctured" in name else NotOrientable
+        with pytest.raises(error):
+            orient(COMPLEXES[name])
 
 
 class TestValidateClosed:
@@ -69,9 +132,13 @@ class TestOrient:
         with pytest.raises(NotClosed):
             orient(K)
 
-    @pytest.mark.parametrize("complex_name", ["sphere2", "sphere3", "sphere4", "torus7"])
+    @pytest.mark.parametrize("complex_name", ORIENTABLE)
     def test_signed_boundary_vanishes(self, complex_name):
-        K = orient(fixtures.FIXTURES[complex_name]())
+        K = orient(COMPLEXES[complex_name])
+        check_orientation(K)
+        flipped = SimplicialComplex(K.dim, K.facets, (-K.orientations[0],) + K.orientations[1:])
+        with pytest.raises(NotOrientable):
+            check_orientation(flipped)
         boundary = {}
         for sign, facet in zip(K.orientations, K.facets):
             for omit in range(len(facet)):
