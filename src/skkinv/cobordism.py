@@ -209,81 +209,76 @@ class CobordismClass:
                    for c in self.components)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def normal_form(M: CobordismWord) -> CobordismClass:
     """Classify the word's connected components.
 
     Wires (boundary positions between layers) and generator patches are
-    merged with union-find; per component the Euler characteristic comes
-    from generator counts and the genus from chi = 2 - 2g - (boundary
-    circles). A swap is two disjoint strands, not a connected patch.
+    merged with union-find over integer node ids: the wires of boundary li
+    are numbered from base[li], and patches follow every wire. Per
+    component the Euler characteristic comes from generator counts and the
+    genus from chi = 2 - 2g - (boundary circles). A swap is two disjoint
+    strands, not a connected patch.
     """
-    uf = _UnionFind()
-    patch_gen: dict[tuple, str] = {}
+    base = [0]
+    width = M.in_arity
+    for layer in M.layers:
+        base.append(base[-1] + width)
+        width = sum(GENERATORS[g][2] for g in layer)
+    parent = list(range(base[-1] + width))
 
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    patch_gen: list[tuple[int, str]] = []
     for li, layer in enumerate(M.layers):
-        in_pos = 0
-        out_pos = 0
-        for gi, g in enumerate(layer):
+        in_pos = base[li]
+        out_pos = base[li + 1]
+        for g in layer:
             _, n_in, n_out = GENERATORS[g]
-            ins = [("w", li, in_pos + k) for k in range(n_in)]
-            outs = [("w", li + 1, out_pos + k) for k in range(n_out)]
             if g in ("id", "pid"):
-                uf.union(ins[0], outs[0])
+                union(in_pos, out_pos)
             elif g == "swap":
-                uf.union(ins[0], outs[1])
-                uf.union(ins[1], outs[0])
+                union(in_pos, out_pos + 1)
+                union(in_pos + 1, out_pos)
             else:
-                patch = ("p", li, gi)
-                patch_gen[patch] = g
-                for node in ins + outs:
-                    uf.union(patch, node)
+                patch = len(parent)
+                parent.append(patch)
+                patch_gen.append((patch, g))
+                for node in range(in_pos, in_pos + n_in):
+                    union(patch, node)
+                for node in range(out_pos, out_pos + n_out):
+                    union(patch, node)
             in_pos += n_in
             out_pos += n_out
 
-    comp_counts: dict = {}
-    comp_ins: dict = {}
-    comp_outs: dict = {}
-
-    def bucket(d, key):
-        return d.setdefault(key, [])
-
-    for patch, g in patch_gen.items():
-        root = uf.find(patch)
-        comp_counts.setdefault(root, {})
-        comp_counts[root][g] = comp_counts[root].get(g, 0) + 1
-    n_layers = len(M.layers)
+    comp_chi: dict[int, int] = {}
+    comp_ins: dict[int, list[int]] = {}
+    comp_outs: dict[int, list[int]] = {}
+    for patch, g in patch_gen:
+        root = find(patch)
+        comp_chi[root] = comp_chi.get(root, 0) + CHI_2.get(g, 0)
     for p in range(M.in_arity):
-        bucket(comp_ins, uf.find(("w", 0, p))).append(p)
+        comp_ins.setdefault(find(p), []).append(p)
     for p in range(M.out_arity):
-        bucket(comp_outs, uf.find(("w", n_layers, p))).append(p)
+        comp_outs.setdefault(find(base[-1] + p), []).append(p)
 
-    roots = set(comp_counts) | set(comp_ins) | set(comp_outs)
+    roots = set(comp_chi) | set(comp_ins) | set(comp_outs)
     components = []
     for root in roots:
-        cnt = comp_counts.get(root, {})
         ins = tuple(sorted(comp_ins.get(root, [])))
         outs = tuple(sorted(comp_outs.get(root, [])))
         if M.dim == 2:
-            chi = sum(CHI_2[g] * n for g, n in cnt.items())
+            chi = comp_chi.get(root, 0)
             two_g = 2 - chi - len(ins) - len(outs)
             if two_g < 0 or two_g % 2 != 0:
                 raise InternalInvariantViolation(

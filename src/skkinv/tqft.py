@@ -54,35 +54,38 @@ class RationalScalar:
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", Fraction(self.value))
         if self.value == 0:
             raise ValueError("scalar must be nonzero")
 
     def one(self) -> "RationalScalar":
-        return RationalScalar(Fraction(1))
+        return _RATIONAL_ONE
 
     @property
     def is_one(self) -> bool:
         return self.value == 1
 
     def inverse(self) -> "RationalScalar":
-        return RationalScalar(1 / self.value)
+        return _rational_of(1 / self.value)
 
     def __mul__(self, other):
         if not isinstance(other, RationalScalar):
             raise VariantMismatch("rational scalar multiplied by a different variant")
-        return RationalScalar(self.value * other.value)
+        return _rational_of(self.value * other.value)
 
     def __pow__(self, k):
-        k = Fraction(k)
-        if k.denominator != 1:
-            if self.value == 1:
-                return self.one()
-            raise FractionalExponent(f"no exact rational root {k} of {self.value}")
-        return RationalScalar(self.value ** int(k))
+        if type(k) is not int:
+            k = Fraction(k)
+            if k.denominator != 1:
+                if self.value == 1:
+                    return self.one()
+                raise FractionalExponent(f"no exact rational root {k} of {self.value}")
+            k = int(k)
+        return _rational_of(self.value ** k)
 
     def abs_value(self) -> "RationalScalar":
-        return RationalScalar(abs(self.value))
+        return _rational_of(abs(self.value))
 
     def __str__(self):
         return str(self.value)
@@ -96,42 +99,64 @@ class ExpScalar:
     sign: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
+        if type(self.exponent) is not Fraction:
+            object.__setattr__(self, "exponent", Fraction(self.exponent))
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
     def one(self) -> "ExpScalar":
-        return ExpScalar(Fraction(0))
+        return _EXP_ONE
 
     @property
     def is_one(self) -> bool:
         return self.exponent == 0 and self.sign == 1
 
     def inverse(self) -> "ExpScalar":
-        return ExpScalar(-self.exponent, self.sign)
+        return _exp_of(-self.exponent, self.sign)
 
     def __mul__(self, other):
         if not isinstance(other, ExpScalar):
             raise VariantMismatch("exponential scalar multiplied by a different variant")
-        return ExpScalar(self.exponent + other.exponent, self.sign * other.sign)
+        return _exp_of(self.exponent + other.exponent, self.sign * other.sign)
 
     def __pow__(self, k):
+        if type(k) is int:
+            return _exp_of(self.exponent * k, -1 if self.sign == -1 and k % 2 else 1)
         k = Fraction(k)
         if self.sign == 1:
-            return ExpScalar(self.exponent * k)
+            return _exp_of(self.exponent * k, 1)
         if k.denominator % 2 == 1:
             sign = -1 if k.numerator % 2 else 1
-            return ExpScalar(self.exponent * k, sign)
+            return _exp_of(self.exponent * k, sign)
         raise FractionalExponent("negative scalar has no real root of even order")
 
     def abs_value(self) -> "ExpScalar":
-        return ExpScalar(self.exponent)
+        return _exp_of(self.exponent, 1)
 
     def __str__(self):
         prefix = "-" if self.sign == -1 else ""
         if self.exponent == 0:
             return prefix + "1"
         return f"{prefix}exp({self.exponent})"
+
+
+# Products and powers of valid scalars are valid, so they skip __post_init__
+# and its Fraction re-normalization.
+def _rational_of(value: Fraction) -> RationalScalar:
+    s = object.__new__(RationalScalar)
+    object.__setattr__(s, "value", value)
+    return s
+
+
+def _exp_of(exponent: Fraction, sign: int) -> ExpScalar:
+    s = object.__new__(ExpScalar)
+    object.__setattr__(s, "exponent", exponent)
+    object.__setattr__(s, "sign", sign)
+    return s
+
+
+_RATIONAL_ONE = RationalScalar(Fraction(1))
+_EXP_ONE = ExpScalar(Fraction(0))
 
 
 GroupScalar = RationalScalar | ExpScalar
@@ -202,13 +227,15 @@ def trivial_tqft(variant: str = "rational") -> InvertibleTQFT2:
 
 
 def evaluate(T, M: CobordismWord) -> GroupScalar:
-    """Product of generator values over the word."""
+    """Product of generator values over the word.
+
+    Scalars commute, so each generator value is raised to its count.
+    """
     if M.dim != 2:
         raise WrongDimension("2d TQFTs evaluate dimension-2 words")
     value = T.one()
-    for layer in M.layers:
-        for g in layer:
-            value = value * T.generator_value(g)
+    for g, n in M.generator_counts().items():
+        value = value * T.generator_value(g) ** n
     return value
 
 

@@ -54,6 +54,24 @@ class TestScalars:
         assert tqft.exp_scalar(2, sign=-1).abs_value() == tqft.exp_scalar(2)
         assert tqft.rational(-3).abs_value() == tqft.rational(3)
 
+    @given(small_rationals, small_rationals, st.integers(min_value=-4, max_value=4),
+           st.sampled_from((1, -1)))
+    @settings(max_examples=80, deadline=None)
+    def test_arithmetic_matches_constructor(self, p, q, k, sign):
+        """Products, powers and inverses equal (and hash like) freshly built scalars."""
+        x, y = tqft.rational(p), tqft.rational(q)
+        for got, want in ((x * y, p * q), (x ** k, p ** k), (x.inverse(), 1 / p),
+                          (x.abs_value(), abs(p)), (x.one(), 1)):
+            assert type(got.value) is Fraction
+            assert got == tqft.RationalScalar(want) and hash(got) == hash(tqft.RationalScalar(want))
+        u, v = tqft.exp_scalar(p, sign), tqft.exp_scalar(q)
+        for got, want in ((u * v, tqft.ExpScalar(p + q, sign)),
+                          (u ** k, tqft.ExpScalar(p * k, sign if k % 2 else 1)),
+                          (u.inverse(), tqft.ExpScalar(-p, sign)),
+                          (u.abs_value(), tqft.ExpScalar(p)), (u.one(), tqft.ExpScalar(0))):
+            assert type(got.exponent) is Fraction
+            assert got == want and hash(got) == hash(want)
+
     def test_variant_mixing_rejected(self):
         with pytest.raises(tqft.VariantMismatch):
             tqft.rational(2) * tqft.exp_scalar(1)
@@ -81,6 +99,22 @@ class TestEvaluate:
     def test_wrong_dimension(self):
         with pytest.raises(cb.WrongDimension):
             tqft.evaluate(rational_tqft(2, 3), cb.parse_word("acap ; acup", dim=1))
+
+    @given(seeds, small_rationals, small_rationals, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_generator_by_generator_product(self, seed, a, e, corrupt):
+        """Evaluating from generator counts equals the product along the word."""
+        rng = random.Random(seed)
+        for T in (rational_tqft(a, e), tqft.InvertibleTQFT2(tqft.exp_scalar(a, -1),
+                                                            tqft.exp_scalar(e))):
+            if corrupt:
+                T = tqft.corrupted_tqft(T)
+            for w in (cb.random_word(rng), cb.random_closed_word(rng)):
+                expected = T.one()
+                for layer in w.layers:
+                    for g in layer:
+                        expected = expected * T.generator_value(g)
+                assert tqft.evaluate(T, w) == expected
 
     @given(seeds, small_rationals, small_rationals)
     @settings(max_examples=60, deadline=None)
