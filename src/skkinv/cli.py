@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 a verification found a violation, 2 input error.
+Exit codes: 0 success, 1 a verification found a violation, 2 the input is at
+fault: a usage error, or an `skkinv.InputError`, reported as "error: ...".
+Any other exception is a bug in skkinv and ends in a traceback.
 Scalars print exactly, as rationals or exp(p/q) strings; machine-readable
 reports carry a schema version and are emitted with --json.
 """
@@ -9,17 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import skk, surfaces as sf, virtual_bordism as vb
-from .cobordism import ArityMismatch, WordSyntaxError, normal_form, parse_word
-from .intersection_form import DegeneratePairing, WrongDimension, signature
+from . import InputError, skk, surfaces as sf, virtual_bordism as vb
+from .cobordism import normal_form, parse_word
+from .intersection_form import signature
 from .simplicial import (
-    ComplexFormatError,
-    NotClosed,
-    NotOrientable,
     OddEulerCharacteristic,
     complex_from_json,
     euler_characteristic,
@@ -29,7 +29,6 @@ from .simplicial import (
 )
 from .tqft import (
     InvertibleTQFT2,
-    VariantMismatch,
     corrupted_tqft,
     evaluate,
     exp_scalar,
@@ -40,27 +39,7 @@ from .selftest import run_selftest
 
 SCHEMA = 1
 
-_INPUT_ERRORS = (
-    ComplexFormatError,
-    NotClosed,
-    NotOrientable,
-    DegeneratePairing,
-    WrongDimension,
-    WordSyntaxError,
-    ArityMismatch,
-    VariantMismatch,
-    vb.CatalogFormatError,
-    vb.MissingBSigma,
-    vb.LabelMismatch,
-    sf.ScriptError,
-    sf.InvalidSpec,
-    sf.InvalidMatching,
-    skk.UnsupportedDimension,
-    skk.OddParity,
-    skk.NotClosedManifold,
-    ValueError,
-    OSError,
-)
+_SURFACE_TERM = re.compile(r"g(\d+)b(\d+)")
 
 
 @dataclass(frozen=True)
@@ -71,19 +50,30 @@ class CommandResult:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(str(exc)) from exc
 
 
-def _parse_surface_expr(expr: str) -> sf.Surface:
-    """Surface expressions: g<genus>b<boundary> terms joined by '+'."""
+def fraction(text: str) -> Fraction:
+    """Argument type for exact rationals; argparse turns a ValueError into a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
+def surface_expr(text: str) -> sf.Surface:
+    """Argument type for surfaces: g<genus>b<boundary> terms joined by '+'."""
     comps = []
-    for term in expr.split("+"):
-        term = term.strip().lower()
-        if not term.startswith("g") or "b" not in term:
-            raise ValueError(f"bad surface term {term!r}; expected like g1b0")
-        g_text, b_text = term[1:].split("b", 1)
-        comps.append((int(g_text), int(b_text)))
+    for term in text.split("+"):
+        match = _SURFACE_TERM.fullmatch(term.strip().lower())
+        if match is None:
+            raise argparse.ArgumentTypeError(
+                f"bad surface term {term.strip()!r}; expected like g1b0")
+        comps.append((int(match[1]), int(match[2])))
     return sf.surface(*comps)
 
 
@@ -91,17 +81,18 @@ def _scalar_pair(args) -> InvertibleTQFT2:
     has_rat = args.cap is not None or args.cup is not None
     has_exp = args.cap_exp is not None or args.cup_exp is not None
     if has_rat and has_exp:
-        raise VariantMismatch("do not mix --cap/--cup with --cap-exp/--cup-exp")
+        raise InputError("do not mix --cap/--cup with --cap-exp/--cup-exp")
     if has_rat:
         if args.cap is None or args.cup is None:
-            raise ValueError("--cap and --cup must be given together")
-        return InvertibleTQFT2(rational(Fraction(args.cap)), rational(Fraction(args.cup)))
+            raise InputError("--cap and --cup must be given together")
+        if 0 in (args.cap, args.cup):
+            raise InputError("--cap and --cup must be nonzero")
+        return InvertibleTQFT2(rational(args.cap), rational(args.cup))
     if has_exp:
         if args.cap_exp is None or args.cup_exp is None:
-            raise ValueError("--cap-exp and --cup-exp must be given together")
-        return InvertibleTQFT2(exp_scalar(Fraction(args.cap_exp)),
-                               exp_scalar(Fraction(args.cup_exp)))
-    raise ValueError("give --cap/--cup or --cap-exp/--cup-exp")
+            raise InputError("--cap-exp and --cup-exp must be given together")
+        return InvertibleTQFT2(exp_scalar(args.cap_exp), exp_scalar(args.cup_exp))
+    raise InputError("give --cap/--cup or --cap-exp/--cup-exp")
 
 
 def _checks_result(report, command: str, **fields) -> CommandResult:
@@ -154,7 +145,7 @@ def _cmd_invariants(args) -> CommandResult:
 
 
 def _cmd_cutpaste(args) -> CommandResult:
-    S = _parse_surface_expr(args.start)
+    S = args.start
     moves = sf.parse_script(_read(args.script))
     trace = [(sf.chi(S), S.as_multiset())]
     for move in moves:
@@ -208,11 +199,11 @@ def _cmd_tqft_verify(args) -> CommandResult:
 
 def _cmd_skk_class(args) -> CommandResult:
     if args.surface is not None:
-        M = _parse_surface_expr(args.surface)
+        M = args.surface
         dim = 2
     else:
         if args.file is None:
-            raise ValueError("give a complex file or --surface")
+            raise InputError("give a complex file or --surface")
         M = complex_from_json(_read(args.file))
         dim = M.dim
     cls = skk.skk_class(M, dim)
@@ -254,10 +245,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     scalars = argparse.ArgumentParser(add_help=False)
-    scalars.add_argument("--cap")
-    scalars.add_argument("--cup")
-    scalars.add_argument("--cap-exp", dest="cap_exp")
-    scalars.add_argument("--cup-exp", dest="cup_exp")
+    scalars.add_argument("--cap", type=fraction)
+    scalars.add_argument("--cup", type=fraction)
+    scalars.add_argument("--cap-exp", dest="cap_exp", type=fraction)
+    scalars.add_argument("--cup-exp", dest="cup_exp", type=fraction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("homology", parents=[common],
@@ -275,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cutpaste", parents=[common],
                        help="run a cut/paste script on a surface")
     p.add_argument("script")
-    p.add_argument("--start", required=True, help="surface expression, e.g. 'g1b0 + g0b3'")
+    p.add_argument("--start", required=True, type=surface_expr,
+                   help="surface expression, e.g. 'g1b0 + g0b3'")
     p.set_defaults(func=_cmd_cutpaste)
 
     cob = sub.add_parser("cob", help="cobordism word operations")
@@ -305,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sk_sub.add_parser("class", parents=[common],
                           help="class of a complex file or surface expression")
     p.add_argument("file", nargs="?")
-    p.add_argument("--surface", help="surface expression, e.g. 'g2b0'")
+    p.add_argument("--surface", type=surface_expr, help="surface expression, e.g. 'g2b0'")
     p.set_defaults(func=_cmd_skk_class)
     p = sk_sub.add_parser("verify-sequence", parents=[common],
                           help="split exact sequence checks")
@@ -333,7 +325,7 @@ def run(argv) -> CommandResult:
         return CommandResult(2 if exc.code else 0, "")
     try:
         result = args.func(args)
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         return CommandResult(2, f"error: {exc}")
     if args.json and result.json_report is not None:
         return CommandResult(result.exit_code,

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import InputError
 
-class WordSyntaxError(ValueError):
+
+class WordSyntaxError(InputError):
     """Word text violates the grammar; carries a token position."""
 
     def __init__(self, message: str, position: int):
@@ -32,7 +34,7 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-class ArityMismatch(ValueError):
+class ArityMismatch(InputError):
     """Layer or composition arities do not line up."""
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import InputError
 from .exact_linalg import (
     SignatureTriple,
     independent_modulo,
@@ -27,11 +28,11 @@ from .simplicial import (
 )
 
 
-class WrongDimension(ValueError):
+class WrongDimension(InputError):
     """Operation requires a 4-dimensional complex."""
 
 
-class DegeneratePairing(ValueError):
+class DegeneratePairing(InputError):
     """Intersection form has a radical; the input is not a closed 4-manifold."""
 
 

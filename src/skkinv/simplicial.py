@@ -19,14 +19,15 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import InputError
 from .exact_linalg import IntMatrix, rational_rank, smith_normal_form
 
 
-class NotClosed(ValueError):
+class NotClosed(InputError):
     """Complex is not closed (some codimension-1 face is not shared by exactly two facets)."""
 
 
-class NotOrientable(ValueError):
+class NotOrientable(InputError):
     """No consistent orientation assignment exists."""
 
 
@@ -38,7 +39,7 @@ class DimensionMismatch(ValueError):
     """Operands have different dimensions."""
 
 
-class ComplexFormatError(ValueError):
+class ComplexFormatError(InputError):
     """Malformed complex document."""
 
 
@@ -285,7 +286,7 @@ def complex_to_json(K: SimplicialComplex) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _is_int(x) -> bool:
+def is_json_int(x) -> bool:
     """JSON integers only: `bool` is a subclass of `int` but true/false are not numbers."""
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -294,7 +295,7 @@ def complex_from_json(text: str) -> SimplicialComplex:
     """Parse the complex document format; unknown fields are rejected."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long
         raise ComplexFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ComplexFormatError("top-level document must be an object")
@@ -304,16 +305,19 @@ def complex_from_json(text: str) -> SimplicialComplex:
     if "dim" not in doc or "facets" not in doc:
         raise ComplexFormatError("document requires 'dim' and 'facets'")
     dim = doc["dim"]
-    if not _is_int(dim) or dim < 0:
+    if not is_json_int(dim) or dim < 0:
         raise ComplexFormatError("'dim' must be a non-negative integer")
     facets = doc["facets"]
     if not isinstance(facets, list) or not all(
-        isinstance(f, list) and all(_is_int(v) for v in f) for f in facets
+        isinstance(f, list) and all(is_json_int(v) for v in f) for f in facets
     ):
         raise ComplexFormatError("'facets' must be an array of integer arrays")
+    if not facets:
+        # a facet-less complex would still cost a face index of `dim` + 1 levels
+        raise ComplexFormatError("'facets' must not be empty")
     ori = doc.get("orientations")
     if ori is not None:
-        if not isinstance(ori, list) or not all(_is_int(s) and s in (1, -1) for s in ori):
+        if not isinstance(ori, list) or not all(is_json_int(s) and s in (1, -1) for s in ori):
             raise ComplexFormatError("'orientations' must be an array of +1/-1")
     try:
         return SimplicialComplex.from_facets(dim, facets, ori)

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import surfaces as sf
+from . import InputError, surfaces as sf
 from .cobordism import CobordismWord, normal_form
 from .intersection_form import signature as complex_signature
 from .simplicial import SimplicialComplex, euler_characteristic, homology, validate_closed
@@ -37,15 +37,15 @@ from .tqft import (
 from .virtual_bordism import Catalog, VirtualPiece, close_up, dim8_catalog
 
 
-class UnsupportedDimension(ValueError):
+class UnsupportedDimension(InputError):
     """Classes are implemented in dimensions 1, 2, and 4 only."""
 
 
-class OddParity(ValueError):
+class OddParity(InputError):
     """chi - sigma is odd; the input is not a closed oriented 4-manifold."""
 
 
-class NotClosedManifold(ValueError):
+class NotClosedManifold(InputError):
     """Class functions are defined on closed manifolds."""
 
 
@@ -172,7 +172,7 @@ class SKKHomStructure:
     bordism_rank: int | None = None
 
 
-def hom_structure(n: int, omega_ranks=None) -> SKKHomStructure:
+def hom_structure(n: int) -> SKKHomStructure:
     """Shape of the positive-real-valued invariant group by dimension class."""
     if n < 1:
         raise ValueError("dimension must be positive")
@@ -180,8 +180,7 @@ def hom_structure(n: int, omega_ranks=None) -> SKKHomStructure:
         return SKKHomStructure(n, "zero")
     if n % 4 == 2:
         return SKKHomStructure(n, "chi_star")
-    ranks = OMEGA_HOM_RANKS if omega_ranks is None else omega_ranks
-    return SKKHomStructure(n, "chi_star_plus_bordism", ranks.get(n))
+    return SKKHomStructure(n, "chi_star_plus_bordism", OMEGA_HOM_RANKS.get(n))
 
 
 def bordism_projection(M, dim: int = 4) -> int:
@@ -384,7 +383,7 @@ def default_grid(half_width: int = 4):
     """(2*half_width + 1)^2 signed-exponential grid; signs alternate with the
     exponent index so both components of the scalar group are exercised."""
     if half_width < 0:
-        raise ValueError(f"grid half-width must be non-negative, got {half_width}")
+        raise InputError(f"grid half-width must be non-negative, got {half_width}")
     scalars = []
     for k in range(-half_width, half_width + 1):
         sign = -1 if k % 2 else 1
@@ -392,17 +391,15 @@ def default_grid(half_width: int = 4):
     return tuple(scalars)
 
 
-def verify_split_sequence(dim: int = 2, grid=None, seed: int = 0,
-                          splitting=splitting_S) -> Report:
+def verify_split_sequence(grid=None, seed: int = 0, splitting=splitting_S) -> Report:
     """Exactness and splitting checks over a signed-exponential grid.
 
     (i) sign-valued TQFTs are exactly the kernel of the positive
     restriction; (ii) sampled chi-type invariants are hit (via the
     splitting); (iii) the positive restriction after the splitting is the
     identity on samples; (iv) the positive restriction is a homomorphism.
+    All four run in dimension 2.
     """
-    if dim != 2:
-        raise UnsupportedDimension("the sequence checks run in dimension 2")
     grid = default_grid() if grid is None else grid
     rng = random.Random(seed)
     samples = sample_closed_surfaces()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import InputError
 from .simplicial import SimplicialComplex
 
 
@@ -27,15 +28,15 @@ class NotClosedSurface(ValueError):
     """Operation requires closed surfaces."""
 
 
-class InvalidSpec(ValueError):
+class InvalidSpec(InputError):
     """Cut specification does not apply to the surface."""
 
 
-class InvalidMatching(ValueError):
+class InvalidMatching(InputError):
     """Paste matching is not a matching on distinct existing circles."""
 
 
-class ScriptError(ValueError):
+class ScriptError(InputError):
     """Malformed cut/paste script line."""
 
 

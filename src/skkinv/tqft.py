@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import InputError
 from .cobordism import (
     CobordismWord,
     WrongDimension,
@@ -35,7 +36,7 @@ from .cobordism import (
 from .surfaces import PasteSpec, chi as surface_chi, disjoint_union as surface_union, paste
 
 
-class VariantMismatch(ValueError):
+class VariantMismatch(InputError):
     """Scalars from different scalar groups cannot be combined."""
 
 
@@ -170,10 +171,6 @@ def exp_scalar(exponent, sign: int = 1) -> ExpScalar:
     return ExpScalar(Fraction(exponent), sign)
 
 
-def same_variant(a: GroupScalar, b: GroupScalar) -> bool:
-    return type(a) is type(b)
-
-
 @dataclass(frozen=True)
 class InvertibleTQFT2:
     """Two-parameter invertible 2d TQFT: cap value and cup value."""
@@ -182,7 +179,7 @@ class InvertibleTQFT2:
     cup: GroupScalar
 
     def __post_init__(self):
-        if not same_variant(self.cap, self.cup):
+        if type(self.cap) is not type(self.cup):
             raise VariantMismatch("cap and cup scalars must share a variant")
 
     @property
@@ -205,11 +202,8 @@ class InvertibleTQFT2:
             return self.cap.one()
         raise WrongDimension(f"generator {g!r} is not a dimension-2 generator")
 
-    def evaluate(self, M: CobordismWord) -> GroupScalar:
-        return evaluate(self, M)
-
     def product(self, other: "InvertibleTQFT2") -> "InvertibleTQFT2":
-        if not same_variant(self.cap, other.cap):
+        if type(self.cap) is not type(other.cap):
             raise VariantMismatch("cannot multiply TQFTs over different scalar groups")
         return InvertibleTQFT2(self.cap * other.cap, self.cup * other.cup)
 
@@ -301,7 +295,7 @@ def verify_axioms(T, seed: int = 0, budget: int = 200) -> Report:
     empty-word law. Violations are reported with witnesses, not raised.
     """
     if budget < 0:
-        raise ValueError(f"word budget must be non-negative, got {budget}")
+        raise InputError(f"word budget must be non-negative, got {budget}")
     rng = random.Random(seed)
     checks = []
 

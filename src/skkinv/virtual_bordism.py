@@ -21,8 +21,11 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from . import InputError
+from .simplicial import is_json_int
 
-class LabelMismatch(ValueError):
+
+class LabelMismatch(InputError):
     """Matched boundary labels disagree."""
 
 
@@ -30,11 +33,11 @@ class DimensionMismatch(ValueError):
     """Pieces of different dimensions cannot interact."""
 
 
-class MissingBSigma(ValueError):
+class MissingBSigma(InputError):
     """Catalog lacks a capping piece for a boundary label."""
 
 
-class CatalogFormatError(ValueError):
+class CatalogFormatError(InputError):
     """Malformed catalog document."""
 
 
@@ -87,7 +90,7 @@ class VirtualPiece:
         for k, v in self.attributes:
             if k == key:
                 return v
-        raise KeyError(f"piece has no attribute {key!r}")
+        raise CatalogFormatError(f"piece {self.name!r} has no attribute {key!r}")
 
     def has_attribute(self, key: str) -> bool:
         return any(k == key for k, _ in self.attributes)
@@ -171,10 +174,6 @@ def match_all_by_name(P: VirtualPiece, Q: VirtualPiece):
     return tuple(matching)
 
 
-def disjoint(P: VirtualPiece, Q: VirtualPiece) -> VirtualPiece:
-    return glue(P, Q, ())
-
-
 def double(P: VirtualPiece) -> VirtualPiece:
     """Glue P to its reversal along the identity of the whole boundary."""
     matching = tuple((i, i) for i in range(len(P.boundary)))
@@ -201,7 +200,7 @@ class Catalog:
             if pname not in names:
                 raise CatalogFormatError(f"b_sigma for {label!r} names unknown piece {pname!r}")
             B = self.piece(pname)
-            if sorted(lbl.name for lbl in B.boundary) != sorted([label] * self.l):
+            if len(B.boundary) != self.l or any(lbl.name != label for lbl in B.boundary):
                 raise CatalogFormatError(
                     f"boundary of {pname!r} is not {self.l} copies of {label!r}"
                 )
@@ -213,7 +212,7 @@ class Catalog:
         for p in self.pieces:
             if p.name == name:
                 return p
-        raise KeyError(f"no catalog piece {name!r}")
+        raise CatalogFormatError(f"no catalog piece {name!r}")
 
     def capping_piece(self, label_name: str) -> VirtualPiece:
         for label, pname in self.b_sigma:
@@ -398,41 +397,68 @@ def catalog_to_json(catalog: Catalog) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _is_names(x) -> bool:
+    return isinstance(x, list) and all(isinstance(n, str) for n in x)
+
+
+def _is_piece_entry(entry) -> bool:
+    attributes = entry.get("attributes", {})
+    return (isinstance(entry.get("name"), str) and is_json_int(entry.get("chi"))
+            and is_json_int(entry.get("sigma", 0)) and _is_names(entry.get("boundary", []))
+            and isinstance(attributes, dict)
+            and all(is_json_int(v) or isinstance(v, str) for v in attributes.values()))
+
+
 def catalog_from_json(text: str) -> Catalog:
+    """Parse the catalog document format; unknown fields and wrong types are rejected."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an integer too long
         raise CatalogFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CatalogFormatError("top-level document must be an object")
     unknown = set(doc) - _CATALOG_FIELDS
     if unknown:
         raise CatalogFormatError(f"unknown fields: {sorted(unknown)}")
+    if not is_json_int(doc.get("dim")) or not is_json_int(doc.get("l")):
+        raise CatalogFormatError("'dim' and 'l' must be integers")
+    entries = doc.get("pieces")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise CatalogFormatError("'pieces' must be an array of objects")
+    for entry in entries:
+        bad = set(entry) - _PIECE_FIELDS
+        if bad:
+            raise CatalogFormatError(f"unknown piece fields: {sorted(bad)}")
+        if not _is_piece_entry(entry):
+            raise CatalogFormatError(
+                f"piece {entry.get('name')!r}: 'name' must be a string, 'chi' and 'sigma'"
+                " integers, 'boundary' label names, 'attributes' integers or rational strings")
+    b_sigma = doc.get("b_sigma", {})
+    if not isinstance(b_sigma, dict) or not all(isinstance(v, str) for v in b_sigma.values()):
+        raise CatalogFormatError("'b_sigma' must be an object from label names to piece names")
+    identities = doc.get("identities", [])
+    if not isinstance(identities, list) or not all(
+        isinstance(item, dict) and set(item) == {"pieces", "equals"}
+        and _is_names(item["pieces"]) and isinstance(item["equals"], str)
+        for item in identities
+    ):
+        raise CatalogFormatError(
+            "'identities' must be an array of {\"pieces\": [names], \"equals\": name}")
     try:
-        pieces = []
-        for entry in doc["pieces"]:
-            bad = set(entry) - _PIECE_FIELDS
-            if bad:
-                raise CatalogFormatError(f"unknown piece fields: {sorted(bad)}")
-            pieces.append(piece(
-                doc["dim"],
-                entry["chi"],
-                sigma=entry.get("sigma", 0),
-                boundary=tuple(entry.get("boundary", ())),
-                name=entry["name"],
-                attributes={k: Fraction(v) for k, v in entry.get("attributes", {}).items()},
-            ))
-        identities = tuple(
-            (tuple(item["pieces"]), item["equals"]) for item in doc.get("identities", ())
+        pieces = tuple(
+            piece(doc["dim"], entry["chi"], sigma=entry.get("sigma", 0),
+                  boundary=tuple(entry.get("boundary", ())), name=entry["name"],
+                  attributes={k: Fraction(v) for k, v in entry.get("attributes", {}).items()})
+            for entry in entries
         )
         return Catalog(
             dim=doc["dim"],
             l=doc["l"],
-            pieces=tuple(pieces),
-            b_sigma=tuple(doc.get("b_sigma", {}).items()),
-            identities=identities,
+            pieces=pieces,
+            b_sigma=tuple(b_sigma.items()),
+            identities=tuple((tuple(item["pieces"]), item["equals"]) for item in identities),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CatalogFormatError):
-            raise
+    except CatalogFormatError:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
         raise CatalogFormatError(f"malformed catalog: {exc}") from exc

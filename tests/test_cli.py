@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, exit codes, and report formats."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skkinv import fixtures
 from skkinv.cli import run
 from skkinv.simplicial import SimplicialComplex, complex_to_json
+
+FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture
@@ -196,13 +200,11 @@ class TestDeterminism:
 
 
 class TestShippedFixtureFiles:
-    FIXTURES_DIR = __import__("pathlib").Path(__file__).resolve().parent.parent / "fixtures"
-
     def test_files_match_in_code_fixtures(self):
         from skkinv.simplicial import complex_from_json
 
         for name, factory in fixtures.FIXTURES.items():
-            path = self.FIXTURES_DIR / f"{name}.json"
+            path = FIXTURES_DIR / f"{name}.json"
             assert path.exists(), f"missing fixtures/{name}.json"
             assert complex_from_json(path.read_text()) == factory()
 
@@ -210,16 +212,16 @@ class TestShippedFixtureFiles:
         from skkinv.virtual_bordism import DEFAULT_CATALOGS, catalog_from_json
 
         for dim, factory in DEFAULT_CATALOGS.items():
-            path = self.FIXTURES_DIR / f"catalog_dim{dim}.json"
+            path = FIXTURES_DIR / f"catalog_dim{dim}.json"
             assert catalog_from_json(path.read_text()) == factory()
 
     def test_cp2_invariants_via_shipped_file(self):
-        result = run(["invariants", str(self.FIXTURES_DIR / "cp2_9.json")])
+        result = run(["invariants", str(FIXTURES_DIR / "cp2_9.json")])
         assert result.exit_code == 0
         assert "chi = 3" in result.report and "sigma = 1" in result.report
 
     def test_sample_script_runs(self):
-        result = run(["cutpaste", str(self.FIXTURES_DIR / "torus_roundtrip.cutpaste"),
+        result = run(["cutpaste", str(FIXTURES_DIR / "torus_roundtrip.cutpaste"),
                       "--start", "g1b0"])
         assert result.exit_code == 0
         assert result.report.endswith("((1, 0),) chi 0")
@@ -234,3 +236,233 @@ class TestUsageErrors:
 
     def test_eval_without_scalars(self):
         assert run(["cob", "eval", "cap ; cup"]).exit_code == 2
+
+
+def _dim8_catalog_doc():
+    return json.loads((FIXTURES_DIR / "catalog_dim8.json").read_text())
+
+
+def _piece_entry(doc, name):
+    return next(entry for entry in doc["pieces"] if entry["name"] == name)
+
+
+def _drop_d8(doc):
+    doc["pieces"].remove(_piece_entry(doc, "D8"))
+    doc["b_sigma"] = {"S7": "CP4_minus_D8"}
+
+
+def _drop_cp4_p2(doc):
+    del _piece_entry(doc, "CP4")["attributes"]["p2"]
+
+
+def _zero_denominator_p2(doc):
+    _piece_entry(doc, "CP4")["attributes"]["p2"] = "1/0"
+
+
+def _b_sigma_as_pairs(doc):
+    doc["b_sigma"] = [["S7", "D8"]]
+
+
+def _null_identity_piece(doc):
+    doc["identities"][0]["pieces"] = ["D8", None]
+
+
+def _boolean_l(doc):
+    doc["l"] = True
+
+
+def _fractional_chi(doc):
+    doc["pieces"].append({"name": "X", "chi": 1.5})
+
+
+class TestInputErrors:
+    """Exit 2 means the input is at fault; anything else must not be reported so."""
+
+    @pytest.mark.parametrize("mutate", [
+        _drop_d8, _drop_cp4_p2, _zero_denominator_p2, _b_sigma_as_pairs,
+        _null_identity_piece, _boolean_l, _fractional_chi,
+    ])
+    def test_malformed_catalog(self, tmp_path, mutate):
+        doc = _dim8_catalog_doc()
+        mutate(doc)
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(doc))
+        result = run(["skk", "demo-bsigma", "--catalog", str(path)])
+        assert result.exit_code == 2
+        assert result.report.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["cob", "eval", "cap ; cup", "--cap", "1/0", "--cup", "2"],
+        ["cob", "eval", "cap ; cup", "--cap-exp", "1/0", "--cup-exp", "1"],
+        ["cob", "eval", "cap ; cup", "--cap", "0", "--cup", "2"],
+        ["tqft", "verify", "--cap", "2", "--cup", "0", "--budget", "1"],
+        ["skk", "class", "--surface", "g1b-1"],
+        ["skk", "class", "--surface", "g1b0 + g 1b0"],
+        ["skk", "class", "--surface", "g" + "1" * 5000 + "b0"],  # beyond int()'s digit limit
+    ])
+    def test_malformed_argv_value(self, argv):
+        assert run(argv).exit_code == 2
+
+    def test_negative_boundary_count(self, tmp_path):
+        script = tmp_path / "moves.cutpaste"
+        script.write_text("# no moves\n")
+        assert run(["cutpaste", str(script), "--start", "g0b-2"]).exit_code == 2
+
+    @pytest.mark.parametrize("command", [["homology"], ["skk", "demo-bsigma", "--catalog"]])
+    @pytest.mark.parametrize("text", ["[" * 100000, '{"dim": ' + "1" * 5000 + "}"])
+    def test_unparsable_json(self, tmp_path, command, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert run(command + [str(path)]).exit_code == 2
+
+    def test_facetless_document(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"dim": 2, "facets": []}')
+        assert run(["homology", str(path)]).exit_code == 2
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dim": 1, "facets": [[0, 1]], "\xe9": 1}')
+        assert run(["homology", str(path)]).exit_code == 2
+
+    def test_internal_fault_is_not_an_input_error(self, monkeypatch):
+        import skkinv.cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("shape mismatch in matrix product")
+
+        monkeypatch.setattr(skkinv.cli, "homology", broken)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            run(["homology", str(FIXTURES_DIR / "torus7.json")])
+
+
+# -- fuzzing: no input ends in a traceback ------------------------------------------
+
+_COMPLEX_COMMANDS = (
+    ["homology"], ["homology", "--coefficients", "rationals"],
+    ["homology", "--coefficients", "mod2"], ["invariants"], ["skk", "class"],
+)
+_COMPLEX_FIXTURES = ("circle", "sphere2", "torus7", "projective_plane6", "sphere3",
+                     "sphere4", "cp2_9")
+_JSON_KEYS = ("dim", "l", "facets", "orientations", "pieces", "b_sigma", "identities",
+              "name", "chi", "sigma", "boundary", "attributes", "equals", "p2", "S7")
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.sampled_from([1.5, -0.5]),
+    st.sampled_from(["", "S7", "-S7", "D8", "CP4", "CP4_minus_D8", "p2", "1/0", "-1/2", "x"]),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_JSON_KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_documents(draw, name):
+    """A shipped fixture document with up to three nodes replaced, deleted or added."""
+    doc = json.loads((FIXTURES_DIR / f"{name}.json").read_text())
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        action = draw(st.sampled_from(("replace", "delete", "add")))
+        parent, node = None, doc
+        for key in path:
+            parent, node = node, node[key]
+        if action == "replace" and parent is not None:
+            parent[path[-1]] = draw(_json_values)
+        elif action == "replace":
+            doc = draw(_json_values)
+        elif action == "delete" and parent is not None:
+            del parent[path[-1]]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(_JSON_KEYS))] = draw(_json_values)
+        elif isinstance(node, list):
+            node.insert(draw(st.integers(0, len(node))), draw(_json_values))
+    return json.dumps(doc)
+
+
+_small_ints = st.integers(-3, 6).map(str)
+_scalar_texts = st.one_of(_small_ints, st.sampled_from(
+    ["0", "1/0", "-1/2", "2/3", "0.5", "1e2", "abc", "", "-", "3/-2"]))
+_surface_terms = st.one_of(
+    st.builds("g{}b{}".format, st.integers(0, 3), st.integers(0, 3)),
+    st.sampled_from(["g1b-1", "g-1b0", "G2B0", "g1", "b0", "gb", "g1b0b1", "torus", " ", "g 1b0"]),
+)
+_surface_exprs = st.lists(_surface_terms, min_size=1, max_size=3).map(" + ".join)
+_script_tokens = st.one_of(_small_ints, st.sampled_from(
+    ["cut", "paste", "nonsep", "sep", "-", "0~1", "1~2", "0~0", "2~3", "3~-1", "0,1", "1,2",
+     "~", "x", "#"]))
+_scripts = st.lists(st.lists(_script_tokens, max_size=5).map(" ".join), max_size=8).map(
+    "\n".join)
+_words = st.lists(st.sampled_from(
+    ["id", "swap", "cap", "cup", "pants", "copants", "pid", "acap", "acup", "|", ";", "capp",
+     ""]), max_size=12).map(" ".join)
+
+
+@st.composite
+def _scalar_argv(draw):
+    flags = draw(st.sampled_from((("--cap", "--cup"), ("--cap-exp", "--cup-exp"),
+                                  ("--cap", "--cup-exp"), ("--cap",), ())))
+    return [f"{flag}={draw(_scalar_texts)}" for flag in flags]
+
+
+class TestNoTraceback:
+    """Malformed documents, scripts, words and argv values end in exit 0, 1 or 2."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @staticmethod
+    def _check(argv):
+        result = run(argv)
+        assert result.exit_code in (0, 1, 2)
+        if result.exit_code == 2 and result.report:
+            assert result.report.startswith("error: ")
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_complex_documents(self, workdir, data):
+        text = data.draw(st.sampled_from(_COMPLEX_FIXTURES).flatmap(_mutated_documents))
+        path = workdir / "complex.json"
+        path.write_text(text)
+        self._check(data.draw(st.sampled_from(_COMPLEX_COMMANDS)) + [str(path)])
+
+    @given(st.sampled_from(("catalog_dim8", "catalog_dim4", "catalog_dim2"))
+           .flatmap(_mutated_documents))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_catalog_documents(self, workdir, text):
+        path = workdir / "catalog.json"
+        path.write_text(text)
+        self._check(["skk", "demo-bsigma", "--catalog", str(path)])
+
+    @given(_scripts, _surface_exprs)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_cutpaste_scripts(self, workdir, script, start):
+        path = workdir / "moves.cutpaste"
+        path.write_text(script)
+        self._check(["cutpaste", str(path), "--start", start])
+
+    @given(_words, st.sampled_from(("1", "2")), _scalar_argv())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_words(self, word, dim, scalars):
+        self._check(["cob", "normal-form", word, "--dim", dim])
+        self._check(["cob", "eval", word] + scalars)
+
+    @given(_scalar_argv(), st.integers(-3, 3), st.integers(-2, 4), _surface_exprs,
+           st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_argv_values(self, scalars, grid, budget, surface, corrupt):
+        extra = ["--corrupt"] if corrupt else []
+        self._check(["tqft", "verify", "--budget", str(budget)] + scalars + extra)
+        self._check(["skk", "verify-sequence", "--grid", str(grid)]
+                    + (["--corrupt-splitting"] if corrupt else []))
+        self._check(["skk", "class", "--surface", surface])

@@ -294,6 +294,12 @@ class TestComplexFormat:
         with pytest.raises(ComplexFormatError):
             complex_from_json("{not json")
 
+    def test_empty_facet_list_rejected(self):
+        # a document without facets must not make the face index pay for `dim`
+        with pytest.raises(ComplexFormatError):
+            complex_from_json('{"dim": 100000, "facets": []}')
+        assert SimplicialComplex.from_facets(3, []).simplices(2) == ()
+
     def test_duplicate_facets_rejected(self):
         with pytest.raises(ComplexFormatError):
             complex_from_json('{"dim": 2, "facets": [[0,1,2],[2,1,0]]}')
