@@ -10,6 +10,7 @@ reports carry a schema version and are emitted with --json.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -19,6 +20,7 @@ from fractions import Fraction
 from . import InputError, skk, surfaces as sf, virtual_bordism as vb
 from .cobordism import normal_form, parse_word
 from .intersection_form import signature
+from .rationals import parse_rational
 from .simplicial import (
     OddEulerCharacteristic,
     complex_from_json,
@@ -35,7 +37,6 @@ from .tqft import (
     rational,
     verify_axioms,
 )
-from .selftest import run_selftest
 
 SCHEMA = 1
 
@@ -58,11 +59,11 @@ def _read(path: str) -> str:
 
 
 def fraction(text: str) -> Fraction:
-    """Argument type for exact rationals; argparse turns a ValueError into a usage error."""
+    """Argument type for exact rationals: a bad one is a usage error."""
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+        return parse_rational(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def surface_expr(text: str) -> sf.Surface:
@@ -233,11 +234,19 @@ def _cmd_skk_demo_bsigma(args) -> CommandResult:
 
 
 def _cmd_selftest(args) -> CommandResult:
+    from .selftest import run_selftest  # the suites and fixtures load only for this command
+
     report = run_selftest(seed=args.seed)
     return _checks_result(report, "selftest", seed=args.seed)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first request.
+
+    `parse_args` leaves it unchanged and no argument has a mutable default,
+    so every request can reuse it.
+    """
     parser = argparse.ArgumentParser(
         prog="skkinv",
         description="Exact cut-and-paste, cobordism, and invertible-TQFT checks.",

@@ -291,6 +291,14 @@ def is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# Bound on the faces `face_index` enumerates for a document, counted as
+# sum(2 ** len(facet)): one facet of d + 1 vertices has 2 ** (d + 1) faces, so
+# an 88-byte dimension-17 document would cost 80 MB. The shipped fixtures
+# count at most 1152 (cp2_9), the benchmark's complexes at most 2304 (the
+# 7-sphere, cp2_9 + cp2_9).
+MAX_CLOSURE = 1 << 17
+
+
 def complex_from_json(text: str) -> SimplicialComplex:
     """Parse the complex document format; unknown fields are rejected."""
     try:
@@ -315,6 +323,9 @@ def complex_from_json(text: str) -> SimplicialComplex:
     if not facets:
         # a facet-less complex would still cost a face index of `dim` + 1 levels
         raise ComplexFormatError("'facets' must not be empty")
+    if sum(1 << len(f) for f in facets) > MAX_CLOSURE:
+        raise ComplexFormatError(
+            f"the facet closure would enumerate more than {MAX_CLOSURE} faces")
     ori = doc.get("orientations")
     if ori is not None:
         if not isinstance(ori, list) or not all(is_json_int(s) and s in (1, -1) for s in ori):

@@ -33,6 +33,7 @@ from .cobordism import (
     random_word_with_arities,
     tensor,
 )
+from .rationals import fraction_text
 from .surfaces import PasteSpec, chi as surface_chi, disjoint_union as surface_union, paste
 
 
@@ -89,7 +90,7 @@ class RationalScalar:
         return _rational_of(abs(self.value))
 
     def __str__(self):
-        return str(self.value)
+        return fraction_text(self.value)
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ class ExpScalar:
         prefix = "-" if self.sign == -1 else ""
         if self.exponent == 0:
             return prefix + "1"
-        return f"{prefix}exp({self.exponent})"
+        return f"{prefix}exp({fraction_text(self.exponent)})"
 
 
 # Products and powers of valid scalars are valid, so they skip __post_init__
@@ -369,7 +370,7 @@ def _witness_str(s: GroupScalar) -> str:
     """Explicit rendering for violation witnesses: exp(0) stays exp(0)."""
     if isinstance(s, ExpScalar):
         prefix = "-" if s.sign == -1 else ""
-        return f"{prefix}exp({s.exponent})"
+        return f"{prefix}exp({fraction_text(s.exponent)})"
     return str(s)
 
 

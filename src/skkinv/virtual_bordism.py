@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import InputError
+from .rationals import parse_rational
 from .simplicial import is_json_int
 
 
@@ -448,7 +449,8 @@ def catalog_from_json(text: str) -> Catalog:
         pieces = tuple(
             piece(doc["dim"], entry["chi"], sigma=entry.get("sigma", 0),
                   boundary=tuple(entry.get("boundary", ())), name=entry["name"],
-                  attributes={k: Fraction(v) for k, v in entry.get("attributes", {}).items()})
+                  attributes={k: Fraction(v) if is_json_int(v) else parse_rational(v)
+                              for k, v in entry.get("attributes", {}).items()})
             for entry in entries
         )
         return Catalog(

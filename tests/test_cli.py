@@ -1,16 +1,20 @@
 """Command-line interface: subcommands, exit codes, and report formats."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skkinv import fixtures
-from skkinv.cli import run
+from skkinv.cli import _build_parser, run
 from skkinv.simplicial import SimplicialComplex, complex_to_json
 
-FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES_DIR = ROOT / "fixtures"
 
 
 @pytest.fixture
@@ -122,6 +126,13 @@ class TestCobCommands:
         result = run(["cob", "normal-form", "pants ; pants"])
         assert result.exit_code == 2
 
+    def test_eval_prints_answers_beyond_the_digit_limit(self):
+        # str(int) refuses more than 4300 digits; the value is 10**4400
+        argv = ["cob", "eval", " | ".join(["cap"] * 4400), "--cap", "10", "--cup", "3"]
+        result = run(argv)
+        assert (result.exit_code, result.report) == (0, "1" + "0" * 4400)
+        assert json.loads(run(argv + ["--json"]).report)["value"] == "1" + "0" * 4400
+
 
 class TestTqftVerifyCommand:
     def test_passes(self):
@@ -197,6 +208,95 @@ class TestDeterminism:
     def test_verify_sequence_deterministic(self):
         args = ["skk", "verify-sequence", "--grid", "3", "--seed", "4", "--json"]
         assert run(args).report == run(args).report
+
+
+def _namespace(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestParserReuse:
+    """`run` builds one parser per process; no request sees what an earlier one set."""
+
+    @pytest.fixture
+    def sequence(self, torus_file, tmp_path):
+        script = tmp_path / "moves.cutpaste"
+        script.write_text("cut 0 nonsep\npaste 0~1\n")
+        scalars = ["--cap", "2", "--cup", "1/2"]
+        return [
+            ["homology", torus_file, "--coefficients", "mod2", "--json"],
+            ["homology", torus_file, "--json"],
+            ["homology", torus_file, "--coefficients", "reals"],  # bad choice
+            ["cob", "normal-form", "acap ; acup", "--dim", "1", "--json"],
+            ["cob", "normal-form", "acap ; acup"],  # dimension 2 by default: input error
+            ["cob", "eval", "cap ; cup", *scalars, "--json"],
+            ["cob", "eval", "cap ; cup"],  # --cap/--cup unset again: input error
+            ["cob", "eval", "cap ; cup", "--cap-exp", "1", "--cup-exp", "1/2"],
+            ["cob", "eval"],  # missing argument
+            ["tqft", "verify", *scalars, "--seed", "5", "--budget", "7", "--corrupt", "--json"],
+            ["tqft", "verify", *scalars, "--json"],
+            ["tqft", "verify", *scalars, "--budget", "-1"],  # input error
+            ["skk", "verify-sequence", "--grid", "1", "--seed", "3", "--corrupt-splitting",
+             "--json"],
+            ["skk", "verify-sequence", "--grid", "x"],  # not an integer
+            ["skk", "verify-sequence", "--json"],
+            ["skk", "demo-bsigma", "--catalog", str(tmp_path / "missing.json")],  # input error
+            ["skk", "demo-bsigma", "--json"],
+            ["skk", "class", "--surface", "g2b0", "--json"],
+            ["skk", "class"],  # input error
+            ["cutpaste", str(script), "--start", "g1b0"],
+            ["cutpaste", str(script)],  # missing --start
+            ["--help"],
+            ["cob", "eval", "--help"],
+            ["nonsense"],
+            ["invariants", torus_file, "--json"],
+        ]
+
+    def test_results_match_a_fresh_parser(self, sequence):
+        fresh = []
+        for argv in sequence:
+            _build_parser.cache_clear()
+            fresh.append(run(argv))
+        _build_parser.cache_clear()
+        assert [run(argv) for argv in sequence + sequence] == fresh + fresh
+        assert _build_parser.cache_info().misses == 1
+
+    def test_defaults_do_not_leak(self, sequence):
+        parser = _build_parser()
+        for argv in sequence:
+            run(argv)
+            assert _namespace(parser, argv) == _namespace(_build_parser.__wrapped__(), argv)
+        unset = {
+            ("homology", "f"): {"coefficients": "integers"},
+            ("cob", "normal-form", "w"): {"dim": 2},
+            ("cob", "eval", "w"): {"cap": None, "cup": None, "cap_exp": None, "cup_exp": None},
+            ("tqft", "verify"): {"seed": 0, "budget": 200, "corrupt": False, "cap": None},
+            ("skk", "verify-sequence"): {"grid": 4, "seed": 0, "corrupt_splitting": False},
+            ("skk", "demo-bsigma"): {"catalog": None},
+            ("skk", "class"): {"file": None, "surface": None},
+        }
+        for argv, expected in unset.items():
+            namespace = vars(parser.parse_args(list(argv)))
+            assert {key: namespace[key] for key in expected} == expected
+            assert namespace["json"] is False
+        assert _build_parser() is parser
+
+    def test_import_builds_nothing_and_selftest_loads_on_demand(self):
+        code = (
+            "import json, sys\n"
+            "import skkinv.cli as cli\n"
+            "facts = {'parsers': cli._build_parser.cache_info().currsize,\n"
+            "         'loaded': sorted({'skkinv.selftest', 'skkinv.fixtures'} & set(sys.modules))}\n"
+            "facts['selftest_exit'] = cli.run(['selftest', '--seed', '0']).exit_code\n"
+            "print(json.dumps(facts))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert json.loads(out) == {"parsers": 0, "loaded": [], "selftest_exit": 0}
 
 
 class TestShippedFixtureFiles:
@@ -275,12 +375,16 @@ def _fractional_chi(doc):
     doc["pieces"].append({"name": "X", "chi": 1.5})
 
 
+def _exponent_p2(doc):
+    _piece_entry(doc, "CP4")["attributes"]["p2"] = "1e1000000000"
+
+
 class TestInputErrors:
     """Exit 2 means the input is at fault; anything else must not be reported so."""
 
     @pytest.mark.parametrize("mutate", [
         _drop_d8, _drop_cp4_p2, _zero_denominator_p2, _b_sigma_as_pairs,
-        _null_identity_piece, _boolean_l, _fractional_chi,
+        _null_identity_piece, _boolean_l, _fractional_chi, _exponent_p2,
     ])
     def test_malformed_catalog(self, tmp_path, mutate):
         doc = _dim8_catalog_doc()
@@ -299,6 +403,8 @@ class TestInputErrors:
         ["skk", "class", "--surface", "g1b-1"],
         ["skk", "class", "--surface", "g1b0 + g 1b0"],
         ["skk", "class", "--surface", "g" + "1" * 5000 + "b0"],  # beyond int()'s digit limit
+        ["cob", "eval", "cap ; cup", "--cap-exp=1e1000000000", "--cup-exp", "1"],
+        ["tqft", "verify", "--cap", "1E2", "--cup", "3", "--budget", "1"],
     ])
     def test_malformed_argv_value(self, argv):
         assert run(argv).exit_code == 2
@@ -319,6 +425,14 @@ class TestInputErrors:
         path = tmp_path / "empty.json"
         path.write_text('{"dim": 2, "facets": []}')
         assert run(["homology", str(path)]).exit_code == 2
+
+    def test_closure_beyond_bound(self, tmp_path):
+        # 88 bytes whose facet closure has 2**18 faces
+        path = tmp_path / "dim17.json"
+        path.write_text(json.dumps({"dim": 17, "facets": [list(range(18))]}))
+        result = run(["invariants", str(path)])
+        assert result.exit_code == 2
+        assert "closure" in result.report
 
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "latin1.json"
@@ -348,7 +462,9 @@ _JSON_KEYS = ("dim", "l", "facets", "orientations", "pieces", "b_sigma", "identi
               "name", "chi", "sigma", "boundary", "attributes", "equals", "p2", "S7")
 _json_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 12), st.sampled_from([1.5, -0.5]),
-    st.sampled_from(["", "S7", "-S7", "D8", "CP4", "CP4_minus_D8", "p2", "1/0", "-1/2", "x"]),
+    st.sampled_from(["", "S7", "-S7", "D8", "CP4", "CP4_minus_D8", "p2", "1/0", "-1/2", "x",
+                     "1e1000000000"]),
+    st.builds(lambda: list(range(18))),  # a facet whose closure is beyond the bound
 )
 _json_values = st.recursive(
     _json_leaves,
@@ -391,7 +507,8 @@ def _mutated_documents(draw, name):
 
 _small_ints = st.integers(-3, 6).map(str)
 _scalar_texts = st.one_of(_small_ints, st.sampled_from(
-    ["0", "1/0", "-1/2", "2/3", "0.5", "1e2", "abc", "", "-", "3/-2"]))
+    ["0", "1/0", "-1/2", "2/3", "0.5", "1e2", "abc", "", "-", "3/-2", "1e1000000000",
+     "-2E-9"]))
 _surface_terms = st.one_of(
     st.builds("g{}b{}".format, st.integers(0, 3), st.integers(0, 3)),
     st.sampled_from(["g1b-1", "g-1b0", "G2B0", "g1", "b0", "gb", "g1b0b1", "torus", " ", "g 1b0"]),

@@ -1,12 +1,14 @@
 """Simplicial complexes: fixtures, homology, orientation, semicharacteristic."""
 
 import itertools
+import json
 import random
 
 import pytest
 
 from skkinv import fixtures
 from skkinv.simplicial import (
+    MAX_CLOSURE,
     ComplexFormatError,
     DimensionMismatch,
     NotClosed,
@@ -299,6 +301,17 @@ class TestComplexFormat:
         with pytest.raises(ComplexFormatError):
             complex_from_json('{"dim": 100000, "facets": []}')
         assert SimplicialComplex.from_facets(3, []).simplices(2) == ()
+
+    def test_closure_bound(self):
+        # one facet of 18 vertices: 2**18 faces, rejected before any is enumerated
+        with pytest.raises(ComplexFormatError, match="closure"):
+            complex_from_json(json.dumps({"dim": 17, "facets": [list(range(18))]}))
+        # a facet of 17 vertices sits exactly at the bound
+        assert MAX_CLOSURE == 1 << 17
+        at_bound = complex_from_json(json.dumps({"dim": 16, "facets": [list(range(17))]}))
+        assert at_bound.dim == 16
+        for name, factory in fixtures.FIXTURES.items():
+            assert sum(1 << len(f) for f in factory().facets) * 50 < MAX_CLOSURE, name
 
     def test_duplicate_facets_rejected(self):
         with pytest.raises(ComplexFormatError):
