@@ -42,6 +42,12 @@ SCHEMA = 1
 
 _SURFACE_TERM = re.compile(r"g(\d+)b(\d+)")
 
+# Bound on the boundary circles of a surface expression, summed over its
+# terms. Every circle gets its own identifier, so an unbounded count lets 16
+# bytes such as g0b1000000000000 ask for terabytes. 2^17, like
+# `simplicial.MAX_CLOSURE`; the benchmark's start surfaces have at most 15.
+MAX_SURFACE_CIRCLES = 1 << 17
+
 
 @dataclass(frozen=True)
 class CommandResult:
@@ -75,6 +81,9 @@ def surface_expr(text: str) -> sf.Surface:
             raise argparse.ArgumentTypeError(
                 f"bad surface term {term.strip()!r}; expected like g1b0")
         comps.append((int(match[1]), int(match[2])))
+    if sum(b for _, b in comps) > MAX_SURFACE_CIRCLES:
+        raise argparse.ArgumentTypeError(
+            f"a surface expression may have at most {MAX_SURFACE_CIRCLES} boundary circles")
     return sf.surface(*comps)
 
 

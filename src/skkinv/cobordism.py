@@ -21,7 +21,8 @@ Grammar (whitespace-insensitive):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 from . import InputError
 
@@ -63,41 +64,44 @@ GENERATORS = {
 CHI_2 = {"id": 0, "swap": 0, "cap": 1, "cup": 1, "pants": -1, "copants": -1}
 
 
-def _layer_arity(layer) -> tuple[int, int]:
-    ins = sum(GENERATORS[g][1] for g in layer)
-    outs = sum(GENERATORS[g][2] for g in layer)
-    return ins, outs
-
-
 @dataclass(frozen=True)
 class CobordismWord:
-    """Arity-checked word; the empty word is the identity on nothing."""
+    """Arity-checked word; the empty word is the identity on nothing.
+
+    `widths[i]` is the wire count at boundary i: 0 is the in-boundary and
+    len(layers) the out-boundary. It is derived from the layers, so equality,
+    hashing and repr ignore it.
+    """
 
     dim: int
     layers: tuple[tuple[str, ...], ...]
+    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dimension {self.dim} not supported")
-        prev_out = None
+        widths: list[int] = []
         for layer in self.layers:
             for g in layer:
                 if g not in GENERATORS:
                     raise ValueError(f"unknown generator {g!r}")
                 if GENERATORS[g][0] != self.dim:
                     raise WrongDimension(f"generator {g!r} lives in dimension {GENERATORS[g][0]}")
-            ins, outs = _layer_arity(layer)
-            if prev_out is not None and ins != prev_out:
-                raise ArityMismatch(f"layer expects {ins} inputs but receives {prev_out}")
-            prev_out = outs
+            ins = sum(GENERATORS[g][1] for g in layer)
+            if not widths:
+                widths.append(ins)
+            elif ins != widths[-1]:
+                raise ArityMismatch(f"layer expects {ins} inputs but receives {widths[-1]}")
+            widths.append(sum(GENERATORS[g][2] for g in layer))
+        object.__setattr__(self, "widths", tuple(widths) or (0,))
 
     @property
     def in_arity(self) -> int:
-        return _layer_arity(self.layers[0])[0] if self.layers else 0
+        return self.widths[0]
 
     @property
     def out_arity(self) -> int:
-        return _layer_arity(self.layers[-1])[1] if self.layers else 0
+        return self.widths[-1]
 
     def generator_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -221,12 +225,8 @@ def normal_form(M: CobordismWord) -> CobordismClass:
     genus from chi = 2 - 2g - (boundary circles). A swap is two disjoint
     strands, not a connected patch.
     """
-    base = [0]
-    width = M.in_arity
-    for layer in M.layers:
-        base.append(base[-1] + width)
-        width = sum(GENERATORS[g][2] for g in layer)
-    parent = list(range(base[-1] + width))
+    base = list(itertools.accumulate(M.widths, initial=0))
+    parent = list(range(base.pop()))
 
     def find(x):
         root = x
@@ -378,13 +378,6 @@ def random_closed_word(rng, dim: int = 2) -> CobordismWord:
     return CobordismWord(dim, tuple(layers))
 
 
-def boundary_width(M: CobordismWord, i: int) -> int:
-    """Wire count at boundary i (0 = in-boundary, len(layers) = out-boundary)."""
-    if i == 0:
-        return M.in_arity
-    return _layer_arity(M.layers[i - 1])[1]
-
-
 def equivalent_rewrite(rng, M: CobordismWord) -> CobordismWord:
     """Rewrite the word without changing its class.
 
@@ -395,13 +388,12 @@ def equivalent_rewrite(rng, M: CobordismWord) -> CobordismWord:
     layers = list(M.layers)
     if not layers or rng.random() < 0.5:
         i = rng.randrange(0, len(layers) + 1)
-        width = boundary_width(M, i)
-        layers.insert(i, (idg,) * width)
+        layers.insert(i, (idg,) * M.widths[i])
         return CobordismWord(M.dim, tuple(layers))
     li = rng.randrange(0, len(layers))
     layer = layers[li]
     if len(layer) < 2:
-        layers.insert(li, (idg,) * boundary_width(M, li))
+        layers.insert(li, (idg,) * M.widths[li])
         return CobordismWord(M.dim, tuple(layers))
     j = rng.randrange(1, len(layer))
     head, tail = layer[:j], layer[j:]

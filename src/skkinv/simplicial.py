@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import InputError
-from .exact_linalg import IntMatrix, rational_rank, smith_normal_form
+from .exact_linalg import IntMatrix, smith_normal_form
 
 
 class NotClosed(InputError):
@@ -204,28 +204,12 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> IntMatrix:
     return IntMatrix(len(k1cells), cols, tuple(entries))
 
 
-def _rank_mod2(A: IntMatrix) -> int:
-    # rows as bitmasks; plain GF(2) elimination
-    rows = [sum((abs(x) & 1) << j for j, x in enumerate(r)) for r in A.to_rows()]
-    rank = 0
-    for c in range(A.cols):
-        bit = 1 << c
-        piv = next((i for i in range(rank, len(rows)) if rows[i] & bit), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] & bit:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
-
-
 def homology(K: SimplicialComplex, coefficients: str = "integers") -> HomologyProfile:
     """Homology profile over 'integers', 'rationals', or 'mod2' coefficients.
 
-    Betti numbers come from boundary ranks; over the integers the elementary
-    divisors > 1 of the degree-(k+1) boundary map give the torsion of H_k.
+    One Smith normal form per boundary map serves all three: its invariant
+    factors count the rank over Q, the odd ones the rank over Z/2, and those
+    > 1 of the degree-(k+1) map are the torsion of H_k over the integers.
     """
     if coefficients not in ("integers", "rationals", "mod2"):
         raise ValueError(f"unknown coefficient system {coefficients!r}")
@@ -234,17 +218,10 @@ def homology(K: SimplicialComplex, coefficients: str = "integers") -> HomologyPr
     ranks = [0] * (n + 2)
     torsion: list[tuple[int, ...]] = [()] * (n + 1)
     for k in range(1, n + 1):
-        B = boundary_matrix(K, k)
+        diag = smith_normal_form(boundary_matrix(K, k)).diag
+        ranks[k] = sum(d % 2 for d in diag) if coefficients == "mod2" else len(diag)
         if coefficients == "integers":
-            snf = smith_normal_form(B)
-            ranks[k] = snf.rank
-            torsion[k - 1] = tuple(d for d in snf.diag if d > 1)
-        elif coefficients == "rationals":
-            ranks[k] = rational_rank(B)
-        else:
-            ranks[k] = _rank_mod2(B)
-    if coefficients != "integers":
-        torsion = [()] * (n + 1)
+            torsion[k - 1] = tuple(d for d in diag if d > 1)
     betti = tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(n + 1))
     return HomologyProfile(betti, tuple(torsion))
 

@@ -183,10 +183,8 @@ def hom_structure(n: int) -> SKKHomStructure:
     return SKKHomStructure(n, "chi_star_plus_bordism", OMEGA_HOM_RANKS.get(n))
 
 
-def bordism_projection(M, dim: int = 4) -> int:
+def bordism_projection(M) -> int:
     """Bordism class of a closed oriented 4-manifold, detected by signature."""
-    if dim != 4:
-        raise UnsupportedDimension("bordism projection is configured for dimension 4")
     _require_closed(M)
     return sigma_of(M)
 

@@ -81,12 +81,6 @@ class Surface:
     def circle_ids(self) -> tuple[int, ...]:
         return tuple(c for comp in self.components for c in comp.circles)
 
-    def component_of_circle(self, circle: int) -> int:
-        for i, comp in enumerate(self.components):
-            if circle in comp.circles:
-                return i
-        raise InvalidMatching(f"no circle {circle}")
-
 
 def surface(*components) -> Surface:
     """Build a surface from (genus, boundary_count) pairs."""
@@ -194,8 +188,9 @@ def cut(S: Surface, spec: CutSpec) -> Surface:
 def paste(S: Surface, spec: PasteSpec) -> Surface:
     """Reglue matched boundary circle pairs (orientation-compatibly).
 
-    Components connected through the matching merge; each merged component's
-    genus is recovered from chi = 2 - 2g - b over its remaining boundary.
+    Components connected through the matching merge; each component's genus
+    is recovered from chi = 2 - 2g - b over its remaining boundary, which
+    leaves an unmatched component as it was.
     """
     used: set[int] = set()
     for a, b in spec.pairs:
@@ -205,6 +200,7 @@ def paste(S: Surface, spec: PasteSpec) -> Surface:
             if c in used:
                 raise InvalidMatching(f"circle {c} matched twice")
             used.add(c)
+    owner = {c: i for i, comp in enumerate(S.components) for c in comp.circles}
     # union-find over component indices
     parent = list(range(len(S.components)))
 
@@ -214,13 +210,11 @@ def paste(S: Surface, spec: PasteSpec) -> Surface:
             x = parent[x]
         return x
 
-    pairs_in_cluster: dict[int, int] = {}
     for a, b in spec.pairs:
-        ra, rb = find(S.component_of_circle(a)), find(S.component_of_circle(b))
-        parent[ra] = rb
-    for a, _ in spec.pairs:
-        root = find(S.component_of_circle(a))
-        pairs_in_cluster[root] = pairs_in_cluster.get(root, 0) + 1
+        for c in (a, b):
+            if c not in owner:
+                raise InvalidMatching(f"no circle {c}")
+        parent[find(owner[a])] = find(owner[b])
 
     clusters: dict[int, list[int]] = {}
     for i in range(len(S.components)):
@@ -231,10 +225,6 @@ def paste(S: Surface, spec: PasteSpec) -> Surface:
         members = [S.components[i] for i in indices]
         total_chi = sum(c.chi for c in members)
         remaining = tuple(c for comp in members for c in comp.circles if c not in used)
-        npairs = pairs_in_cluster.get(find(indices[0]), 0)
-        if npairs == 0:
-            new_components.extend(members)
-            continue
         genus2 = 2 - len(remaining) - total_chi
         if genus2 < 0 or genus2 % 2 != 0:
             raise InvalidMatching("matching does not produce an orientable surface")

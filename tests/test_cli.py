@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skkinv import fixtures
-from skkinv.cli import _build_parser, run
+from skkinv.cli import MAX_SURFACE_CIRCLES, _build_parser, run
 from skkinv.simplicial import SimplicialComplex, complex_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -409,6 +409,16 @@ class TestInputErrors:
     def test_malformed_argv_value(self, argv):
         assert run(argv).exit_code == 2
 
+    def test_surface_beyond_circle_bound(self, capsys):
+        # 16 bytes that would ask `surfaces.surface` for 10**12 circle identifiers
+        result = run(["skk", "class", "--surface", "g0b1000000000000"])
+        assert (result.exit_code, result.report) == (2, "")
+        assert f"at most {MAX_SURFACE_CIRCLES} boundary circles" in capsys.readouterr().err
+        at_bound = run(["skk", "class", "--surface", f"g0b{MAX_SURFACE_CIRCLES}"])
+        assert at_bound.report == "error: surface has boundary circles"  # parsed, then refused
+        over = run(["skk", "class", "--surface", f"g1b{MAX_SURFACE_CIRCLES - 1} + g0b2"])
+        assert (over.exit_code, over.report) == (2, "")
+
     def test_negative_boundary_count(self, tmp_path):
         script = tmp_path / "moves.cutpaste"
         script.write_text("# no moves\n")
@@ -511,7 +521,8 @@ _scalar_texts = st.one_of(_small_ints, st.sampled_from(
      "-2E-9"]))
 _surface_terms = st.one_of(
     st.builds("g{}b{}".format, st.integers(0, 3), st.integers(0, 3)),
-    st.sampled_from(["g1b-1", "g-1b0", "G2B0", "g1", "b0", "gb", "g1b0b1", "torus", " ", "g 1b0"]),
+    st.sampled_from(["g1b-1", "g-1b0", "G2B0", "g1", "b0", "gb", "g1b0b1", "torus", " ", "g 1b0",
+                     "g0b1000000000000", "g2b131073"]),
 )
 _surface_exprs = st.lists(_surface_terms, min_size=1, max_size=3).map(" + ".join)
 _script_tokens = st.one_of(_small_ints, st.sampled_from(

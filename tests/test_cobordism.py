@@ -157,6 +157,39 @@ class TestNormalForm:
         assert cb.normal_form(rewritten) == cb.normal_form(w)
 
 
+def widths_reference(M):
+    """Wire count at each boundary, summed from the generator table."""
+    if not M.layers:
+        return (0,)
+    first_in = sum(cb.GENERATORS[g][1] for g in M.layers[0])
+    return (first_in,) + tuple(sum(cb.GENERATORS[g][2] for g in layer) for layer in M.layers)
+
+
+class TestWidths:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_words(self, seed):
+        rng = random.Random(seed)
+        for dim in (1, 2):
+            M = cb.random_word(rng, dim=dim)
+            assert M.widths == widths_reference(M)
+            assert (M.in_arity, M.out_arity) == (M.widths[0], M.widths[-1])
+            for i, layer in enumerate(M.layers):
+                assert sum(cb.GENERATORS[g][1] for g in layer) == M.widths[i]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_word(self, dim):
+        M = cb.empty_word(dim)
+        assert M.widths == widths_reference(M) == (0,)
+        assert (M.in_arity, M.out_arity) == (0, 0)
+
+    def test_equality_hash_and_repr_ignore_widths(self):
+        M = cb.parse_word("cap | cap ; pants")
+        twin = cb.CobordismWord(2, M.layers)
+        object.__setattr__(twin, "widths", (7, 7))
+        assert twin == M and hash(twin) == hash(M)
+        assert repr(twin) == repr(M) == f"CobordismWord(dim=2, layers={M.layers!r})"
+
+
 class TestEquivalent:
     def test_cylinder_vs_genus_tube(self):
         assert not cb.equivalent(cb.parse_word("id"), cb.parse_word("copants ; pants"))

@@ -54,6 +54,23 @@ def boundary_oracle(K, k):
     return rows
 
 
+def rank_mod2_oracle(rows):
+    """Rank over GF(2): plain elimination on the rows as bitmasks."""
+    masks = [sum((x & 1) << j for j, x in enumerate(r)) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        bit = 1 << c
+        piv = next((i for i in range(rank, len(masks)) if masks[i] & bit), None)
+        if piv is None:
+            continue
+        masks[rank], masks[piv] = masks[piv], masks[rank]
+        for i in range(len(masks)):
+            if i != rank and masks[i] & bit:
+                masks[i] ^= masks[rank]
+        rank += 1
+    return rank
+
+
 def relabelled(K, seed):
     """K without signs, its vertices renamed by a seeded random injection."""
     rng = random.Random(seed)
@@ -193,6 +210,22 @@ class TestHomology:
             mod2 = homology(K, "mod2").betti
             rational = homology(K, "rationals").betti
             assert all(m >= r for m, r in zip(mod2, rational))
+
+    @pytest.mark.parametrize("name", list(COMPLEXES))
+    def test_mod2_betti_exact(self, name):
+        K = COMPLEXES[name]
+        cells = closure_oracle(K)
+        ranks = [0] + [rank_mod2_oracle(boundary_oracle(K, k)) for k in range(1, K.dim + 1)] + [0]
+        reference = tuple(len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(K.dim + 1))
+        mod2 = homology(K, "mod2")
+        assert mod2.betti == reference
+        assert mod2.torsion == ((),) * (K.dim + 1)
+        # universal coefficients: each even invariant factor of H_k adds one
+        # Z/2 to H_k (tensor) and one to H_{k+1} (Tor)
+        integral = homology(K)
+        even = [sum(1 for d in t if d % 2 == 0) for t in integral.torsion]
+        assert reference == tuple(b + even[k] + (even[k - 1] if k else 0)
+                                  for k, b in enumerate(integral.betti))
 
     def test_chi_equals_alternating_betti(self):
         for name in fixtures.FIXTURES:

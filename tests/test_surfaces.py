@@ -79,6 +79,56 @@ class TestPaste:
             sf.paste(sf.cylinder(), sf.PasteSpec(((0, 9),)))
 
 
+def paste_reference(S, pairs):
+    """Regluing with its own owner map; a cluster of m components joined by
+    k pairs has genus (sum of member genera) + k - m + 1."""
+    owner = {}
+    for i, comp in enumerate(S.components):
+        for c in comp.circles:
+            owner[c] = i
+    clusters = [{i} for i in range(len(S.components))]
+    for a, b in pairs:
+        first = next(cl for cl in clusters if owner[a] in cl)
+        second = next(cl for cl in clusters if owner[b] in cl)
+        if first is not second:
+            first |= second
+            clusters.remove(second)
+    used = {c for pair in pairs for c in pair}
+    comps = []
+    for cluster in sorted(clusters, key=min):
+        members = [S.components[i] for i in sorted(cluster)]
+        k = sum(1 for a, _ in pairs if owner[a] in cluster)
+        genus = sum(m.genus for m in members) + k - len(members) + 1 if k else members[0].genus
+        comps.append(sf.Component(genus, tuple(c for m in members for c in m.circles
+                                               if c not in used)))
+    return sf.Surface(tuple(comps), S.next_circle)
+
+
+class TestPasteReference:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_matchings(self, seed):
+        rng = random.Random(seed)
+        S = sf.random_surface(rng, max_components=5)
+        for _ in range(rng.randrange(0, 4)):  # cuts renumber circles out of order
+            move = sf.random_move(rng, S)
+            if isinstance(move, sf.CutSpec):
+                S = sf.cut(S, move)
+        ids = list(S.circle_ids())
+        rng.shuffle(ids)
+        pairs = tuple((ids[2 * k], ids[2 * k + 1]) for k in range(rng.randrange(len(ids) // 2 + 1)))
+        assert sf.paste(S, sf.PasteSpec(pairs)) == paste_reference(S, pairs)
+
+    @pytest.mark.parametrize("script,message", [
+        ("paste 99~1 2~2", "circle 2 matched with itself"),
+        ("paste 0~1 99~0", "circle 0 matched twice"),
+        ("paste 0~99 98~1", "no circle 99"),
+        ("paste 1~2 97~98", "no circle 97"),
+    ])
+    def test_error_precedence(self, script, message):
+        with pytest.raises(sf.InvalidMatching, match=f"^{message}$"):
+            sf.apply_script(sf.surface((0, 3)), sf.parse_script(script))
+
+
 class TestSkEquivalent:
     def test_torus_vs_sphere_plus_genus_two(self):
         left = sf.torus()
