@@ -12,9 +12,12 @@ Smith normal form, rational rank, `left_kernel` and `independent_modulo`
 share one sparse elimination kernel over the integers. A matrix is held as
 sparse rows (`{column: entry}` dicts) with an index from each column to the
 rows that use it, and entries equal to +1 or -1 are eliminated first, in
-order of least Markowitz cost (row count - 1) * (column count - 1). Boundary
-matrices of triangulations are mostly zeros with unit entries, so this step
-usually finishes the job. For invariant factors, whatever block is left has
+order of least Markowitz cost (row count - 1) * (column count - 1). The
+simplicial layer hands over boundary matrices only after its own reduction
+(`simplicial.ChainComplex`) has removed the cells it can pair through a unit
+incidence, so what arrives here is the few cells left over; they are still
+mostly zeros with unit entries, and this step usually finishes the job.
+For invariant factors, whatever block is left has
 no unit entry and goes to the dense Smith loop; for kernels and independence
 over the rationals, elimination continues fraction-free. No `Fraction`,
 float or modular rank is involved. The unimodular transforms of a Smith

@@ -19,9 +19,9 @@ from .exact_linalg import (
     symmetric_signature,
 )
 from .simplicial import (
+    ChainComplex,
     NotClosed,
     SimplicialComplex,
-    boundary_matrix,
     check_orientation,
     orient,
     validate_closed,
@@ -51,14 +51,17 @@ class IntersectionMatrix:
 def _h2_representatives(K: SimplicialComplex) -> list[tuple[int, ...]]:
     """Integer cocycle representatives of a rational basis of H^2.
 
-    A 2-cochain is a cocycle when it annihilates the boundaries of the
-    3-cells, so the cocycles are the left kernel of the degree-3 boundary
-    matrix; kernel vectors are kept when independent modulo the coboundaries,
-    the rows of the degree-2 boundary matrix. The kernel order is
-    deterministic, which makes the choice reproducible.
+    The chain complex is reduced first (`ChainComplex`), which keeps its
+    cohomology. On the surviving cells, a 2-cochain is a cocycle when it
+    annihilates the boundaries of the 3-cells, so the cocycles are the left
+    kernel of the degree-3 boundary matrix; kernel vectors are kept when
+    independent modulo the coboundaries, the rows of the degree-2 boundary
+    matrix. Each one is then extended over the removed cells. The kernel
+    order is deterministic, which makes the choice reproducible.
     """
-    cocycles = left_kernel(boundary_matrix(K, 3))    # C_3 -> C_2, rows are 2-cells
-    return independent_modulo(boundary_matrix(K, 2), cocycles)
+    chain = ChainComplex(K)
+    cocycles = left_kernel(chain.boundary(3))    # C_3 -> C_2, rows are 2-cells
+    return [chain.cocycle(2, z) for z in independent_modulo(chain.boundary(2), cocycles)]
 
 
 def _require_oriented_4(K: SimplicialComplex) -> SimplicialComplex:

@@ -3,9 +3,12 @@
 A complex is stored as its list of top-dimensional facets (sorted vertex
 tuples) with optional orientation signs. Its facet closure is enumerated
 once, into a face index, and everything else reads that index: the Euler
-characteristic, integral / rational / mod-2 homology via Smith normal form
-of boundary matrices, the Kervaire semicharacteristic, closedness and
-orientation.
+characteristic, the Kervaire semicharacteristic, closedness and orientation,
+and the chain complex. Homology reduces that chain complex first: cells
+joined by a +1/-1 incidence are removed in pairs (coreductions and
+collapses), which keeps integral homology, torsion included, and Smith
+normal form runs only on the cells left over. Integral, rational and mod-2
+homology all read the same invariant factors.
 
 Only closedness, orientability and the consistency of supplied orientation
 signs are ever verified; inputs are trusted to be manifold triangulations
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -114,7 +118,13 @@ class SimplicialComplex:
     def reversed_orientation(self) -> "SimplicialComplex":
         if self.orientations is None:
             raise ValueError("complex carries no orientation to reverse")
-        return SimplicialComplex(self.dim, self.facets, tuple(-s for s in self.orientations))
+        return self._with_orientations(tuple(-s for s in self.orientations))
+
+    def _with_orientations(self, orientations: tuple[int, ...]) -> "SimplicialComplex":
+        """The same facets with other signs; the face index is shared, not enumerated again."""
+        other = SimplicialComplex(self.dim, self.facets, orientations)
+        vars(other)["face_index"] = self.face_index
+        return other
 
 
 @dataclass(frozen=True)
@@ -159,7 +169,7 @@ def orient(K: SimplicialComplex) -> SimplicialComplex:
                     stack.append(j)
                 elif signs[j] != want:
                     raise NotOrientable("orientation traversal hit a contradiction")
-    return SimplicialComplex(K.dim, K.facets, tuple(signs))
+    return K._with_orientations(tuple(signs))
 
 
 def check_orientation(K: SimplicialComplex) -> None:
@@ -204,26 +214,160 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> IntMatrix:
     return IntMatrix(len(k1cells), cols, tuple(entries))
 
 
+class ChainComplex:
+    """The simplicial chain complex of K, reduced before any elimination.
+
+    Incidences are sparse: `faces[k][i]` lists the positions in `cells[k-1]`
+    of the faces of `cells[k][i]`, the face without vertex j at index j, with
+    incidence (-1) ** j. Every incidence is a unit, so cells can be removed in
+    pairs without touching the boundaries of the others, which keeps integral
+    homology, torsion included (Kaczynski, Mrozek, Slusarek 1998):
+
+    - first one vertex per connected component goes, each standing for one
+      copy of Z in H_0; `components` counts them;
+    - then coreduction pairs (a cell whose only remaining face is its
+      partner) and collapse pairs (a cell whose only remaining coface is its
+      partner) go, in FIFO order from the removed vertices (Mrozek, Batko
+      2009), then in one sweep over all cells. Counts only fall, so a cell
+      that becomes free later is queued when it does, and no pair is left.
+
+    `pairs` lists (k, a, b) in removal order, for the k-cell at position a and
+    the (k+1)-cell at position b; `survivors[k]` are the positions of the
+    k-cells left over for Smith normal form.
+    """
+
+    def __init__(self, K: SimplicialComplex):
+        cells, position = K.face_index.cells, K.face_index.position
+        n = K.dim
+        self.faces = [[()] * len(cells[0])]
+        for k in range(1, n + 1):
+            face = position[k - 1].__getitem__  # combinations drop the last vertex first
+            self.faces.append([tuple(map(face, itertools.combinations(c, k)))[::-1]
+                               for c in cells[k]])
+        cofaces = [[[] for _ in cs] for cs in cells]
+        for k in range(1, n + 1):
+            up = cofaces[k - 1]
+            for i, fs in enumerate(self.faces[k]):
+                for f in fs:
+                    up[f].append(i)
+        faces = self.faces
+        alive = [[True] * len(cs) for cs in cells]
+        nfaces = [[k + 1 if k else 0] * len(cs) for k, cs in enumerate(cells)]
+        ncofaces = [[len(up) for up in cs] for cs in cofaces]
+        pairs: list[tuple[int, int, int]] = []
+        queue = deque()
+
+        def remove(k, i):
+            alive[k][i] = False
+            if k:
+                counts = ncofaces[k - 1]
+                for f in faces[k][i]:
+                    counts[f] -= 1
+                    if counts[f] == 1:
+                        queue.append((k - 1, f))
+            if k < n:
+                counts = nfaces[k + 1]
+                for c in cofaces[k][i]:
+                    counts[c] -= 1
+                    if counts[c] == 1:
+                        queue.append((k + 1, c))
+
+        def drain():
+            while queue:
+                k, i = queue.popleft()
+                if not alive[k][i]:
+                    continue
+                if nfaces[k][i] == 1:
+                    a = next(f for f in faces[k][i] if alive[k - 1][f])
+                    pairs.append((k - 1, a, i))
+                    remove(k - 1, a)
+                    remove(k, i)
+                elif ncofaces[k][i] == 1:
+                    b = next(c for c in cofaces[k][i] if alive[k + 1][c])
+                    pairs.append((k, i, b))
+                    remove(k, i)
+                    remove(k + 1, b)
+
+        self.components = 0
+        seen = [False] * len(cells[0])
+        for v in range(len(seen)):
+            if not seen[v]:  # a new component: mark it through its edges
+                seen[v] = True
+                stack = [v]
+                while stack:
+                    for e in cofaces[0][stack.pop()]:
+                        for w in faces[1][e]:
+                            if not seen[w]:
+                                seen[w] = True
+                                stack.append(w)
+                self.components += 1
+                remove(0, v)
+        drain()
+        for k, flags in enumerate(alive):
+            for i, flag in enumerate(flags):
+                if flag:
+                    queue.append((k, i))
+                    drain()
+        self.pairs = pairs
+        self.survivors = [[i for i, flag in enumerate(flags) if flag] for flags in alive]
+
+    def boundary(self, k: int) -> IntMatrix:
+        """Matrix of the degree-k boundary map on the surviving cells."""
+        rows, cols = self.survivors[k - 1], self.survivors[k]
+        row_of = {f: r for r, f in enumerate(rows)}
+        width = len(cols)
+        entries = [0] * (len(rows) * width)
+        for c, i in enumerate(cols):
+            for j, f in enumerate(self.faces[k][i]):
+                r = row_of.get(f)
+                if r is not None:
+                    entries[r * width + c] = -1 if j % 2 else 1
+        return IntMatrix(len(rows), width, tuple(entries))
+
+    def cocycle(self, k: int, values) -> tuple[int, ...]:
+        """Extend a cocycle on the surviving k-cells, k >= 1, to one on all k-cells.
+
+        The pairs are undone in reverse order. A removed (k+1)-cell b takes the
+        value 0, and its partner a in degree k the value that makes the cochain
+        vanish on the boundary of b, as seen when the pair was removed: a itself
+        and the faces of b removed before it still read 0 at that point of the
+        reverse pass.
+        """
+        cochain = [0] * len(self.faces[k])
+        for i, x in zip(self.survivors[k], values):
+            cochain[i] = x
+        for degree, a, b in reversed(self.pairs):
+            if degree == k:
+                fs = self.faces[k + 1][b]
+                rest = sum(-cochain[f] if j % 2 else cochain[f] for j, f in enumerate(fs))
+                cochain[a] = rest if fs.index(a) % 2 else -rest
+        return tuple(cochain)
+
+
 def homology(K: SimplicialComplex, coefficients: str = "integers") -> HomologyProfile:
     """Homology profile over 'integers', 'rationals', or 'mod2' coefficients.
 
-    One Smith normal form per boundary map serves all three: its invariant
-    factors count the rank over Q, the odd ones the rank over Z/2, and those
-    > 1 of the degree-(k+1) map are the torsion of H_k over the integers.
+    The chain complex is reduced first (`ChainComplex`), then one Smith normal
+    form per boundary map of what survives serves all three coefficient
+    systems: its invariant factors count the rank over Q, the odd ones the rank
+    over Z/2, and those > 1 of the degree-(k+1) map are the torsion of H_k over
+    the integers.
     """
     if coefficients not in ("integers", "rationals", "mod2"):
         raise ValueError(f"unknown coefficient system {coefficients!r}")
     n = K.dim
-    dims = [len(cells) for cells in K.face_index.cells]
+    chain = ChainComplex(K)
+    dims = [len(cells) for cells in chain.survivors]
     ranks = [0] * (n + 2)
     torsion: list[tuple[int, ...]] = [()] * (n + 1)
     for k in range(1, n + 1):
-        diag = smith_normal_form(boundary_matrix(K, k)).diag
+        diag = smith_normal_form(chain.boundary(k)).diag
         ranks[k] = sum(d % 2 for d in diag) if coefficients == "mod2" else len(diag)
         if coefficients == "integers":
             torsion[k - 1] = tuple(d for d in diag if d > 1)
-    betti = tuple(dims[k] - ranks[k] - ranks[k + 1] for k in range(n + 1))
-    return HomologyProfile(betti, tuple(torsion))
+    betti = [dims[k] - ranks[k] - ranks[k + 1] for k in range(n + 1)]
+    betti[0] += chain.components
+    return HomologyProfile(tuple(betti), tuple(torsion))
 
 
 def kervaire_semicharacteristic(K: SimplicialComplex):

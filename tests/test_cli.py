@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and report formats."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -71,10 +72,73 @@ class TestInvariantsCommand:
         assert result.exit_code == 2
         assert "orientation" in result.report
 
+    def test_unoriented_cp2_enumerates_the_closure_once(self, tmp_path, monkeypatch):
+        # only the closure enumeration asks for a facet as a face of itself
+        K = fixtures.cp2_9()
+        path = tmp_path / "cp2_unoriented.json"
+        path.write_text(complex_to_json(SimplicialComplex(4, K.facets)))
+        whole_facets = []
+        real = itertools.combinations
+
+        def counting(cells, r):
+            if r == len(cells):
+                whole_facets.append(cells)
+            return real(cells, r)
+
+        monkeypatch.setattr(itertools, "combinations", counting)
+        result = run(["invariants", str(path)])
+        assert result.exit_code == 0
+        assert "sigma = 1" in result.report or "sigma = -1" in result.report
+        assert sorted(whole_facets) == list(K.facets)
+
     def test_boolean_dimension_is_input_error(self, tmp_path):
         path = tmp_path / "bool_dim.json"
         path.write_text('{"dim": true, "facets": [[0, 1], [1, 2], [0, 2]]}')
         assert run(["invariants", str(path)]).exit_code == 2
+
+
+def _sphere_copies(copies):
+    """Disjoint copies of the boundary of the 5-simplex, as a complex document."""
+    facets = []
+    for c in range(copies):
+        vertices = range(6 * c, 6 * c + 6)
+        facets += [[v for v in vertices if v != omit] for omit in vertices]
+    return json.dumps({"dim": 4, "facets": facets})
+
+
+class TestLargestAcceptedDocuments:
+    def test_simplex16_reduces_to_nothing(self, monkeypatch):
+        import skkinv.simplicial as simplicial
+
+        shapes = []
+        real = simplicial.smith_normal_form
+
+        def recording(A):
+            shapes.append((A.rows, A.cols))
+            return real(A)
+
+        monkeypatch.setattr(simplicial, "smith_normal_form", recording)
+        result = run(["homology", str(FIXTURES_DIR / "simplex16.json"), "--json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.report)
+        assert doc["betti"] == [1] + [0] * 16
+        assert doc["torsion"] == [[]] * 17
+        # every cell is removed by the reduction: Smith sees 16 empty matrices
+        assert shapes == [(0, 0)] * 16
+
+    def test_682_four_spheres(self, tmp_path):
+        # 682 copies of the boundary of the 5-simplex: the closure bound is full
+        path = tmp_path / "spheres.json"
+        path.write_text(_sphere_copies(682))
+        result = run(["homology", str(path), "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.report)["betti"] == [682, 0, 0, 0, 682]
+        result = run(["invariants", str(path), "--json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.report)
+        assert (doc["chi"], doc["kervaire_semicharacteristic"], doc["sigma"]) == (1364, 682, 0)
+        path.write_text(_sphere_copies(683))
+        assert run(["homology", str(path)]).exit_code == 2
 
 
 class TestCutpasteCommand:

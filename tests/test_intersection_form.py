@@ -5,8 +5,10 @@ import random
 import pytest
 
 from skkinv import fixtures
+from skkinv.exact_linalg import IntMatrix, independent_modulo
 from skkinv.intersection_form import (
     WrongDimension,
+    _h2_representatives,
     intersection_matrix,
     signature,
 )
@@ -14,6 +16,7 @@ from skkinv.simplicial import (
     NotClosed,
     NotOrientable,
     SimplicialComplex,
+    boundary_matrix,
     disjoint_union,
     euler_characteristic,
     orient,
@@ -64,6 +67,19 @@ class TestIntersectionMatrix:
                 for j in range(2):
                     assert type(form.pairing[i][j]) is int
                     assert form.pairing[i][j] == form.pairing[j][i]
+
+    def test_representatives_are_cocycles_of_the_full_complex(self):
+        # found on the reduced complex, then extended over the removed cells
+        K = fixtures.cp2_9()
+        mixed = relabelled(disjoint_union(K, K.reversed_orientation()), 3)
+        for M, rank in ((K, 1), (mixed, 2), (orient(fixtures.sphere4()), 0)):
+            reps = _h2_representatives(M)
+            assert len(reps) == rank
+            assert all(len(r) == len(M.simplices(2)) for r in reps)
+            if reps:
+                product = IntMatrix.from_rows(reps).mul(boundary_matrix(M, 3))
+                assert set(product.entries) == {0}
+                assert independent_modulo(boundary_matrix(M, 2), reps) == reps
 
     def test_wrong_dimension(self):
         with pytest.raises(WrongDimension):

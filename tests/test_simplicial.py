@@ -3,12 +3,16 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skkinv import fixtures
+from skkinv.exact_linalg import IntMatrix, independent_modulo, left_kernel, smith_normal_form
 from skkinv.simplicial import (
     MAX_CLOSURE,
+    ChainComplex,
     ComplexFormatError,
     DimensionMismatch,
     NotClosed,
@@ -151,6 +155,13 @@ class TestOrient:
         with pytest.raises(NotClosed):
             orient(K)
 
+    def test_shares_the_face_index(self):
+        K = fixtures.torus7()
+        oriented = orient(K)
+        assert oriented.face_index is K.face_index
+        assert oriented.reversed_orientation().face_index is K.face_index
+        assert oriented == SimplicialComplex(K.dim, K.facets, oriented.orientations)
+
     @pytest.mark.parametrize("complex_name", ORIENTABLE)
     def test_signed_boundary_vanishes(self, complex_name):
         K = orient(COMPLEXES[complex_name])
@@ -244,6 +255,142 @@ class TestHomology:
     def test_unknown_coefficients(self):
         with pytest.raises(ValueError):
             homology(fixtures.sphere2(), "mod3")
+
+
+def reference_homology(K, coefficients="integers"):
+    """Betti numbers and torsion from Smith normal forms of the full boundary
+    matrices, with no reduction."""
+    n = K.dim
+    ranks = [0] * (n + 2)
+    torsion = [()] * (n + 1)
+    for k in range(1, n + 1):
+        diag = smith_normal_form(boundary_matrix(K, k)).diag
+        ranks[k] = sum(d % 2 for d in diag) if coefficients == "mod2" else len(diag)
+        if coefficients == "integers":
+            torsion[k - 1] = tuple(d for d in diag if d > 1)
+    betti = tuple(len(K.simplices(k)) - ranks[k] - ranks[k + 1] for k in range(n + 1))
+    return betti, tuple(torsion)
+
+
+def cone(K):
+    """The cone on K: one new apex joined to every facet."""
+    apex = max(K.vertices()) + 1
+    return SimplicialComplex.from_facets(K.dim + 1, [f + (apex,) for f in K.facets])
+
+
+@st.composite
+def pure_complexes(draw, dim):
+    """A random set of dim-simplices on a few vertices; most are not closed."""
+    vertices = draw(st.integers(dim + 1, dim + 4))
+    candidates = list(itertools.combinations(range(vertices), dim + 1))
+    facets = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=14, unique=True))
+    return SimplicialComplex.from_facets(dim, facets)
+
+
+def suspension(K):
+    """Two cones on K glued along K: homology and torsion move up one degree."""
+    top, bottom = max(K.vertices()) + 1, max(K.vertices()) + 2
+    return SimplicialComplex.from_facets(
+        K.dim + 1, [f + (apex,) for f in K.facets for apex in (top, bottom)])
+
+
+@st.composite
+def random_complexes(draw):
+    kind = draw(st.sampled_from(["pure", "cone", "union", "suspension"]))
+    if kind == "cone":
+        return cone(draw(pure_complexes(draw(st.integers(1, 3)))))
+    if kind == "suspension":
+        base = draw(st.one_of(pure_complexes(draw(st.integers(1, 3))),
+                              st.sampled_from([fixtures.projective_plane6(), fixtures.torus7()])))
+        return suspension(base)
+    dim = draw(st.integers(1, 4))
+    if kind == "union":
+        return disjoint_union(draw(pure_complexes(dim)), draw(pure_complexes(dim)))
+    return draw(pure_complexes(dim))
+
+
+class TestReduction:
+    """The reduced chain complex against the full boundary matrices."""
+
+    @staticmethod
+    def assert_matches_reference(K):
+        for coefficients in ("integers", "rationals", "mod2"):
+            profile = homology(K, coefficients)
+            betti, torsion = reference_homology(K, coefficients)
+            assert profile.betti == betti, coefficients
+            assert profile.torsion == torsion, coefficients
+
+    @pytest.mark.parametrize("name", list(COMPLEXES))
+    def test_fixtures_match_full_matrices(self, name):
+        self.assert_matches_reference(COMPLEXES[name])
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_complexes())
+    def test_random_complexes_match_full_matrices(self, K):
+        self.assert_matches_reference(K)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_complexes())
+    def test_cocycles_extend_to_the_full_complex(self, K):
+        # a rational basis of H^k of the reduced complex, extended over the
+        # removed cells, is a rational basis of H^k of K
+        chain = ChainComplex(K)
+        betti = homology(K, "rationals").betti
+        for k in range(1, K.dim):
+            cocycles = left_kernel(chain.boundary(k + 1))
+            reps = [chain.cocycle(k, z) for z in independent_modulo(chain.boundary(k), cocycles)]
+            assert len(reps) == betti[k]
+            if reps:
+                product = IntMatrix.from_rows(reps).mul(boundary_matrix(K, k + 1))
+                assert set(product.entries) <= {0}
+                assert independent_modulo(boundary_matrix(K, k), reps) == reps
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_complexes())
+    @example(SimplicialComplex.from_facets(3, [(0, 2, 4, 7), (0, 4, 6, 7), (1, 3, 4, 5), (2, 3, 6, 7)]))
+    def test_no_pair_is_left(self, K):
+        # the example stalls after the coreductions from the removed vertex;
+        # the sweep leaves one edge
+        chain = ChainComplex(K)
+        alive = [set(cells) for cells in chain.survivors]
+        incidences = [(k, i, f) for k in range(1, K.dim + 1) for i in alive[k]
+                      for f in chain.faces[k][i] if f in alive[k - 1]]
+        faces = Counter((k, i) for k, i, _ in incidences)
+        cofaces = Counter((k - 1, f) for k, _, f in incidences)
+        assert all(faces[k, i] != 1 and cofaces[k, i] != 1
+                   for k, cells in enumerate(alive) for i in cells)
+
+    def test_removes_cells_in_pairs(self):
+        for K in (fixtures.cp2_9(), cone(fixtures.torus7()), fixtures.projective_plane6()):
+            chain = ChainComplex(K)
+            removed = [(k, a) for k, a, _ in chain.pairs] + [(k + 1, b) for k, _, b in chain.pairs]
+            survivors = [(k, i) for k, cells in enumerate(chain.survivors) for i in cells]
+            assert len(set(removed)) == len(removed) == 2 * len(chain.pairs)
+            assert chain.components + len(removed) + len(survivors) == sum(
+                len(c) for c in K.face_index.cells)
+
+    def test_cone_reduces_to_nothing(self):
+        for K in (cone(fixtures.torus7()), cone(fixtures.projective_plane6()),
+                  SimplicialComplex.from_facets(9, [tuple(range(10))])):
+            chain = ChainComplex(K)
+            assert chain.components == 1
+            assert all(cells == [] for cells in chain.survivors)
+
+    def test_closed_sphere_keeps_only_its_top_cell(self):
+        for d in (2, 3, 4):
+            chain = ChainComplex(fixtures.simplex_boundary(d + 1))
+            assert [len(cells) for cells in chain.survivors] == [0] * d + [1]
+
+    def test_suspension_moves_torsion_up(self):
+        profile = homology(suspension(fixtures.projective_plane6()))
+        assert profile.betti == (1, 0, 0, 0)
+        assert profile.torsion == ((), (), (2,), ())
+
+    def test_empty_and_zero_dimensional(self):
+        assert homology(SimplicialComplex.from_facets(2, [])).betti == (0, 0, 0)
+        points = SimplicialComplex.from_facets(0, [(3,), (5,), (9,)])
+        assert homology(points).betti == (3,)
+        assert ChainComplex(points).components == 3
 
 
 class TestKervaireSemicharacteristic:
