@@ -54,14 +54,19 @@ ARGV = (
        ["cob", "eval", "cap ; cup", "--cap", "2", "--cup", "3"],
        ["cob", "eval", "cap ; copants ; pants ; cup", "--cap=-3/2", "--cup", "5/7"],
        ["cob", "eval", "cap | cap ; pants ; cup", "--cap-exp", "1/2", "--cup-exp=-3"],
-       ["cob", "eval", "cap ; cup", "--cap", "0", "--cup", "2"]]
+       ["cob", "eval", "cap ; cup", "--cap", "0", "--cup", "2"],
+       ["cob", "eval", "cap | id ; pants ; copants ; pants", "--cap=-3/2", "--cup", "5/7"]]
     + [["tqft", "verify", "--cap", "2", "--cup", "1/2", "--seed", "0", "--budget", "12"],
        ["tqft", "verify", "--cap-exp", "1", "--cup-exp=-2/3", "--seed", "3", "--budget", "12"],
        ["tqft", "verify", "--cap", "2", "--cup", "3", "--budget", "12", "--corrupt"],
-       ["tqft", "verify", "--cap", "2", "--cup", "3", "--budget", "0"]]
+       ["tqft", "verify", "--cap", "2", "--cup", "3", "--budget", "0"],
+       ["tqft", "verify", "--cap-exp=7", "--cup-exp=-9/5", "--seed", "761527", "--budget", "100",
+        "--corrupt"],
+       ["tqft", "verify", "--cap=-3", "--cup=7/4", "--budget", "100"]]
     + [["skk", "verify-sequence", "--grid", "1", "--seed", "0"],
        ["skk", "verify-sequence", "--grid", "1", "--seed", "2", "--corrupt-splitting"],
-       ["skk", "verify-sequence", "--grid", "0"]]
+       ["skk", "verify-sequence", "--grid", "0"],
+       ["skk", "verify-sequence", "--grid", "6", "--corrupt-splitting"]]
     + [["skk", "demo-bsigma"],
        ["skk", "demo-bsigma", "--catalog", _FIX + "catalog_dim8.json"]]
 )
