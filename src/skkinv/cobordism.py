@@ -148,13 +148,23 @@ def identity_word(arity: int, dim: int = 2) -> CobordismWord:
     return CobordismWord(dim, ((gen,) * arity,))
 
 
+# Compositions and tensor products of checked words line up by construction,
+# so they skip __post_init__ and take their widths from the factors.
+def _checked_word(dim: int, layers, widths) -> CobordismWord:
+    w = object.__new__(CobordismWord)
+    object.__setattr__(w, "dim", dim)
+    object.__setattr__(w, "layers", layers)
+    object.__setattr__(w, "widths", widths)
+    return w
+
+
 def compose(M: CobordismWord, N: CobordismWord) -> CobordismWord:
     """Glue M's out-boundary to N's in-boundary (M applied first)."""
     if M.dim != N.dim:
         raise WrongDimension("cannot compose words of different dimensions")
     if M.out_arity != N.in_arity:
         raise ArityMismatch(f"out-arity {M.out_arity} does not match in-arity {N.in_arity}")
-    return CobordismWord(M.dim, M.layers + N.layers)
+    return _checked_word(M.dim, M.layers + N.layers, M.widths + N.widths[1:])
 
 
 def tensor(M: CobordismWord, N: CobordismWord) -> CobordismWord:
@@ -163,12 +173,15 @@ def tensor(M: CobordismWord, N: CobordismWord) -> CobordismWord:
         raise WrongDimension("cannot tensor words of different dimensions")
     gen = "id" if M.dim == 2 else "pid"
     mlays, nlays = list(M.layers), list(N.layers)
+    mwidths, nwidths = list(M.widths), list(N.widths)
     while len(mlays) < len(nlays):
         mlays.append((gen,) * M.out_arity)
+        mwidths.append(M.out_arity)
     while len(nlays) < len(mlays):
         nlays.append((gen,) * N.out_arity)
+        nwidths.append(N.out_arity)
     layers = tuple(a + b for a, b in zip(mlays, nlays))
-    return CobordismWord(M.dim, layers)
+    return _checked_word(M.dim, layers, tuple(a + b for a, b in zip(mwidths, nwidths)))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,15 @@ pants to a**-1 and copants to e**-1, so every closed connected word of
 genus g evaluates to (a*e)**(1-g), and a closed word overall to
 (a*e)**(chi/2). A property test pins down that any generator assignment
 respecting equivalence of words is of this two-parameter form.
+
+A TQFT declares its `bases`, here (a, e), and in `EXPONENTS` the integer
+exponent row of each generator's value over them: cap (1, 0), cup (0, 1),
+pants (-1, 0), copants (0, -1), id and swap (0, 0). `evaluate` sums the rows
+over a word's generator counts and raises each base once, so a word costs at
+most one power per base and no inverse. Requests are bounded: a rational
+answer may have at most `MAX_SCALAR_BITS` bits, estimated from the exponents
+before any power is taken, and `verify_axioms` runs at most `MAX_BUDGET`
+words per check.
 """
 
 from __future__ import annotations
@@ -47,6 +56,19 @@ class FractionalExponent(ValueError):
 
 class NotInKernel(ValueError):
     """TQFT does not evaluate closed words trivially."""
+
+
+class AnswerTooLarge(InputError):
+    """The exact answer would exceed `MAX_SCALAR_BITS` bits."""
+
+
+# Bit bound on a rational answer of `evaluate`, checked before any power:
+# 2^18 bits is about 79,000 decimal digits.
+MAX_SCALAR_BITS = 1 << 18
+
+# Bound on the random words per check of `verify_axioms`; a request at the
+# bound takes about a second on a 2-vCPU VM.
+MAX_BUDGET = 3000
 
 
 @dataclass(frozen=True)
@@ -179,29 +201,21 @@ class InvertibleTQFT2:
     cap: GroupScalar
     cup: GroupScalar
 
+    # exponent row of each generator's value over `bases`
+    EXPONENTS = {"cap": (1, 0), "cup": (0, 1), "pants": (-1, 0), "copants": (0, -1),
+                 "id": (0, 0), "swap": (0, 0)}
+
     def __post_init__(self):
         if type(self.cap) is not type(self.cup):
             raise VariantMismatch("cap and cup scalars must share a variant")
 
     @property
+    def bases(self) -> tuple[GroupScalar, GroupScalar]:
+        return (self.cap, self.cup)
+
+    @property
     def variant(self) -> str:
         return "rational" if isinstance(self.cap, RationalScalar) else "exp"
-
-    def one(self) -> GroupScalar:
-        return self.cap.one()
-
-    def generator_value(self, g: str) -> GroupScalar:
-        if g == "cap":
-            return self.cap
-        if g == "cup":
-            return self.cup
-        if g == "pants":
-            return self.cap.inverse()
-        if g == "copants":
-            return self.cup.inverse()
-        if g in ("id", "swap"):
-            return self.cap.one()
-        raise WrongDimension(f"generator {g!r} is not a dimension-2 generator")
 
     def product(self, other: "InvertibleTQFT2") -> "InvertibleTQFT2":
         if type(self.cap) is not type(other.cap):
@@ -216,37 +230,52 @@ class InvertibleTQFT2:
         return self.cap.is_one and self.cup.is_one
 
 
+@dataclass(frozen=True)
+class CorruptedTQFT2(InvertibleTQFT2):
+    """Negative control: sends pants to the cap value instead of its inverse,
+    so equivalent words with different pants counts disagree."""
+
+    EXPONENTS = {**InvertibleTQFT2.EXPONENTS, "pants": (1, 0)}
+
+
+def corrupted_tqft(T: InvertibleTQFT2) -> CorruptedTQFT2:
+    return CorruptedTQFT2(T.cap, T.cup)
+
+
 def trivial_tqft(variant: str = "rational") -> InvertibleTQFT2:
     one = rational(1) if variant == "rational" else exp_scalar(0)
     return InvertibleTQFT2(one, one)
 
 
 def evaluate(T, M: CobordismWord) -> GroupScalar:
-    """Product of generator values over the word.
+    """Value of a dimension-2 word: the product of base ** k over T's bases,
+    where k sums the generators' exponent rows over the word's counts.
 
-    Scalars commute, so each generator value is raised to its count.
+    A rational answer's size is bounded from the exponents before its power
+    is taken: base ** k has at most |k| times the base's bits.
     """
     if M.dim != 2:
         raise WrongDimension("2d TQFTs evaluate dimension-2 words")
-    value = T.one()
+    bases = T.bases
+    rows = T.EXPONENTS
+    totals = [0] * len(bases)
     for g, n in M.generator_counts().items():
-        value = value * T.generator_value(g) ** n
-    return value
-
-
-@dataclass(frozen=True)
-class CorruptedTQFT2(InvertibleTQFT2):
-    """Negative control: sends pants to the cap value instead of its inverse,
-    so equivalent words with different pants counts disagree."""
-
-    def generator_value(self, g: str) -> GroupScalar:
-        if g == "pants":
-            return self.cap
-        return super().generator_value(g)
-
-
-def corrupted_tqft(T: InvertibleTQFT2) -> CorruptedTQFT2:
-    return CorruptedTQFT2(T.cap, T.cup)
+        for i, k in enumerate(rows[g]):
+            totals[i] += k * n
+    value = None
+    bits = 0
+    for base, k in zip(bases, totals):
+        if not k:
+            continue
+        if type(base) is RationalScalar:
+            q = base.value
+            bits += abs(k) * (q.numerator.bit_length() + q.denominator.bit_length())
+            if bits > MAX_SCALAR_BITS:
+                raise AnswerTooLarge(f"the answer may have up to {bits} bits;"
+                                     f" at most {MAX_SCALAR_BITS} are allowed")
+        power = base ** k
+        value = power if value is None else value * power
+    return bases[0].one() if value is None else value
 
 
 @dataclass(frozen=True)
@@ -297,6 +326,8 @@ def verify_axioms(T, seed: int = 0, budget: int = 200) -> Report:
     """
     if budget < 0:
         raise InputError(f"word budget must be non-negative, got {budget}")
+    if budget > MAX_BUDGET:
+        raise InputError(f"word budget may be at most {MAX_BUDGET}, got {budget}")
     rng = random.Random(seed)
     checks = []
 

@@ -12,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from skkinv import fixtures
 from skkinv.cli import MAX_SURFACE_CIRCLES, _build_parser, run
+from skkinv.rationals import int_text
+from skkinv.skk import MAX_GRID
+from skkinv.tqft import MAX_BUDGET, MAX_SCALAR_BITS
 from skkinv.simplicial import SimplicialComplex, complex_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -197,6 +200,30 @@ class TestCobCommands:
         assert (result.exit_code, result.report) == (0, "1" + "0" * 4400)
         assert json.loads(run(argv + ["--json"]).report)["value"] == "1" + "0" * 4400
 
+    def test_answer_size_is_bounded_before_the_power(self):
+        # 10**100 - 1 has 333 bits and its denominator 1 bit, so n caps are
+        # estimated at 334 * n bits; the largest accepted answer has 78,400 digits
+        cap = 10 ** 100 - 1
+        n = MAX_SCALAR_BITS // 334
+        argv = ["cob", "eval", " | ".join(["cap"] * n), "--cap", str(cap), "--cup", "3"]
+        assert run(argv).report == int_text(cap ** n)
+        over = run(["cob", "eval", " | ".join(["cap"] * (n + 1)), "--cap", str(cap),
+                    "--cup", "3"])
+        assert over.exit_code == 2
+        assert over.report == (f"error: the answer may have up to {334 * (n + 1)} bits;"
+                               f" at most {MAX_SCALAR_BITS} are allowed")
+
+    def test_answer_size_bound_counts_negative_exponents(self):
+        # m pants side by side: the value is cap**-m
+        pants = lambda m: " | ".join(["pants"] * m)  # noqa: E731
+        n = MAX_SCALAR_BITS // 334
+        assert run(["cob", "eval", pants(n), f"--cap={10 ** 100 - 1}", "--cup=3"]).exit_code == 0
+        over = run(["cob", "eval", pants(n + 1), f"--cap={10 ** 100 - 1}", "--cup=3", "--json"])
+        assert over.exit_code == 2 and "bits" in over.report
+        # exponentials carry no such bound: the answer is exp(-(n + 1) * 10**100)
+        result = run(["cob", "eval", pants(n + 1), f"--cap-exp={10 ** 100}", "--cup-exp=3"])
+        assert result.report == f"exp({-(n + 1) * 10 ** 100})"
+
 
 class TestTqftVerifyCommand:
     def test_passes(self):
@@ -208,6 +235,13 @@ class TestTqftVerifyCommand:
         result = run(["tqft", "verify", "--cap", "2", "--cup", "1/2", "--budget", "-5"])
         assert result.exit_code == 2
         assert "budget" in result.report
+
+    def test_budget_beyond_bound_rejected(self):
+        for budget in (MAX_BUDGET + 1, 10 ** 9):
+            result = run(["tqft", "verify", "--cap", "2", "--cup", "1/2",
+                          "--budget", str(budget)])
+            assert result.exit_code == 2
+            assert result.report == f"error: word budget may be at most {MAX_BUDGET}, got {budget}"
 
     def test_corrupt_flag_finds_violation(self):
         result = run(["tqft", "verify", "--cap", "2", "--cup", "1/2",
@@ -244,6 +278,29 @@ class TestSkkCommands:
         result = run(["skk", "verify-sequence", "--grid", "-3"])
         assert result.exit_code == 2
         assert "grid" in result.report
+
+    def test_verify_sequence_grid_beyond_bound_rejected(self):
+        for grid in (MAX_GRID + 1, 100000):
+            result = run(["skk", "verify-sequence", "--grid", str(grid)])
+            assert result.exit_code == 2
+            assert result.report == f"error: grid half-width may be at most {MAX_GRID}, got {grid}"
+
+    def test_verify_sequence_measures_each_sample_once(self, monkeypatch):
+        import skkinv.surfaces as surfaces
+
+        calls = []
+        real = surfaces.chi
+
+        def counting(S):
+            calls.append(S)
+            return real(S)
+
+        monkeypatch.setattr(surfaces, "chi", counting)
+        for corrupt in ([], ["--corrupt-splitting"]):
+            calls.clear()
+            run(["skk", "verify-sequence", "--grid", "2"] + corrupt)
+            # one call per sample surface, not one per sample and grid point
+            assert len(calls) == 6
 
     def test_demo_bsigma(self):
         result = run(["skk", "demo-bsigma"])
@@ -582,7 +639,7 @@ def _mutated_documents(draw, name):
 _small_ints = st.integers(-3, 6).map(str)
 _scalar_texts = st.one_of(_small_ints, st.sampled_from(
     ["0", "1/0", "-1/2", "2/3", "0.5", "1e2", "abc", "", "-", "3/-2", "1e1000000000",
-     "-2E-9"]))
+     "-2E-9", "9" * 4000, "-1/" + "3" * 4000]))
 _surface_terms = st.one_of(
     st.builds("g{}b{}".format, st.integers(0, 3), st.integers(0, 3)),
     st.sampled_from(["g1b-1", "g-1b0", "G2B0", "g1", "b0", "gb", "g1b0b1", "torus", " ", "g 1b0",
@@ -597,6 +654,9 @@ _scripts = st.lists(st.lists(_script_tokens, max_size=5).map(" ".join), max_size
 _words = st.lists(st.sampled_from(
     ["id", "swap", "cap", "cup", "pants", "copants", "pid", "acap", "acup", "|", ";", "capp",
      ""]), max_size=12).map(" ".join)
+# one layer of up to 80 caps or pants: with a 4000-digit scalar, beyond the answer bound
+_wide_words = st.builds(lambda g, n: " | ".join([g] * n), st.sampled_from(("cap", "pants")),
+                        st.integers(1, 80))
 
 
 @st.composite
@@ -643,13 +703,27 @@ class TestNoTraceback:
         path.write_text(script)
         self._check(["cutpaste", str(path), "--start", start])
 
-    @given(_words, st.sampled_from(("1", "2")), _scalar_argv())
+    @given(_wide_words, st.sampled_from(("cap", "cup")),
+           st.sampled_from(("", "-exp")), st.sampled_from(("9" * 4000, "-1/" + "3" * 4000, "2")))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_answer_sizes(self, word, which, variant, value):
+        other = "cup" if which == "cap" else "cap"
+        self._check(["cob", "eval", word, f"--{which}{variant}={value}", f"--{other}{variant}=3"])
+
+    @given(st.integers(-2, 4) | st.sampled_from((MAX_BUDGET + 1, 10 ** 9)), st.booleans())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_budgets(self, budget, corrupt):
+        self._check(["tqft", "verify", "--cap", "2", "--cup", "3", "--budget", str(budget)]
+                    + (["--corrupt"] if corrupt else []))
+
+    @given(_words | _wide_words, st.sampled_from(("1", "2")), _scalar_argv())
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_words(self, word, dim, scalars):
         self._check(["cob", "normal-form", word, "--dim", dim])
         self._check(["cob", "eval", word] + scalars)
 
-    @given(_scalar_argv(), st.integers(-3, 3), st.integers(-2, 4), _surface_exprs,
+    @given(_scalar_argv(), st.integers(-3, 3) | st.sampled_from((MAX_GRID + 1, 10 ** 6)),
+           st.integers(-2, 4) | st.sampled_from((MAX_BUDGET + 1, 10 ** 9)), _surface_exprs,
            st.booleans())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_argv_values(self, scalars, grid, budget, surface, corrupt):

@@ -18,6 +18,31 @@ def rational_tqft(a, e):
     return tqft.InvertibleTQFT2(tqft.rational(a), tqft.rational(e))
 
 
+def generator_value(T, g):
+    """A generator's value, written out without the exponent table: the
+    cylinder identities give pants = cap**-1 and copants = cup**-1; the
+    corrupted control sends pants to cap."""
+    if g == "cap":
+        return T.cap
+    if g == "cup":
+        return T.cup
+    if g == "pants":
+        return T.cap if isinstance(T, tqft.CorruptedTQFT2) else T.cap.inverse()
+    if g == "copants":
+        return T.cup.inverse()
+    assert g in ("id", "swap")
+    return T.cap.one()
+
+
+def layer_by_layer_value(T, w):
+    """The product of generator values along the word, one generator at a time."""
+    value = T.cap.one()
+    for layer in w.layers:
+        for g in layer:
+            value = value * generator_value(T, g)
+    return value
+
+
 class TestScalars:
     def test_rational_group_laws(self):
         a = tqft.rational(Fraction(3, 4))
@@ -110,11 +135,56 @@ class TestEvaluate:
             if corrupt:
                 T = tqft.corrupted_tqft(T)
             for w in (cb.random_word(rng), cb.random_closed_word(rng)):
-                expected = T.one()
-                for layer in w.layers:
-                    for g in layer:
-                        expected = expected * T.generator_value(g)
-                assert tqft.evaluate(T, w) == expected
+                assert tqft.evaluate(T, w) == layer_by_layer_value(T, w)
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_product_on_independent_words_and_bases(self, data, corrupt):
+        """Words grown generator by generator and bases of either scalar group
+        with any signs: evaluate equals the layer-by-layer product."""
+        if data.draw(st.booleans()):
+            T = rational_tqft(data.draw(small_rationals), data.draw(small_rationals))
+        else:
+            signs = st.sampled_from((1, -1))
+            exponents = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+            T = tqft.InvertibleTQFT2(tqft.exp_scalar(data.draw(exponents), data.draw(signs)),
+                                     tqft.exp_scalar(data.draw(exponents), data.draw(signs)))
+        if corrupt:
+            T = tqft.corrupted_tqft(T)
+        arity = data.draw(st.integers(0, 3))
+        layers = []
+        for g in data.draw(st.lists(st.sampled_from(sorted(cb.GENERATORS)), max_size=25)):
+            _, g_in, g_out = cb.GENERATORS[g]
+            if g_in > arity or g in ("pid", "acap", "acup"):
+                continue
+            layers.append(("id",) * (arity - g_in) + (g,))
+            arity += g_out - g_in
+        w = cb.CobordismWord(2, tuple(layers))
+        assert tqft.evaluate(T, w) == layer_by_layer_value(T, w)
+
+    def test_two_powers_per_word(self, monkeypatch):
+        """A word with all six generators costs one power per base, whatever
+        its length."""
+        calls = []
+        for cls in (tqft.RationalScalar, tqft.ExpScalar):
+            real = cls.__pow__
+
+            def counting(self, k, real=real):
+                calls.append(k)
+                return real(self, k)
+
+            monkeypatch.setattr(cls, "__pow__", counting)
+        w = cb.parse_word("cap | cap ; swap ; pants ; copants ; id | cup ; cup")
+        assert w.generator_counts().keys() == {"cap", "cup", "pants", "copants", "id", "swap"}
+        long = cb.compose(w, w)
+        for T in (rational_tqft(Fraction(3, 2), -5),
+                  tqft.InvertibleTQFT2(tqft.exp_scalar(7), tqft.exp_scalar(Fraction(-9, 5), -1))):
+            for T in (T, tqft.corrupted_tqft(T)):
+                for word in (w, long):
+                    calls.clear()
+                    value = tqft.evaluate(T, word)
+                    assert len(calls) <= 2, calls
+                    assert value == layer_by_layer_value(T, word)
 
     @given(seeds, small_rationals, small_rationals)
     @settings(max_examples=60, deadline=None)
@@ -186,16 +256,10 @@ class TestTwoParameterForm:
     @settings(max_examples=50, deadline=None)
     def test_cylinder_relations_force_the_form(self, a, e, p, c):
         class FreeAssignment:
-            values = {"cap": tqft.rational(a), "cup": tqft.rational(e),
-                      "pants": tqft.rational(p), "copants": tqft.rational(c)}
-
-            def one(self):
-                return tqft.rational(1)
-
-            def generator_value(self, g):
-                if g in ("id", "swap"):
-                    return tqft.rational(1)
-                return self.values[g]
+            # four independent bases, one per generator, so pants and copants stay free
+            bases = (tqft.rational(a), tqft.rational(e), tqft.rational(p), tqft.rational(c))
+            EXPONENTS = {"cap": (1, 0, 0, 0), "cup": (0, 1, 0, 0), "pants": (0, 0, 1, 0),
+                         "copants": (0, 0, 0, 1), "id": (0, 0, 0, 0), "swap": (0, 0, 0, 0)}
 
         assignment = FreeAssignment()
         report = tqft.verify_axioms(assignment, seed=4, budget=40)
