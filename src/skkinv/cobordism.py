@@ -22,6 +22,7 @@ Grammar (whitespace-insensitive):
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from . import InputError
@@ -172,16 +173,14 @@ def tensor(M: CobordismWord, N: CobordismWord) -> CobordismWord:
     if M.dim != N.dim:
         raise WrongDimension("cannot tensor words of different dimensions")
     gen = "id" if M.dim == 2 else "pid"
-    mlays, nlays = list(M.layers), list(N.layers)
-    mwidths, nwidths = list(M.widths), list(N.widths)
-    while len(mlays) < len(nlays):
-        mlays.append((gen,) * M.out_arity)
-        mwidths.append(M.out_arity)
-    while len(nlays) < len(mlays):
-        nlays.append((gen,) * N.out_arity)
-        nwidths.append(N.out_arity)
-    layers = tuple(a + b for a, b in zip(mlays, nlays))
-    return _checked_word(M.dim, layers, tuple(a + b for a, b in zip(mwidths, nwidths)))
+    height = max(len(M.layers), len(N.layers))
+    mk, nk = height - len(M.layers), height - len(N.layers)
+    mlays = M.layers + ((gen,) * M.out_arity,) * mk
+    nlays = N.layers + ((gen,) * N.out_arity,) * nk
+    mwidths = M.widths + (M.out_arity,) * mk
+    nwidths = N.widths + (N.out_arity,) * nk
+    return _checked_word(M.dim, tuple(map(operator.add, mlays, nlays)),
+                         tuple(map(operator.add, mwidths, nwidths)))
 
 
 @dataclass(frozen=True)
