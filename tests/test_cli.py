@@ -214,8 +214,9 @@ class TestCobCommands:
                                f" at most {MAX_SCALAR_BITS} are allowed")
 
     def test_answer_size_bound_counts_negative_exponents(self):
-        # m pants side by side: the value is cap**-m
-        pants = lambda m: " | ".join(["pants"] * m)  # noqa: E731
+        def pants(m):  # m pants side by side: the value is cap**-m
+            return " | ".join(["pants"] * m)
+
         n = MAX_SCALAR_BITS // 334
         assert run(["cob", "eval", pants(n), f"--cap={10 ** 100 - 1}", "--cup=3"]).exit_code == 0
         over = run(["cob", "eval", pants(n + 1), f"--cap={10 ** 100 - 1}", "--cup=3", "--json"])

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from skkinv import fixtures, skk, surfaces as sf, virtual_bordism as vb
 from skkinv import cobordism as cb
@@ -181,6 +181,25 @@ class TestAbsPsi:
         lhs = skk.abs_psi(T1.product(T2))
         rhs = skk.abs_psi(T1).product(skk.abs_psi(T2))
         assert skk.invariants_agree(lhs, rhs)
+
+    @given(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+           st.fractions(min_value=-20, max_value=20, max_denominator=12),
+           st.sampled_from((1, -1)))
+    @settings(max_examples=80, deadline=None)
+    def test_descriptor_halves_the_exponent(self, p, q, sign):
+        """The descriptor is exp(r*chi) with r = (p + q) / 2 as a reduced Fraction prints."""
+        T = InvertibleTQFT2(exp_scalar(p, sign), exp_scalar(q))
+        assert skk.abs_psi(T).descriptor == f"exp({(p + q) / 2}*chi)"
+        assert skk.abs_psi(T).descriptor == skk.chi_invariant((p + q) / 2).descriptor
+
+    @given(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+           st.sampled_from((1, -1)), st.integers(-12, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_integer_powers_match_half_chi_roots(self, r, sign, chi):
+        """Even chi takes an integer power, odd chi the root; both equal base**(chi/2)."""
+        assume(sign == 1 or chi % 2 == 0)  # a negative scalar has no real square root
+        xi = skk.SKKInvariant(2, base=exp_scalar(r, sign))
+        assert xi.on_chi(chi) == exp_scalar(r, sign) ** Fraction(chi, 2)
 
     def test_requires_exp_variant(self):
         from skkinv.tqft import VariantMismatch
