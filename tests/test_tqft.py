@@ -177,9 +177,10 @@ class TestEvaluate:
         w = cb.parse_word("cap | cap ; swap ; pants ; copants ; id | cup ; cup")
         assert w.generator_counts().keys() == {"cap", "cup", "pants", "copants", "id", "swap"}
         long = cb.compose(w, w)
-        for T in (rational_tqft(Fraction(3, 2), -5),
-                  tqft.InvertibleTQFT2(tqft.exp_scalar(7), tqft.exp_scalar(Fraction(-9, 5), -1))):
-            for T in (T, tqft.corrupted_tqft(T)):
+        for honest in (rational_tqft(Fraction(3, 2), -5),
+                       tqft.InvertibleTQFT2(tqft.exp_scalar(7),
+                                            tqft.exp_scalar(Fraction(-9, 5), -1))):
+            for T in (honest, tqft.corrupted_tqft(honest)):
                 for word in (w, long):
                     calls.clear()
                     value = tqft.evaluate(T, word)
