@@ -22,7 +22,6 @@ Grammar (whitespace-insensitive):
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 from . import InputError
@@ -149,23 +148,13 @@ def identity_word(arity: int, dim: int = 2) -> CobordismWord:
     return CobordismWord(dim, ((gen,) * arity,))
 
 
-# Compositions and tensor products of checked words line up by construction,
-# so they skip __post_init__ and take their widths from the factors.
-def _checked_word(dim: int, layers, widths) -> CobordismWord:
-    w = object.__new__(CobordismWord)
-    object.__setattr__(w, "dim", dim)
-    object.__setattr__(w, "layers", layers)
-    object.__setattr__(w, "widths", widths)
-    return w
-
-
 def compose(M: CobordismWord, N: CobordismWord) -> CobordismWord:
     """Glue M's out-boundary to N's in-boundary (M applied first)."""
     if M.dim != N.dim:
         raise WrongDimension("cannot compose words of different dimensions")
     if M.out_arity != N.in_arity:
         raise ArityMismatch(f"out-arity {M.out_arity} does not match in-arity {N.in_arity}")
-    return _checked_word(M.dim, M.layers + N.layers, M.widths + N.widths[1:])
+    return CobordismWord(M.dim, M.layers + N.layers)
 
 
 def tensor(M: CobordismWord, N: CobordismWord) -> CobordismWord:
@@ -173,14 +162,13 @@ def tensor(M: CobordismWord, N: CobordismWord) -> CobordismWord:
     if M.dim != N.dim:
         raise WrongDimension("cannot tensor words of different dimensions")
     gen = "id" if M.dim == 2 else "pid"
-    height = max(len(M.layers), len(N.layers))
-    mk, nk = height - len(M.layers), height - len(N.layers)
-    mlays = M.layers + ((gen,) * M.out_arity,) * mk
-    nlays = N.layers + ((gen,) * N.out_arity,) * nk
-    mwidths = M.widths + (M.out_arity,) * mk
-    nwidths = N.widths + (N.out_arity,) * nk
-    return _checked_word(M.dim, tuple(map(operator.add, mlays, nlays)),
-                         tuple(map(operator.add, mwidths, nwidths)))
+    mlays, nlays = list(M.layers), list(N.layers)
+    while len(mlays) < len(nlays):
+        mlays.append((gen,) * M.out_arity)
+    while len(nlays) < len(mlays):
+        nlays.append((gen,) * N.out_arity)
+    layers = tuple(a + b for a, b in zip(mlays, nlays))
+    return CobordismWord(M.dim, layers)
 
 
 @dataclass(frozen=True)

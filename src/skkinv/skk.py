@@ -288,23 +288,16 @@ def abs_psi(T: InvertibleTQFT2) -> SKKInvariant:
     if T.variant != "exp":
         raise VariantMismatch("absolute restriction needs signed-exponential scalars")
     base = (T.cap * T.cup).abs_value()
-    # exponent / 2 in lowest terms, read off the normalized exponent
-    n, d = base.exponent.numerator, base.exponent.denominator
-    if n % 2:
-        d *= 2
-    else:
-        n //= 2
-    half = str(n) if d == 1 else f"{n}/{d}"
-    return SKKInvariant(2, base=base, descriptor=f"exp({half}*chi)")
+    return SKKInvariant(2, base=base,
+                        descriptor=f"exp({base.exponent / 2}*chi)")
 
 
 def kernel_membership(T: InvertibleTQFT2) -> bool:
     """True iff every closed value is a sign: |cap * cup| = 1."""
-    if T.variant == "exp":
-        # normalized exponents sum to 0 exactly when they are negatives
-        a, e = T.cap.exponent, T.cup.exponent
-        return a.numerator == -e.numerator and a.denominator == e.denominator
-    return abs(T.cap.value * T.cup.value) == 1
+    prod = T.cap * T.cup
+    if isinstance(prod, ExpScalar):
+        return prod.exponent == 0
+    return abs(prod.value) == 1
 
 
 # sample closed surfaces separating the chi classes
@@ -319,14 +312,21 @@ def sample_closed_surfaces():
     )
 
 
-def invariants_agree(xi1: SKKInvariant, xi2: SKKInvariant, samples=None) -> bool:
-    samples = sample_closed_surfaces() if samples is None else samples
-    return all(xi1(M) == xi2(M) for M in samples)
+def sample_chis() -> tuple[int, ...]:
+    """Euler characteristics of the sample closed surfaces."""
+    return tuple(chi_of(M) for M in sample_closed_surfaces())
 
 
-def invariant_is_trivial(xi: SKKInvariant, samples=None) -> bool:
-    samples = sample_closed_surfaces() if samples is None else samples
-    return all(xi(M).is_one for M in samples)
+# Chi-type invariants compared on the samples through their measured chi
+# values; callers that compare many invariants measure the samples once.
+def invariants_agree(xi1: SKKInvariant, xi2: SKKInvariant, chis=None) -> bool:
+    chis = sample_chis() if chis is None else chis
+    return all(xi1.on_chi(c) == xi2.on_chi(c) for c in chis)
+
+
+def invariant_is_trivial(xi: SKKInvariant, chis=None) -> bool:
+    chis = sample_chis() if chis is None else chis
+    return all(xi.on_chi(c).is_one for c in chis)
 
 
 # -- the splitting -----------------------------------------------------------------
@@ -421,11 +421,7 @@ def verify_split_sequence(grid=None, seed: int = 0, splitting=splitting_S) -> Re
     grid = default_grid() if grid is None else grid
     rng = random.Random(seed)
     # each sample is measured once; the invariants are evaluated on its chi
-    chis = tuple(chi_of(M) for M in sample_closed_surfaces())
-
-    def agree(xi1: SKKInvariant, xi2: SKKInvariant) -> bool:
-        return all(xi1.on_chi(c) == xi2.on_chi(c) for c in chis)
-
+    chis = sample_chis()
     checks = []
 
     witness = None
@@ -433,8 +429,7 @@ def verify_split_sequence(grid=None, seed: int = 0, splitting=splitting_S) -> Re
         for e in grid:
             T = InvertibleTQFT2(a, e)
             in_kernel = kernel_membership(T)
-            xi = abs_psi(T)
-            trivial = all(xi.on_chi(c).is_one for c in chis)
+            trivial = invariant_is_trivial(abs_psi(T), chis)
             if in_kernel != trivial:
                 witness = (f"cap={a}, cup={e}: kernel membership {in_kernel}"
                            f" but trivial restriction {trivial}")
@@ -448,7 +443,7 @@ def verify_split_sequence(grid=None, seed: int = 0, splitting=splitting_S) -> Re
     for r in sampled_rs:
         xi = chi_invariant(r)
         T = splitting((r,), 2, None)
-        if not agree(abs_psi(T), xi):
+        if not invariants_agree(abs_psi(T), xi, chis):
             witness = f"exp({r}*chi) is not hit: restriction disagrees on samples"
             break
     checks.append(CheckResult("surjectivity_onto_chi_star", witness is None, witness))
@@ -457,7 +452,7 @@ def verify_split_sequence(grid=None, seed: int = 0, splitting=splitting_S) -> Re
     for r in sampled_rs:
         xi = chi_invariant(r)
         got = abs_psi(splitting((r,), 2, None))
-        if not agree(got, xi):
+        if not invariants_agree(got, xi, chis):
             witness = (f"restriction after splitting of exp({r}*chi) gives"
                        f" {got.descriptor}, expected {xi.descriptor}")
             break
@@ -470,7 +465,7 @@ def verify_split_sequence(grid=None, seed: int = 0, splitting=splitting_S) -> Re
         T1, T2 = InvertibleTQFT2(a1, e1), InvertibleTQFT2(a2, e2)
         lhs = abs_psi(T1.product(T2))
         rhs = abs_psi(T1).product(abs_psi(T2))
-        if not agree(lhs, rhs):
+        if not invariants_agree(lhs, rhs, chis):
             witness = f"product of cap={a1},cup={e1} and cap={a2},cup={e2}"
             break
     checks.append(CheckResult("restriction_is_homomorphism", witness is None, witness))

@@ -17,9 +17,9 @@ exponent row of each generator's value over them: cap (1, 0), cup (0, 1),
 pants (-1, 0), copants (0, -1), id and swap (0, 0). `evaluate` sums the rows
 over a word's generator counts and raises each base once, so a word costs at
 most one power per base and no inverse. Requests are bounded: a rational
-answer may have at most `MAX_SCALAR_BITS` bits, estimated from the exponents
-before any power is taken, and `verify_axioms` runs at most `MAX_BUDGET`
-words per check.
+answer may have at most `MAX_SCALAR_BITS` bits, no power is taken whose
+least size, read from its exponent, exceeds that, and `verify_axioms` runs
+at most `MAX_BUDGET` words per check.
 """
 
 from __future__ import annotations
@@ -59,11 +59,12 @@ class NotInKernel(ValueError):
 
 
 class AnswerTooLarge(InputError):
-    """The exact answer would exceed `MAX_SCALAR_BITS` bits."""
+    """The answer, or a power taken to reach it, would exceed
+    `MAX_SCALAR_BITS` bits."""
 
 
-# Bit bound on a rational answer of `evaluate`, checked before any power:
-# 2^18 bits is about 79,000 decimal digits.
+# Bit bound on a rational answer of `evaluate` and on the least size of each
+# power taken to reach it: 2^18 bits is about 79,000 decimal digits.
 MAX_SCALAR_BITS = 1 << 18
 
 # Bound on the random words per check of `verify_axioms`; a request at the
@@ -247,12 +248,32 @@ def trivial_tqft(variant: str = "rational") -> InvertibleTQFT2:
     return InvertibleTQFT2(one, one)
 
 
+def _bits(q: Fraction) -> int:
+    """Size of a rational answer: the bits of its numerator, plus those of
+    its denominator when that is not 1."""
+    d = q.denominator
+    return abs(q.numerator).bit_length() + (d.bit_length() if d > 1 else 0)
+
+
+def _least_power_bits(q: Fraction, k: int) -> int:
+    """A lower bound on _bits(q ** k): a part p > 1 of b bits gives p ** |k|
+    of at least |k| * (b - 1) + 1 bits."""
+    return sum(abs(k) * (p.bit_length() - 1) + 1
+               for p in (abs(q.numerator), q.denominator) if p > 1)
+
+
+def _refuse_size(what: str, bits: int) -> None:
+    if bits > MAX_SCALAR_BITS:
+        raise AnswerTooLarge(f"{what} {bits} bits; at most {MAX_SCALAR_BITS} are allowed")
+
+
 def evaluate(T, M: CobordismWord) -> GroupScalar:
     """Value of a dimension-2 word: the product of base ** k over T's bases,
     where k sums the generators' exponent rows over the word's counts.
 
-    A rational answer's size is bounded from the exponents before its power
-    is taken: base ** k has at most |k| times the base's bits.
+    A rational answer may have at most `MAX_SCALAR_BITS` bits. A power is
+    taken only when its least size fits, so none has more than about twice
+    that; powers that cancel to a small answer pass.
     """
     if M.dim != 2:
         raise WrongDimension("2d TQFTs evaluate dimension-2 words")
@@ -263,19 +284,24 @@ def evaluate(T, M: CobordismWord) -> GroupScalar:
         for i, k in enumerate(rows[g]):
             totals[i] += k * n
     value = None
-    bits = 0
+    most = 0  # bits of the powers, at most
     for base, k in zip(bases, totals):
         if not k:
             continue
         if type(base) is RationalScalar:
             q = base.value
-            bits += abs(k) * (q.numerator.bit_length() + q.denominator.bit_length())
+            bits = abs(k) * (q.numerator.bit_length() + q.denominator.bit_length())
             if bits > MAX_SCALAR_BITS:
-                raise AnswerTooLarge(f"the answer may have up to {bits} bits;"
-                                     f" at most {MAX_SCALAR_BITS} are allowed")
+                _refuse_size("a power in the answer would have at least",
+                             _least_power_bits(q, k))
+            most += bits
         power = base ** k
         value = power if value is None else value * power
-    return bases[0].one() if value is None else value
+    if value is None:
+        return bases[0].one()
+    if most > MAX_SCALAR_BITS:
+        _refuse_size("the answer has", _bits(value.value))
+    return value
 
 
 @dataclass(frozen=True)

@@ -200,26 +200,48 @@ class TestCobCommands:
         assert (result.exit_code, result.report) == (0, "1" + "0" * 4400)
         assert json.loads(run(argv + ["--json"]).report)["value"] == "1" + "0" * 4400
 
-    def test_answer_size_is_bounded_before_the_power(self):
-        # 10**100 - 1 has 333 bits and its denominator 1 bit, so n caps are
-        # estimated at 334 * n bits; the largest accepted answer has 78,400 digits
-        cap = 10 ** 100 - 1
-        n = MAX_SCALAR_BITS // 334
-        argv = ["cob", "eval", " | ".join(["cap"] * n), "--cap", str(cap), "--cup", "3"]
-        assert run(argv).report == int_text(cap ** n)
-        over = run(["cob", "eval", " | ".join(["cap"] * (n + 1)), "--cap", str(cap),
+    def test_answer_size_is_bounded_at_the_power_of_two(self):
+        # 4096**n = 2**(12n) has 12n + 1 bits: n = 21,845 is the largest
+        # accepted answer (78,913 digits); one more cap is refused before its
+        # power is taken, as 2**(12(n + 1)) has at least 12(n + 1) + 1 bits
+        n = (MAX_SCALAR_BITS - 1) // 12
+        argv = ["cob", "eval", " | ".join(["cap"] * n), "--cap", "4096", "--cup", "3"]
+        assert run(argv).report == int_text(4096 ** n)
+        over = run(["cob", "eval", " | ".join(["cap"] * (n + 1)), "--cap", "4096",
                     "--cup", "3"])
         assert over.exit_code == 2
-        assert over.report == (f"error: the answer may have up to {334 * (n + 1)} bits;"
+        assert over.report == (f"error: a power in the answer would have at least"
+                               f" {12 * (n + 1) + 1} bits; at most {MAX_SCALAR_BITS} are allowed")
+
+    def test_answer_size_is_the_exact_size_of_the_answer(self):
+        # 3**60 has 96 bits, so its k-th power has between 95k + 1 and 96k
+        # bits; k = 2757 passes the least size and fails on the exact one
+        cap = 3 ** 60
+        for k in (2756, 2757):
+            assert 95 * k + 1 <= MAX_SCALAR_BITS < 96 * k
+        argv = ["cob", "eval", " | ".join(["cap"] * 2756), f"--cap={cap}", "--cup=3"]
+        assert run(argv).report == int_text(cap ** 2756)
+        over = run(["cob", "eval", " | ".join(["cap"] * 2757), f"--cap={cap}", "--cup=3"])
+        assert over.exit_code == 2
+        assert over.report == (f"error: the answer has {(cap ** 2757).bit_length()} bits;"
                                f" at most {MAX_SCALAR_BITS} are allowed")
+
+    def test_small_answers_pass_whatever_their_powers(self):
+        # powers of -1 have one bit; 2**200000 * 2**-200000 is 1 although
+        # the powers together need 400,002 bits
+        caps = " | ".join(["cap"] * 140_000)
+        assert run(["cob", "eval", caps, "--cap=-1", "--cup=3"]).report == "1"
+        word = " | ".join(["cap"] * 1000 + ["cup"] * 1000)
+        assert run(["cob", "eval", word, f"--cap={2 ** 200}", f"--cup=1/{2 ** 200}"]).report == "1"
 
     def test_answer_size_bound_counts_negative_exponents(self):
         def pants(m):  # m pants side by side: the value is cap**-m
             return " | ".join(["pants"] * m)
 
-        n = MAX_SCALAR_BITS // 334
-        assert run(["cob", "eval", pants(n), f"--cap={10 ** 100 - 1}", "--cup=3"]).exit_code == 0
-        over = run(["cob", "eval", pants(n + 1), f"--cap={10 ** 100 - 1}", "--cup=3", "--json"])
+        # 4096**-m has a 1-bit numerator and a 12m + 1 bit denominator
+        n = (MAX_SCALAR_BITS - 2) // 12
+        assert run(["cob", "eval", pants(n), "--cap=4096", "--cup=3"]).exit_code == 0
+        over = run(["cob", "eval", pants(n + 1), "--cap=4096", "--cup=3", "--json"])
         assert over.exit_code == 2 and "bits" in over.report
         # exponentials carry no such bound: the answer is exp(-(n + 1) * 10**100)
         result = run(["cob", "eval", pants(n + 1), f"--cap-exp={10 ** 100}", "--cup-exp=3"])

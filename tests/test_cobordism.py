@@ -176,20 +176,6 @@ class TestWidths:
             for i, layer in enumerate(M.layers):
                 assert sum(cb.GENERATORS[g][1] for g in layer) == M.widths[i]
 
-    @given(seeds, st.sampled_from((1, 2)))
-    @settings(max_examples=60, deadline=None)
-    def test_compose_and_tensor_carry_the_widths(self, seed, dim):
-        """compose and tensor take their widths from the factors; they equal
-        the widths a checked word of the same layers computes."""
-        rng = random.Random(seed)
-        M = cb.random_word(rng, dim=dim)
-        N = cb.random_word(rng, dim=dim, start_arity=M.out_arity)
-        for word in (cb.compose(M, N), cb.tensor(M, N), cb.tensor(M, cb.empty_word(dim)),
-                     cb.tensor(cb.empty_word(dim), N), cb.compose(cb.empty_word(dim),
-                                                                  cb.empty_word(dim))):
-            assert word.widths == widths_reference(word)
-            assert word.widths == cb.CobordismWord(dim, word.layers).widths
-
     @pytest.mark.parametrize("dim", [1, 2])
     def test_empty_word(self, dim):
         M = cb.empty_word(dim)
