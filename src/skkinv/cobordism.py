@@ -321,14 +321,12 @@ _GENS_BY_IN = {
 }
 
 
-def random_word(rng, dim: int = 2, n_layers: int | None = None,
-                start_arity: int | None = None) -> CobordismWord:
-    """Seeded random word; arbitrary boundary arities."""
+def random_word(rng, dim: int = 2, start_arity: int | None = None) -> CobordismWord:
+    """Seeded random word of 1 to 5 layers; arbitrary boundary arities."""
     table = _GENS_BY_IN[dim]
     cur = rng.randrange(0, 4) if start_arity is None else start_arity
-    n_layers = rng.randrange(1, 6) if n_layers is None else n_layers
     layers = []
-    for _ in range(n_layers):
+    for _ in range(rng.randrange(1, 6)):
         layer = []
         rem = cur
         while rem > 0:

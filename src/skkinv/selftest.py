@@ -1,261 +1,262 @@
-"""Aggregated property suites behind the `selftest` command.
+"""The acceptance checks, run by `skkinv selftest` and by the acceptance tests.
 
-Each entry runs one family of exact checks and reports pass/fail with a
-witness. The suites mirror the package's acceptance tests so a single
-command can re-verify every claim from the command line.
+Each check is a public function (of a seed, where it samples) that returns
+a `CheckResult` with the first failure as its witness. `run_selftest` runs
+all fourteen from one seed, and `tests/test_acceptance.py` runs the same
+functions as criteria 01-13, so the command and the tests verify the same
+claims. Library functions are reached through their modules so that a test
+can plant a fault in one.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
-from . import fixtures, skk, surfaces as sf, virtual_bordism as vb
-from .cobordism import parse_word, random_closed_word
-from .simplicial import homology
-from .tqft import (
-    CheckResult,
-    InvertibleTQFT2,
-    Report,
-    check_theta_defines_tqft,
-    corrupted_tqft,
-    boundary_dependence_check,
-    evaluate,
-    exp_chi_theta,
-    exp_scalar,
-    rational,
-    trivial_tqft,
-    verify_axioms,
-)
+from . import fixtures, intersection_form, simplicial, skk, surfaces as sf, tqft
+from . import virtual_bordism as vb
+from .cobordism import normal_form, parse_word, random_closed_word
+from .tqft import CheckResult, InvertibleTQFT2, Report, exp_scalar, rational
+
+_VALUES = (Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-1), Fraction(5, 3))
+# the 25 rational (cap, cup) points of the axiom grid
+_GRID = tuple((a, e) for a in _VALUES for e in _VALUES)
 
 
-def _check_homology_fixtures() -> CheckResult:
-    expected = {
-        "sphere2": (1, 0, 1),
-        "sphere3": (1, 0, 0, 1),
-        "torus7": (1, 2, 1),
-    }
-    for name, betti in expected.items():
-        got = homology(fixtures.FIXTURES[name]()).betti
+def _check(failures):
+    """Make a generator of failure witnesses into a check of the same name:
+    the first witness it yields fails the check, and the rest is not run."""
+    @functools.wraps(failures)
+    def check(*args) -> CheckResult:
+        witness = next(failures(*args), None)
+        return CheckResult(failures.__name__, witness is None, witness)
+    return check
+
+
+@_check
+def homology_fixtures():
+    for name, betti in (("sphere2", (1, 0, 1)), ("sphere3", (1, 0, 0, 1)),
+                        ("torus7", (1, 2, 1))):
+        got = simplicial.homology(fixtures.FIXTURES[name]()).betti
         if got != betti:
-            return CheckResult("homology_fixtures", False, f"{name}: {got} != {betti}")
-    return CheckResult("homology_fixtures", True)
+            yield f"{name}: {got} != {betti}"
 
 
-def _check_sk_classification() -> CheckResult:
+@_check
+def sk_classification():
     s4 = skk.sk_class(fixtures.sphere4(), 4)
     if s4 != (1, 0):
-        return CheckResult("sk_classification", False, f"sphere4 -> {s4}")
+        yield f"sphere4 -> {s4}"
     cp2 = fixtures.cp2_9()
-    cls = skk.sk_class(cp2, 4)
-    if cls != (1, 1):
-        return CheckResult("sk_classification", False, f"cp2 -> {cls}")
-    return CheckResult("sk_classification", True)
+    got = (simplicial.euler_characteristic(cp2), intersection_form.signature(cp2),
+           skk.sk_class(cp2, 4))
+    if got != (3, 1, (1, 1)):
+        yield f"cp2 (chi, sigma, class) -> {got}, expected (3, 1, (1, 1))"
 
 
-def _check_i_n_table() -> CheckResult:
+@_check
+def i_n_table():
     expected = {1: "Z/2", 2: "Z", 3: "0", 4: "Z", 5: "Z/2", 6: "Z",
                 7: "0", 8: "Z", 9: "Z/2", 10: "Z", 11: "0", 12: "Z"}
     for n, value in expected.items():
         if skk.i_n_table(n) != value:
-            return CheckResult("i_n_table", False, f"n={n}: {skk.i_n_table(n)} != {value}")
-    return CheckResult("i_n_table", True)
+            yield f"n={n}: {skk.i_n_table(n)} != {value}"
 
 
-def _check_cutpaste_invariance(seed: int, sequences: int = 200,
-                               max_moves: int = 12) -> CheckResult:
+@_check
+def cutpaste_chi_invariance(seed: int):
+    """200 random move sequences keep chi; closed endpoints are equivalent."""
     rng = random.Random(seed)
-    for run in range(sequences):
-        S = sf.random_surface(rng)
-        start = S
-        chi0 = sf.chi(S)
-        for _ in range(rng.randrange(1, max_moves + 1)):
+    for run in range(200):
+        S = start = sf.random_surface(rng)
+        for _ in range(rng.randrange(1, 13)):
             move = sf.random_move(rng, S)
             if move is None:
                 break
             S = sf.apply_script(S, [move])
-            if sf.chi(S) != chi0:
-                return CheckResult("cutpaste_chi_invariance", False,
-                                   f"run {run}: chi {sf.chi(S)} != {chi0} after {move}")
+            if sf.chi(S) != sf.chi(start):
+                yield f"run {run}: chi {sf.chi(S)} != {sf.chi(start)} after {move}"
         if start.is_closed and S.is_closed and not sf.sk_equivalent(start, S):
-            return CheckResult("cutpaste_chi_invariance", False,
-                               f"run {run}: closed endpoints not equivalent")
-    return CheckResult("cutpaste_chi_invariance", True)
+            yield f"run {run}: closed endpoints not equivalent"
 
 
 def _random_cut_surface(rng, cuts: int) -> sf.Surface:
     S = sf.surface((rng.randrange(cuts, cuts + 3), 0))
     for _ in range(cuts):
         comp = rng.randrange(0, len(S.components))
-        if S.components[comp].genus >= 1 and rng.random() < 0.7:
+        c = S.components[comp]
+        if c.genus >= 1 and rng.random() < 0.7:
             S = sf.cut(S, sf.CutSpec(comp, sf.NonSeparating()))
         else:
-            c = S.components[comp]
             chosen = frozenset(x for x in c.circles if rng.random() < 0.5)
             S = sf.cut(S, sf.CutSpec(comp, sf.Separating(rng.randrange(0, c.genus + 1), chosen)))
     return S
 
 
-def _check_skk_error_term(seed: int, trials: int = 500) -> CheckResult:
-    """Differences of classes under two regluings agree across starting pieces."""
+@_check
+def skk_error_term(seed: int):
+    """Differences of classes under two regluings agree across 500 piece pairs."""
     rng = random.Random(seed)
-    for run in range(trials):
+    for run in range(500):
         k = rng.randrange(1, 4)
-        X = _random_cut_surface(rng, k)
-        Y = _random_cut_surface(rng, k)
+        X, Y = _random_cut_surface(rng, k), _random_cut_surface(rng, k)
         positions = list(range(2 * k))
         rng.shuffle(positions)
-        f_pairs = [(positions[2 * i], positions[2 * i + 1]) for i in range(k)]
+        f = [(positions[2 * i], positions[2 * i + 1]) for i in range(k)]
         rng.shuffle(positions)
-        g_pairs = [(positions[2 * i], positions[2 * i + 1]) for i in range(k)]
+        g = [(positions[2 * i], positions[2 * i + 1]) for i in range(k)]
 
-        def reglue(S, position_pairs):
+        def reglue_class(S, pairing):
             ids = S.circle_ids()
-            return sf.paste(S, sf.PasteSpec(tuple((ids[a], ids[b])
-                                                  for a, b in position_pairs)))
+            glued = sf.paste(S, sf.PasteSpec(tuple((ids[a], ids[b]) for a, b in pairing)))
+            return skk.skk_class(glued, 2).value
 
-        diff_x = skk.skk_class(reglue(X, f_pairs), 2).value - skk.skk_class(reglue(X, g_pairs), 2).value
-        diff_y = skk.skk_class(reglue(Y, f_pairs), 2).value - skk.skk_class(reglue(Y, g_pairs), 2).value
+        diff_x = reglue_class(X, f) - reglue_class(X, g)
+        diff_y = reglue_class(Y, f) - reglue_class(Y, g)
         if diff_x != diff_y:
-            return CheckResult("skk_error_term", False,
-                               f"run {run}: differences {diff_x} != {diff_y}")
-    return CheckResult("skk_error_term", True)
+            yield f"run {run}: differences {diff_x} != {diff_y}"
 
 
-def _rational_grid():
-    return [Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-1), Fraction(5, 3)]
+@_check
+def tqft_axiom_grid(seed: int):
+    """The functor laws at each grid point i, on words of seed + i."""
+    for i, (a, e) in enumerate(_GRID):
+        report = tqft.verify_axioms(InvertibleTQFT2(rational(a), rational(e)),
+                                    seed=seed + i, budget=200)
+        for fail in report.failures():
+            yield f"(a={a}, e={e}): {fail.name}: {fail.witness}"
 
 
-def _check_tqft_axiom_grid(seed: int, budget: int = 200) -> CheckResult:
-    grid = _rational_grid()
-    points = [(a, e) for a in grid for e in grid][:25]
-    for i, (a, e) in enumerate(points):
-        T = InvertibleTQFT2(rational(a), rational(e))
-        report = verify_axioms(T, seed=seed + i, budget=budget)
-        if not report.all_passed:
-            fail = report.failures()[0]
-            return CheckResult("tqft_axiom_grid", False, f"(a={a}, e={e}): {fail.name}")
-    return CheckResult("tqft_axiom_grid", True)
-
-
-def _check_closed_value_law(seed: int, budget: int = 200) -> CheckResult:
+@_check
+def closed_value_law(seed: int):
+    """A closed word is worth (cap*cup)^(sum of 1 - genus), on 200 words at
+    every grid point and at (3/2, 5/7)."""
     rng = random.Random(seed)
-    T = InvertibleTQFT2(rational(Fraction(3, 2)), rational(Fraction(5, 7)))
-    from .cobordism import normal_form
-
-    for _ in range(budget):
-        w = random_closed_word(rng)
-        nf = normal_form(w)
-        exponent = sum(1 - c.genus for c in nf.components)
-        if evaluate(T, w) != (T.cap * T.cup) ** exponent:
-            return CheckResult("closed_value_law", False, f"word {w.text()!r}")
-    return CheckResult("closed_value_law", True)
+    words = [random_closed_word(rng) for _ in range(200)]
+    exponents = [sum(1 - c.genus for c in normal_form(w).components) for w in words]
+    for a, e in _GRID + ((Fraction(3, 2), Fraction(5, 7)),):
+        T = InvertibleTQFT2(rational(a), rational(e))
+        for w, exponent in zip(words, exponents):
+            if tqft.evaluate(T, w) != (T.cap * T.cup) ** exponent:
+                yield f"(a={a}, e={e}): word {w.text()!r}"
 
 
-def _check_kernel_theorem(seed: int, budget: int = 100) -> CheckResult:
+@_check
+def kernel_theorem(seed: int):
+    """(2, 1/2) is trivial on closed words but not on cap, and on the signed
+    grid the kernel is where the positive restriction is trivial."""
     rng = random.Random(seed)
     T = InvertibleTQFT2(rational(2), rational(Fraction(1, 2)))
-    for _ in range(budget):
+    for _ in range(100):
         w = random_closed_word(rng)
-        if not evaluate(T, w).is_one:
-            return CheckResult("kernel_theorem", False, f"closed word {w.text()!r}")
-    cap_value = evaluate(T, parse_word("cap"))
+        if not tqft.evaluate(T, w).is_one:
+            yield f"closed word {w.text()!r}"
+    cap_value = tqft.evaluate(T, parse_word("cap"))
     if cap_value != rational(2):
-        return CheckResult("kernel_theorem", False, f"cap -> {cap_value}")
+        yield f"cap -> {cap_value}"
     for a in skk.default_grid():
         for e in skk.default_grid():
             T = InvertibleTQFT2(a, e)
             if skk.kernel_membership(T) != skk.invariant_is_trivial(skk.abs_psi(T)):
-                return CheckResult("kernel_theorem", False, f"grid point a={a}, e={e}")
-    return CheckResult("kernel_theorem", True)
+                yield f"grid point a={a}, e={e}"
 
 
-def _check_boundary_dependence(seed: int, budget: int = 100) -> CheckResult:
-    T = InvertibleTQFT2(exp_scalar(Fraction(3, 2)), exp_scalar(Fraction(-3, 2)))
-    report = boundary_dependence_check(T, seed=seed, budget=budget)
-    if not report.all_passed:
-        return CheckResult("boundary_dependence", False, report.failures()[0].witness)
-    return CheckResult("boundary_dependence", True)
+@_check
+def boundary_dependence(seed: int):
+    """Kernel TQFTs are trivial on closed words and depend on arities only."""
+    for T in (InvertibleTQFT2(rational(2), rational(Fraction(1, 2))),
+              InvertibleTQFT2(exp_scalar(Fraction(-3, 2)), exp_scalar(Fraction(3, 2))),
+              InvertibleTQFT2(exp_scalar(Fraction(3, 2)), exp_scalar(Fraction(-3, 2)))):
+        try:
+            report = tqft.boundary_dependence_check(T, seed=seed, budget=100)
+        except tqft.NotInKernel as exc:
+            yield f"(cap={T.cap}, cup={T.cup}): {exc}"
+            continue
+        for fail in report.failures():
+            yield f"(cap={T.cap}, cup={T.cup}): {fail.name}: {fail.witness}"
 
 
-def _check_theta(seed: int, budget: int = 300) -> CheckResult:
-    ok2, witness2 = check_theta_defines_tqft(exp_chi_theta(2), 2, seed=seed, budget=budget)
-    if not ok2:
-        return CheckResult("theta_multiplicativity", False, f"dimension 2 failed: {witness2}")
-    ok1, witness1 = check_theta_defines_tqft(exp_chi_theta(1), 1, seed=seed, budget=budget)
-    if ok1 or "two arcs glued to a circle" not in (witness1 or ""):
-        return CheckResult("theta_multiplicativity", False,
-                           f"dimension 1 should fail on the arc gluing, got: {witness1}")
-    return CheckResult("theta_multiplicativity", True)
+@_check
+def theta_multiplicativity(seed: int):
+    """exp(chi) is multiplicative in dimension 2; in dimension 1 it fails on
+    two arcs glued to a circle, with exactly that witness."""
+    ok2, witness2 = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(2), 2, seed=seed, budget=300)
+    if not ok2 or witness2 is not None:
+        yield f"dimension 2 failed: {witness2}"
+    ok1, witness1 = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(1), 1, seed=seed, budget=300)
+    if ok1 or witness1 != "two arcs glued to a circle: exp(1) * exp(1) != exp(0)":
+        yield f"dimension 1 should fail on the arc gluing, got: {witness1}"
 
 
-def _random_piece(rng, dim, boundary_names) -> vb.VirtualPiece:
-    sigma = rng.randrange(-3, 4) if dim % 4 == 0 else 0
-    return vb.piece(dim, rng.randrange(-6, 7), sigma=sigma, boundary=boundary_names)
-
-
-def _check_lemma_relation(seed: int, trials: int = 300) -> CheckResult:
+@_check
+def lemma_relation(seed: int):
+    """The three-piece relation for chi and sigma, 300 triples per dimension."""
     rng = random.Random(seed)
-    for dim in (2, 4):
-        names = ("S1", "S1", "S1") if dim == 2 else ("S3", "L", "S3")
-        for run in range(trials):
+    for dim, names in ((2, ("S1",)), (4, ("S3", "RP3", "L"))):
+        for run in range(300):
             boundary = tuple(rng.choice(names) for _ in range(rng.randrange(1, 4)))
-            x1 = _random_piece(rng, dim, boundary)
-            x2 = _random_piece(rng, dim, boundary)
-            x3 = _random_piece(rng, dim, boundary)
+
+            def draw():
+                sigma = rng.randrange(-3, 4) if dim == 4 else 0
+                return vb.piece(dim, rng.randrange(-6, 7), sigma=sigma, boundary=boundary)
+
+            x1, x2, x3 = draw(), draw(), draw()
             for invariant in ("chi", "sigma"):
                 if not vb.lemma_relation_check(x1, x2, x3, invariant):
-                    return CheckResult("lemma_relation", False,
-                                       f"dim {dim} run {run} invariant {invariant}")
-    return CheckResult("lemma_relation", True)
+                    yield f"dim {dim} run {run} invariant {invariant}"
 
 
-def _check_split_sequence(seed: int) -> CheckResult:
-    report = skk.verify_split_sequence(seed=seed)
-    if not report.all_passed:
-        return CheckResult("split_sequence", False, report.failures()[0].name)
-    return CheckResult("split_sequence", True)
+@_check
+def split_sequence(seed: int):
+    grid = skk.default_grid(4)
+    if len(grid) != 9:
+        yield f"default grid has {len(grid)} scalars, expected 9"
+    for fail in skk.verify_split_sequence(grid=grid, seed=seed).failures():
+        yield f"{fail.name}: {fail.witness}"
 
 
-def _check_bsigma_demo() -> CheckResult:
-    disk_value, cp_value = skk.b_sigma_dependence_demo()
-    if str(disk_value) != "1" or str(cp_value) != "exp(10)":
-        return CheckResult("bsigma_demo", False, f"got ({disk_value}, {cp_value})")
+@_check
+def bsigma_demo():
+    """The p2 catalog gives 1 and exp(10) under the two cappings of S7."""
     catalog = vb.dim8_catalog()
-    xi = skk.attribute_invariant("p2", catalog)
-    if not xi(catalog.piece("S8")).is_one:
-        return CheckResult("bsigma_demo", False, "sphere value differs from 1")
-    return CheckResult("bsigma_demo", True)
+    p2 = (catalog.piece("CP4").attribute("p2"), catalog.piece("S8").attribute("p2"))
+    if p2 != (10, 0):
+        yield f"p2 of (CP4, S8) -> {p2}, expected (10, 0)"
+    disk_value, cp_value = skk.b_sigma_dependence_demo(catalog)
+    if str(disk_value) != "1" or str(cp_value) != "exp(10)":
+        yield f"got ({disk_value}, {cp_value})"
+    if not skk.attribute_invariant("p2", catalog)(catalog.piece("S8")).is_one:
+        yield "sphere value differs from 1"
 
 
-def _check_negative_controls(seed: int) -> CheckResult:
-    bad = corrupted_tqft(InvertibleTQFT2(rational(2), rational(3)))
-    if verify_axioms(bad, seed=seed, budget=100).all_passed:
-        return CheckResult("negative_controls", False, "corrupted TQFT passed the axioms")
-    report = skk.verify_split_sequence(seed=seed, splitting=skk.corrupted_splitting)
-    if report.checks[2].passed:
-        return CheckResult("negative_controls", False,
-                           "corrupted splitting passed the identity check")
-    if not trivial_tqft().is_trivial:
-        return CheckResult("negative_controls", False, "trivial TQFT misreported")
-    return CheckResult("negative_controls", True)
+@_check
+def negative_controls(seed: int):
+    """The corrupted TQFT and the corrupted splitting are caught, with witnesses."""
+    bad = tqft.corrupted_tqft(InvertibleTQFT2(rational(2), rational(3)))
+    if not any(c.witness for c in tqft.verify_axioms(bad, seed=seed, budget=100).failures()):
+        yield "corrupted TQFT passed the axioms"
+    identity = skk.verify_split_sequence(seed=seed, splitting=skk.corrupted_splitting).checks[2]
+    if identity.passed or identity.name != "restriction_after_splitting_is_identity":
+        yield f"corrupted splitting: check {identity.name} passed={identity.passed}"
+    if not tqft.trivial_tqft().is_trivial:
+        yield "trivial TQFT misreported"
 
 
 def run_selftest(seed: int = 0) -> Report:
-    checks = (
-        _check_homology_fixtures(),
-        _check_sk_classification(),
-        _check_i_n_table(),
-        _check_cutpaste_invariance(seed),
-        _check_skk_error_term(seed + 1),
-        _check_tqft_axiom_grid(seed + 2),
-        _check_closed_value_law(seed + 3),
-        _check_kernel_theorem(seed + 4),
-        _check_boundary_dependence(seed + 5),
-        _check_theta(seed + 6),
-        _check_lemma_relation(seed + 7),
-        _check_split_sequence(seed + 8),
-        _check_bsigma_demo(),
-        _check_negative_controls(seed + 9),
-    )
-    return Report(tuple(checks))
+    return Report((
+        homology_fixtures(),
+        sk_classification(),
+        i_n_table(),
+        cutpaste_chi_invariance(seed),
+        skk_error_term(seed + 1),
+        tqft_axiom_grid(seed + 2),
+        closed_value_law(seed + 3),
+        kernel_theorem(seed + 4),
+        boundary_dependence(seed + 5),
+        theta_multiplicativity(seed + 6),
+        lemma_relation(seed + 7),
+        split_sequence(seed + 8),
+        bsigma_demo(),
+        negative_controls(seed + 9),
+    ))

@@ -257,25 +257,23 @@ def sigma_invariant(s) -> SKKInvariant:
     return SKKInvariant(4, sigma_base=exp_scalar(s), descriptor=f"exp({s}*sigma)")
 
 
-def attribute_invariant(key: str, catalog: Catalog, coefficient=1) -> SKKInvariant:
-    """exp(coefficient * attribute) on closed catalog pieces.
+def attribute_invariant(key: str, catalog: Catalog) -> SKKInvariant:
+    """exp(attribute) on closed catalog pieces.
 
     Pieces without the attribute are evaluated through their part multiset
     (disjoint unions sum the attribute).
     """
-    c = Fraction(coefficient)
-
     def value(M) -> ExpScalar:
         if not isinstance(M, VirtualPiece):
             raise TypeError("attribute invariants evaluate catalog pieces")
         if M.has_attribute(key):
-            return exp_scalar(c * M.attribute(key))
+            return exp_scalar(M.attribute(key))
         total = Fraction(0)
         for part in M.parts:
             total += catalog.piece(part).attribute(key)
-        return exp_scalar(c * total)
+        return exp_scalar(total)
 
-    return SKKInvariant(catalog.dim, custom=value, descriptor=f"exp({c}*{key})")
+    return SKKInvariant(catalog.dim, custom=value, descriptor=f"exp(1*{key})")
 
 
 def psi(T: InvertibleTQFT2) -> SKKInvariant:

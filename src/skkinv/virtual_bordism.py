@@ -98,20 +98,10 @@ class VirtualPiece:
 
 
 def piece(dim, chi, sigma=0, boundary=(), name="", attributes=(), recipe="") -> VirtualPiece:
-    """Convenience constructor; boundary entries may be labels or names
-    (a leading '-' on a name marks reversed orientation)."""
-    labels = []
-    for b in boundary:
-        if isinstance(b, BoundaryLabel):
-            labels.append(b)
-        elif isinstance(b, str):
-            if b.startswith("-"):
-                labels.append(BoundaryLabel(b[1:], orientation=-1))
-            else:
-                labels.append(BoundaryLabel(b))
-        else:
-            nm, chi_b = b
-            labels.append(BoundaryLabel(nm, chi_b))
+    """Convenience constructor; boundary entries are label names, a leading
+    '-' marking reversed orientation."""
+    labels = [BoundaryLabel(b[1:], orientation=-1) if b.startswith("-") else BoundaryLabel(b)
+              for b in boundary]
     attrs = tuple(sorted((k, Fraction(v)) for k, v in dict(attributes).items()))
     return VirtualPiece(dim, chi, sigma, tuple(labels), attrs, recipe, name)
 
@@ -240,7 +230,8 @@ class Catalog:
 def close_up(M: VirtualPiece, in_labels, out_labels, catalog: Catalog) -> VirtualPiece:
     """Cap a cobordism-style piece into a closed manifold.
 
-    Takes l parallel copies of M, caps each in-boundary component with its
+    `in_labels` and `out_labels` name the boundary labels of each side. Takes
+    l parallel copies of M, caps each in-boundary component with its
     catalog piece and each out-boundary component with the reversed catalog
     piece. With no boundary this is just l disjoint copies of M. When the
     resulting part multiset matches a declared identity the catalog entry is
@@ -249,8 +240,7 @@ def close_up(M: VirtualPiece, in_labels, out_labels, catalog: Catalog) -> Virtua
     """
     if M.dim != catalog.dim:
         raise DimensionMismatch(f"piece dimension {M.dim} vs catalog {catalog.dim}")
-    in_names = [lbl.name if isinstance(lbl, BoundaryLabel) else str(lbl) for lbl in in_labels]
-    out_names = [lbl.name if isinstance(lbl, BoundaryLabel) else str(lbl) for lbl in out_labels]
+    in_names, out_names = list(in_labels), list(out_labels)
     declared = sorted(in_names + out_names)
     actual = sorted(lbl.name for lbl in M.boundary)
     if declared != actual:

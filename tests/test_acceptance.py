@@ -1,32 +1,26 @@
 """Acceptance criteria, one test per criterion.
 
-All arithmetic is exact, so every comparison is equality with zero
-tolerance; the only inexact bounds are the stated wall-clock limits.
-Each criterion prints a pass line (visible with pytest -s); a failed
-assertion stops the line from printing.
+Each criterion runs the matching check of `skkinv.selftest`, the suites that
+`skkinv selftest` runs, and asserts that it passed; the check's witness is
+the failure message. All arithmetic is exact, so every comparison is
+equality with zero tolerance; the only inexact bounds are the stated
+wall-clock limits. Each criterion prints a pass line (visible with pytest
+-s); a failed assertion stops the line from printing.
 """
 
-import random
 import time
-from fractions import Fraction
 
-from skkinv import cobordism as cb
-from skkinv import fixtures, skk, surfaces as sf, virtual_bordism as vb
-from skkinv.intersection_form import signature
-from skkinv.simplicial import euler_characteristic, homology
-from skkinv.tqft import (
-    InvertibleTQFT2,
-    boundary_dependence_check,
-    check_theta_defines_tqft,
-    corrupted_tqft,
-    evaluate,
-    exp_chi_theta,
-    exp_scalar,
-    rational,
-    verify_axioms,
-)
+from skkinv import selftest
 
 SEED = 20170831
+
+
+def _passes(check, *args) -> float:
+    """Run one check, assert that it passed; return its wall-clock seconds."""
+    start = time.perf_counter()
+    result = check(*args)
+    assert result.passed, result.witness
+    return time.perf_counter() - start
 
 
 def _report(number: int, text: str):
@@ -34,191 +28,71 @@ def _report(number: int, text: str):
 
 
 def test_criterion_01_homology_fixtures():
-    start = time.perf_counter()
-    assert homology(fixtures.sphere2()).betti == (1, 0, 1)
-    assert homology(fixtures.sphere3()).betti == (1, 0, 0, 1)
-    assert homology(fixtures.torus7()).betti == (1, 2, 1)
-    elapsed = time.perf_counter() - start
+    elapsed = _passes(selftest.homology_fixtures)
     assert elapsed < 1.0, f"homology fixtures took {elapsed:.2f}s"
     _report(1, f"homology fixtures exact in {elapsed:.3f}s")
 
 
 def test_criterion_02_sk_classification():
-    start = time.perf_counter()
-    assert skk.sk_class(fixtures.sphere4(), 4) == (1, 0)
-    cp2 = fixtures.cp2_9()
-    assert euler_characteristic(cp2) == 3
-    assert signature(cp2) == 1
-    assert skk.sk_class(cp2, 4) == (1, 1)
-    elapsed = time.perf_counter() - start
+    elapsed = _passes(selftest.sk_classification)
     assert elapsed < 30.0, f"classification took {elapsed:.2f}s"
     _report(2, f"sk classes (1,0) and (1,1) in {elapsed:.3f}s")
 
 
 def test_criterion_03_i_n_table():
-    expected = {1: "Z/2", 2: "Z", 3: "0", 4: "Z", 5: "Z/2", 6: "Z",
-                7: "0", 8: "Z", 9: "Z/2", 10: "Z", 11: "0", 12: "Z"}
-    for n, value in expected.items():
-        assert skk.i_n_table(n) == value, f"I_{n}"
+    _passes(selftest.i_n_table)
     _report(3, "I_n table reproduced for n = 1..12")
 
 
 def test_criterion_04_cutpaste_invariance():
-    start = time.perf_counter()
-    rng = random.Random(SEED)
-    for run in range(200):
-        S = sf.random_surface(rng, max_genus=5, max_components=4)
-        start_surface = S
-        chi0 = sf.chi(S)
-        for _ in range(rng.randrange(1, 13)):
-            move = sf.random_move(rng, S)
-            if move is None:
-                break
-            S = sf.apply_script(S, [move])
-            assert sf.chi(S) == chi0, f"run {run}: chi drifted"
-        if start_surface.is_closed and S.is_closed:
-            assert sf.sk_equivalent(start_surface, S), f"run {run}"
-    elapsed = time.perf_counter() - start
+    elapsed = _passes(selftest.cutpaste_chi_invariance, SEED)
     assert elapsed < 1.0, f"200 sequences took {elapsed:.2f}s"
     _report(4, f"200 cut/paste sequences chi-invariant in {elapsed:.3f}s")
 
 
 def test_criterion_05_skk_error_term():
-    rng = random.Random(SEED + 1)
-    for run in range(500):
-        k = rng.randrange(1, 4)
-
-        def cut_surface():
-            S = sf.surface((rng.randrange(k, k + 3), 0))
-            for _ in range(k):
-                comp = rng.randrange(len(S.components))
-                c = S.components[comp]
-                if c.genus >= 1 and rng.random() < 0.7:
-                    S = sf.cut(S, sf.CutSpec(comp, sf.NonSeparating()))
-                else:
-                    chosen = frozenset(x for x in c.circles if rng.random() < 0.5)
-                    S = sf.cut(S, sf.CutSpec(
-                        comp, sf.Separating(rng.randrange(0, c.genus + 1), chosen)))
-            return S
-
-        X, Y = cut_surface(), cut_surface()
-        positions = list(range(2 * k))
-        rng.shuffle(positions)
-        f = [(positions[2 * i], positions[2 * i + 1]) for i in range(k)]
-        rng.shuffle(positions)
-        g = [(positions[2 * i], positions[2 * i + 1]) for i in range(k)]
-
-        def reglue_class(S, pairing):
-            ids = S.circle_ids()
-            glued = sf.paste(S, sf.PasteSpec(tuple((ids[a], ids[b]) for a, b in pairing)))
-            return skk.skk_class(glued, 2).value
-
-        assert (reglue_class(X, f) - reglue_class(X, g)
-                == reglue_class(Y, f) - reglue_class(Y, g)), f"run {run}"
+    _passes(selftest.skk_error_term, SEED + 1)
     _report(5, "500 error-term quadruples exact")
 
 
 def test_criterion_06_tqft_axiom_suite():
-    start = time.perf_counter()
-    values = [Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-1), Fraction(5, 3)]
-    grid = [(a, e) for a in values for e in values]
-    assert len(grid) == 25
-    for i, (a, e) in enumerate(grid):
-        T = InvertibleTQFT2(rational(a), rational(e))
-        report = verify_axioms(T, seed=SEED + i, budget=200)
-        assert report.all_passed, f"(a={a}, e={e}): {report.summary()}"
-    rng = random.Random(SEED + 2)
-    closed_words = [cb.random_closed_word(rng) for _ in range(200)]
-    for a, e in grid:
-        T = InvertibleTQFT2(rational(a), rational(e))
-        for w in closed_words:
-            nf = cb.normal_form(w)
-            exponent = sum(1 - c.genus for c in nf.components)
-            assert evaluate(T, w) == (T.cap * T.cup) ** exponent
-    elapsed = time.perf_counter() - start
+    elapsed = (_passes(selftest.tqft_axiom_grid, SEED)
+               + _passes(selftest.closed_value_law, SEED + 2))
     assert elapsed < 5.0, f"axiom suite took {elapsed:.2f}s"
     _report(6, f"axioms and closed-value law on 25 grid points in {elapsed:.2f}s")
 
 
 def test_criterion_07_kernel_theorem():
-    T = InvertibleTQFT2(rational(2), rational(Fraction(1, 2)))
-    rng = random.Random(SEED + 3)
-    for _ in range(100):
-        w = cb.random_closed_word(rng)
-        assert evaluate(T, w).is_one
-    assert evaluate(T, cb.parse_word("cap")) == rational(2)
-    for a in skk.default_grid():
-        for e in skk.default_grid():
-            TT = InvertibleTQFT2(a, e)
-            assert skk.kernel_membership(TT) == skk.invariant_is_trivial(skk.abs_psi(TT))
+    _passes(selftest.kernel_theorem, SEED + 3)
     _report(7, "kernel point (2, 1/2) and kernel = trivial-restriction on the grid")
 
 
 def test_criterion_08_boundary_dependence():
-    for T in (InvertibleTQFT2(rational(2), rational(Fraction(1, 2))),
-              InvertibleTQFT2(exp_scalar(Fraction(-3, 2)), exp_scalar(Fraction(3, 2)))):
-        report = boundary_dependence_check(T, seed=SEED + 4, budget=100)
-        assert report.all_passed, report.summary()
+    _passes(selftest.boundary_dependence, SEED + 4)
     _report(8, "kernel TQFT values depend on arities only, matching cup**(in-out)")
 
 
 def test_criterion_09_theta_multiplicativity():
-    ok2, witness2 = check_theta_defines_tqft(exp_chi_theta(2), 2,
-                                             seed=SEED + 5, budget=300)
-    assert ok2 and witness2 is None
-    ok1, witness1 = check_theta_defines_tqft(exp_chi_theta(1), 1,
-                                             seed=SEED + 5, budget=300)
-    assert not ok1
-    assert witness1 == "two arcs glued to a circle: exp(1) * exp(1) != exp(0)"
+    _passes(selftest.theta_multiplicativity, SEED + 5)
     _report(9, "exp(chi) multiplicative in dim 2; dim 1 fails on the arc gluing")
 
 
 def test_criterion_10_lemma_relation():
-    rng = random.Random(SEED + 6)
-    for dim in (2, 4):
-        names = ("S1",) if dim == 2 else ("S3", "RP3")
-        for run in range(300):
-            boundary = tuple(rng.choice(names) for _ in range(rng.randrange(1, 4)))
-
-            def rand_piece():
-                sigma = rng.randrange(-3, 4) if dim == 4 else 0
-                return vb.piece(dim, rng.randrange(-6, 7), sigma=sigma,
-                                boundary=boundary)
-
-            x1, x2, x3 = rand_piece(), rand_piece(), rand_piece()
-            assert vb.lemma_relation_check(x1, x2, x3, "chi"), f"dim {dim} run {run}"
-            assert vb.lemma_relation_check(x1, x2, x3, "sigma"), f"dim {dim} run {run}"
+    _passes(selftest.lemma_relation, SEED + 6)
     _report(10, "three-piece relation holds for chi and sigma, 300 triples per dim")
 
 
 def test_criterion_11_split_sequence():
-    start = time.perf_counter()
-    grid = skk.default_grid(4)
-    assert len(grid) == 9
-    report = skk.verify_split_sequence(grid=grid, seed=SEED + 7)
-    assert report.all_passed, report.summary()
-    elapsed = time.perf_counter() - start
+    elapsed = _passes(selftest.split_sequence, SEED + 7)
     assert elapsed < 5.0, f"sequence checks took {elapsed:.2f}s"
     _report(11, f"split sequence checks on the 9x9 grid in {elapsed:.2f}s")
 
 
 def test_criterion_12_bsigma_demo():
-    catalog = vb.dim8_catalog()
-    assert catalog.piece("CP4").attribute("p2") == 10
-    assert catalog.piece("S8").attribute("p2") == 0
-    disk_value, cp_value = skk.b_sigma_dependence_demo(catalog)
-    assert str(disk_value) == "1"
-    assert str(cp_value) == "exp(10)"
+    _passes(selftest.bsigma_demo)
     _report(12, "capping demo gives 1 and exp(10)")
 
 
 def test_criterion_13_negative_controls():
-    bad = corrupted_tqft(InvertibleTQFT2(rational(2), rational(3)))
-    report = verify_axioms(bad, seed=SEED + 8, budget=100)
-    assert not report.all_passed
-    assert any(c.witness for c in report.failures())
-    sequence = skk.verify_split_sequence(seed=SEED + 8,
-                                         splitting=skk.corrupted_splitting)
-    assert not sequence.checks[2].passed
-    assert sequence.checks[2].name == "restriction_after_splitting_is_identity"
+    _passes(selftest.negative_controls, SEED + 8)
     _report(13, "corrupted TQFT and corrupted splitting are caught")

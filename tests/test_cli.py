@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skkinv import fixtures
-from skkinv.cli import MAX_SURFACE_CIRCLES, _build_parser, run
+from skkinv.cli import MAX_SURFACE_CIRCLES, MAX_TRACE_ENTRIES, _build_parser, run
 from skkinv.rationals import int_text
 from skkinv.skk import MAX_GRID
 from skkinv.tqft import MAX_BUDGET, MAX_SCALAR_BITS
@@ -163,6 +163,30 @@ class TestCutpasteCommand:
         script.write_text("cut 0 nonsep\n")
         result = run(["cutpaste", str(script), "--start", "torus"])
         assert result.exit_code == 2
+
+    def test_trace_size_is_bounded_at_the_start(self, tmp_path):
+        script = tmp_path / "empty.txt"
+        script.write_text("")
+        at_bound = run(["cutpaste", str(script), "--start", f"g0b{MAX_TRACE_ENTRIES - 1}"])
+        assert at_bound.exit_code == 0
+        over = run(["cutpaste", str(script), "--start", f"g0b{MAX_TRACE_ENTRIES}", "--json"])
+        assert (over.exit_code, over.report) == (
+            2, f"error: a cut/paste trace may hold at most {MAX_TRACE_ENTRIES} components and"
+               " boundary circles in all; this script passes it after 0 of its 0 moves")
+
+    def test_trace_size_is_bounded_as_cuts_add_components(self, tmp_path):
+        # after k separating cuts of a sphere: k + 1 components and 2k circles
+        def entries(n):
+            return sum(3 * k + 1 for k in range(n + 1))
+
+        n = max(n for n in range(1000) if entries(n) <= MAX_TRACE_ENTRIES)
+        script = tmp_path / "cuts.txt"
+        script.write_text("cut 0 sep 0 -\n" * n)
+        assert run(["cutpaste", str(script), "--start", "g0b0", "--json"]).exit_code == 0
+        script.write_text("cut 0 sep 0 -\n" * (n + 1))
+        result = run(["cutpaste", str(script), "--start", "g0b0"])
+        assert result.exit_code == 2
+        assert result.report.endswith(f"passes it after {n + 1} of its {n + 1} moves")
 
 
 class TestCobCommands:
@@ -724,6 +748,13 @@ class TestNoTraceback:
     def test_cutpaste_scripts(self, workdir, script, start):
         path = workdir / "moves.cutpaste"
         path.write_text(script)
+        self._check(["cutpaste", str(path), "--start", start])
+
+    @given(st.integers(0, 400), st.sampled_from(("g0b0", "g2b3 + g1b0", "g0b65536", "g0b131072")))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_trace_sizes(self, workdir, cuts, start):
+        path = workdir / "cuts.cutpaste"
+        path.write_text("cut 0 sep 0 -\n" * cuts)
         self._check(["cutpaste", str(path), "--start", start])
 
     @given(_wide_words, st.sampled_from(("cap", "cup")),

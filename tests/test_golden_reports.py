@@ -69,6 +69,7 @@ ARGV = (
        ["skk", "verify-sequence", "--grid", "6", "--corrupt-splitting"]]
     + [["skk", "demo-bsigma"],
        ["skk", "demo-bsigma", "--catalog", _FIX + "catalog_dim8.json"]]
+    + [["selftest", "--seed", seed] for seed in ("0", "1")]
 )
 
 

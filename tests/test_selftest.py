@@ -1,0 +1,133 @@
+"""Each check of `skkinv.selftest` fails, with a witness, on a planted fault.
+
+A case replaces one library function with a plausible wrong version through
+monkeypatch and runs one check on a fixed seed. A check that passed whatever
+the library did would fail its case here.
+"""
+
+import pytest
+
+from skkinv import selftest, simplicial, skk, surfaces as sf, tqft, virtual_bordism as vb
+
+
+def _homology_loses_the_top_class(monkeypatch):
+    real = simplicial.homology
+
+    def homology(K, coefficients="integers"):
+        profile = real(K, coefficients)
+        return simplicial.HomologyProfile(profile.betti[:-1] + (0,), profile.torsion)
+
+    monkeypatch.setattr(simplicial, "homology", homology)
+
+
+def _signature_of_the_reversed_orientation(monkeypatch):
+    real = skk.complex_signature
+    monkeypatch.setattr(skk, "complex_signature", lambda K: -real(K))
+
+
+def _i_n_without_the_zero_case(monkeypatch):
+    monkeypatch.setattr(skk, "i_n_table", lambda n: "Z" if n % 2 == 0 else "Z/2")
+
+
+def _nonseparating_cut_keeps_its_genus(monkeypatch):
+    real = sf.cut
+
+    def cut(S, spec):
+        out = real(S, spec)
+        if isinstance(spec.kind, sf.NonSeparating):
+            comps = list(out.components)
+            comps[spec.component] = sf.Component(S.components[spec.component].genus,
+                                                 comps[spec.component].circles)
+            out = sf.Surface(tuple(comps), out.next_circle)
+        return out
+
+    monkeypatch.setattr(sf, "cut", cut)
+
+
+def _class_counts_components(monkeypatch):
+    real = skk.skk_class
+    monkeypatch.setattr(skk, "skk_class", lambda M, dim: skk.SKKClass(
+        dim, real(M, dim).value + len(M.components)))
+
+
+def _pants_row_is_zero(monkeypatch):
+    monkeypatch.setattr(tqft.InvertibleTQFT2, "EXPONENTS",
+                        {**tqft.InvertibleTQFT2.EXPONENTS, "pants": (0, 0)})
+
+
+def _kernel_reads_only_the_sign(monkeypatch):
+    monkeypatch.setattr(skk, "kernel_membership", lambda T: (T.cap * T.cup).sign == 1)
+
+
+def _sampled_words_get_an_extra_outgoing_circle(monkeypatch):
+    real = tqft.random_word_with_arities
+    monkeypatch.setattr(tqft, "random_word_with_arities",
+                        lambda rng, in_arity, out_arity: real(rng, in_arity, out_arity + 1))
+
+
+def _arcs_never_close_up(monkeypatch):
+    real = tqft.glue_one_manifolds
+
+    def glue(M, N, matching):
+        out = real(M, N, matching)
+        return tqft.OneManifold(out.arcs + out.circles, 0)
+
+    monkeypatch.setattr(tqft, "glue_one_manifolds", glue)
+
+
+def _double_without_reversal(monkeypatch):
+    monkeypatch.setattr(vb, "double", lambda P: vb.glue(
+        P, P, tuple((i, i) for i in range(len(P.boundary)))))
+
+
+def _restriction_forgets_the_cup(monkeypatch):
+    monkeypatch.setattr(skk, "abs_psi", lambda T: skk.SKKInvariant(
+        2, base=T.cap.abs_value(), descriptor="|cap|^(chi/2)"))
+
+
+def _capping_choice_is_ignored(monkeypatch):
+    monkeypatch.setattr(vb.Catalog, "with_b_sigma", lambda catalog, label, piece: catalog)
+
+
+def _corruption_is_honest(monkeypatch):
+    monkeypatch.setattr(tqft, "corrupted_tqft", lambda T: T)
+
+
+# check name -> (fault, seed arguments of the check)
+FAULTS = {
+    "homology_fixtures": (_homology_loses_the_top_class, ()),
+    "sk_classification": (_signature_of_the_reversed_orientation, ()),
+    "i_n_table": (_i_n_without_the_zero_case, ()),
+    "cutpaste_chi_invariance": (_nonseparating_cut_keeps_its_genus, (0,)),
+    "skk_error_term": (_class_counts_components, (0,)),
+    "tqft_axiom_grid": (_pants_row_is_zero, (0,)),
+    "closed_value_law": (_pants_row_is_zero, (0,)),
+    "kernel_theorem": (_kernel_reads_only_the_sign, (0,)),
+    "boundary_dependence": (_sampled_words_get_an_extra_outgoing_circle, (0,)),
+    "theta_multiplicativity": (_arcs_never_close_up, (0,)),
+    "lemma_relation": (_double_without_reversal, (0,)),
+    "split_sequence": (_restriction_forgets_the_cup, (0,)),
+    "bsigma_demo": (_capping_choice_is_ignored, ()),
+    "negative_controls": (_corruption_is_honest, (0,)),
+}
+
+
+def test_every_check_has_a_fault():
+    assert list(FAULTS) == [c.name for c in selftest.run_selftest(0).checks]
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_planted_fault_fails_the_check(monkeypatch, name):
+    plant, args = FAULTS[name]
+    assert getattr(selftest, name)(*args).passed
+    plant(monkeypatch)
+    result = getattr(selftest, name)(*args)
+    assert (result.name, result.passed) == (name, False)
+    assert result.witness
+
+
+def test_closed_words_off_the_kernel_fail_the_check_not_the_command(monkeypatch):
+    _pants_row_is_zero(monkeypatch)
+    result = selftest.boundary_dependence(0)
+    assert not result.passed
+    assert result.witness.startswith("(cap=2, cup=1/2): closed word ")

@@ -249,6 +249,14 @@ class TestVerifyAxioms:
         report = tqft.verify_axioms(T, seed=3, budget=80)
         assert report.all_passed, report.summary()
 
+    def test_constant_words_are_parsed_once_per_process(self, monkeypatch):
+        texts = []
+        monkeypatch.setattr(tqft, "parse_word", lambda text: texts.append(text) or cb.parse_word(text))
+        tqft._canonical_words.cache_clear()
+        for seed in (0, 1):
+            tqft.verify_axioms(rational_tqft(2, 3), seed=seed, budget=5)
+        assert sorted(texts) == sorted(t for pair in tqft._CANONICAL_EQUIVALENT_PAIRS for t in pair)
+
 
 class TestTwoParameterForm:
     """Any generator assignment respecting word equivalence is (a, e)-shaped."""
