@@ -132,10 +132,6 @@ class SNFResult:
             entries[i][i] = d
         return IntMatrix.from_rows(entries) if rows else IntMatrix.zeros(0, cols)
 
-    @property
-    def rank(self) -> int:
-        return len(self.diag)
-
 
 @dataclass(frozen=True)
 class SignatureTriple:

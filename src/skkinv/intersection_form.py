@@ -40,7 +40,6 @@ class DegeneratePairing(InputError):
 class IntersectionMatrix:
     """Symmetric integer pairing matrix on a chosen basis of H^2."""
 
-    basis: tuple[tuple[int, ...], ...]  # integer cocycle representatives, one per row
     pairing: tuple[tuple[int, ...], ...]
 
     @property
@@ -94,7 +93,7 @@ def intersection_matrix(K: SimplicialComplex) -> IntersectionMatrix:
         return total
 
     pairing = tuple(tuple(pair(a, b) for b in reps) for a in reps)
-    return IntersectionMatrix(tuple(reps), pairing)
+    return IntersectionMatrix(pairing)
 
 
 def signature(K: SimplicialComplex) -> int:

@@ -1,40 +1,30 @@
 """The acceptance checks, run by `skkinv selftest` and by the acceptance tests.
 
 Each check is a public function (of a seed, where it samples) that returns
-a `CheckResult` with the first failure as its witness. `run_selftest` runs
-all fourteen from one seed, and `tests/test_acceptance.py` runs the same
-functions as criteria 01-13, so the command and the tests verify the same
-claims. Library functions are reached through their modules so that a test
-can plant a fault in one.
+a `CheckResult` with the first failure as its witness; it is written as a
+generator of failure witnesses and made a check by `tqft.check`.
+`run_selftest` runs all fourteen from one seed, and
+`tests/test_acceptance.py` runs the same functions as criteria 01-13, so
+the command and the tests verify the same claims. Library functions are
+reached through their modules so that a test can plant a fault in one.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from fractions import Fraction
 
 from . import fixtures, intersection_form, simplicial, skk, surfaces as sf, tqft
 from . import virtual_bordism as vb
 from .cobordism import normal_form, parse_word, random_closed_word
-from .tqft import CheckResult, InvertibleTQFT2, Report, exp_scalar, rational
+from .tqft import InvertibleTQFT2, Report, check, exp_scalar, rational
 
 _VALUES = (Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-1), Fraction(5, 3))
 # the 25 rational (cap, cup) points of the axiom grid
 _GRID = tuple((a, e) for a in _VALUES for e in _VALUES)
 
 
-def _check(failures):
-    """Make a generator of failure witnesses into a check of the same name:
-    the first witness it yields fails the check, and the rest is not run."""
-    @functools.wraps(failures)
-    def check(*args) -> CheckResult:
-        witness = next(failures(*args), None)
-        return CheckResult(failures.__name__, witness is None, witness)
-    return check
-
-
-@_check
+@check
 def homology_fixtures():
     for name, betti in (("sphere2", (1, 0, 1)), ("sphere3", (1, 0, 0, 1)),
                         ("torus7", (1, 2, 1))):
@@ -43,7 +33,7 @@ def homology_fixtures():
             yield f"{name}: {got} != {betti}"
 
 
-@_check
+@check
 def sk_classification():
     s4 = skk.sk_class(fixtures.sphere4(), 4)
     if s4 != (1, 0):
@@ -55,7 +45,7 @@ def sk_classification():
         yield f"cp2 (chi, sigma, class) -> {got}, expected (3, 1, (1, 1))"
 
 
-@_check
+@check
 def i_n_table():
     expected = {1: "Z/2", 2: "Z", 3: "0", 4: "Z", 5: "Z/2", 6: "Z",
                 7: "0", 8: "Z", 9: "Z/2", 10: "Z", 11: "0", 12: "Z"}
@@ -64,7 +54,7 @@ def i_n_table():
             yield f"n={n}: {skk.i_n_table(n)} != {value}"
 
 
-@_check
+@check
 def cutpaste_chi_invariance(seed: int):
     """200 random move sequences keep chi; closed endpoints are equivalent."""
     rng = random.Random(seed)
@@ -94,7 +84,7 @@ def _random_cut_surface(rng, cuts: int) -> sf.Surface:
     return S
 
 
-@_check
+@check
 def skk_error_term(seed: int):
     """Differences of classes under two regluings agree across 500 piece pairs."""
     rng = random.Random(seed)
@@ -118,7 +108,7 @@ def skk_error_term(seed: int):
             yield f"run {run}: differences {diff_x} != {diff_y}"
 
 
-@_check
+@check
 def tqft_axiom_grid(seed: int):
     """The functor laws at each grid point i, on words of seed + i."""
     for i, (a, e) in enumerate(_GRID):
@@ -128,7 +118,7 @@ def tqft_axiom_grid(seed: int):
             yield f"(a={a}, e={e}): {fail.name}: {fail.witness}"
 
 
-@_check
+@check
 def closed_value_law(seed: int):
     """A closed word is worth (cap*cup)^(sum of 1 - genus), on 200 words at
     every grid point and at (3/2, 5/7)."""
@@ -142,7 +132,7 @@ def closed_value_law(seed: int):
                 yield f"(a={a}, e={e}): word {w.text()!r}"
 
 
-@_check
+@check
 def kernel_theorem(seed: int):
     """(2, 1/2) is trivial on closed words but not on cap, and on the signed
     grid the kernel is where the positive restriction is trivial."""
@@ -155,14 +145,12 @@ def kernel_theorem(seed: int):
     cap_value = tqft.evaluate(T, parse_word("cap"))
     if cap_value != rational(2):
         yield f"cap -> {cap_value}"
-    for a in skk.default_grid():
-        for e in skk.default_grid():
-            T = InvertibleTQFT2(a, e)
-            if skk.kernel_membership(T) != skk.invariant_is_trivial(skk.abs_psi(T)):
-                yield f"grid point a={a}, e={e}"
+    kernel = skk.kernel_equals_sign_valued(skk.default_grid())
+    if not kernel.passed:
+        yield kernel.witness
 
 
-@_check
+@check
 def boundary_dependence(seed: int):
     """Kernel TQFTs are trivial on closed words and depend on arities only."""
     for T in (InvertibleTQFT2(rational(2), rational(Fraction(1, 2))),
@@ -177,19 +165,19 @@ def boundary_dependence(seed: int):
             yield f"(cap={T.cap}, cup={T.cup}): {fail.name}: {fail.witness}"
 
 
-@_check
+@check
 def theta_multiplicativity(seed: int):
     """exp(chi) is multiplicative in dimension 2; in dimension 1 it fails on
     two arcs glued to a circle, with exactly that witness."""
-    ok2, witness2 = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(2), 2, seed=seed, budget=300)
-    if not ok2 or witness2 is not None:
-        yield f"dimension 2 failed: {witness2}"
-    ok1, witness1 = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(1), 1, seed=seed, budget=300)
-    if ok1 or witness1 != "two arcs glued to a circle: exp(1) * exp(1) != exp(0)":
-        yield f"dimension 1 should fail on the arc gluing, got: {witness1}"
+    dim2 = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(2), 2, seed=seed, budget=300)
+    if not dim2.passed:
+        yield f"dimension 2 failed: {dim2.witness}"
+    dim1 = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(1), 1, seed=seed, budget=300)
+    if dim1.witness != "two arcs glued to a circle: exp(1) * exp(1) != exp(0)":
+        yield f"dimension 1 should fail on the arc gluing, got: {dim1.witness}"
 
 
-@_check
+@check
 def lemma_relation(seed: int):
     """The three-piece relation for chi and sigma, 300 triples per dimension."""
     rng = random.Random(seed)
@@ -207,7 +195,7 @@ def lemma_relation(seed: int):
                     yield f"dim {dim} run {run} invariant {invariant}"
 
 
-@_check
+@check
 def split_sequence(seed: int):
     grid = skk.default_grid(4)
     if len(grid) != 9:
@@ -216,7 +204,7 @@ def split_sequence(seed: int):
         yield f"{fail.name}: {fail.witness}"
 
 
-@_check
+@check
 def bsigma_demo():
     """The p2 catalog gives 1 and exp(10) under the two cappings of S7."""
     catalog = vb.dim8_catalog()
@@ -230,7 +218,7 @@ def bsigma_demo():
         yield "sphere value differs from 1"
 
 
-@_check
+@check
 def negative_controls(seed: int):
     """The corrupted TQFT and the corrupted splitting are caught, with witnesses."""
     bad = tqft.corrupted_tqft(InvertibleTQFT2(rational(2), rational(3)))

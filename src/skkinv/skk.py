@@ -26,12 +26,12 @@ from .cobordism import CobordismWord, normal_form
 from .intersection_form import signature as complex_signature
 from .simplicial import SimplicialComplex, euler_characteristic, homology, validate_closed
 from .tqft import (
-    CheckResult,
     ExpScalar,
     GroupScalar,
     InvertibleTQFT2,
     Report,
     VariantMismatch,
+    check,
     exp_scalar,
 )
 from .virtual_bordism import Catalog, VirtualPiece, close_up, dim8_catalog
@@ -298,33 +298,25 @@ def kernel_membership(T: InvertibleTQFT2) -> bool:
     return abs(prod.value) == 1
 
 
-# sample closed surfaces separating the chi classes
-def sample_closed_surfaces():
-    return (
-        sf.sphere(),
-        sf.torus(),
-        sf.genus_surface(2),
-        sf.genus_surface(3),
-        sf.disjoint_union(sf.sphere(), sf.sphere()),
-        sf.disjoint_union(sf.torus(), sf.genus_surface(2)),
-    )
+# Euler characteristics of sample closed surfaces separating the chi classes
+# (sphere, torus, genus 2 and 3, two spheres, torus plus genus 2), measured
+# once per process; chi-type invariants are compared through them.
+SAMPLE_CHIS = tuple(sf.chi(M) for M in (
+    sf.sphere(),
+    sf.torus(),
+    sf.genus_surface(2),
+    sf.genus_surface(3),
+    sf.disjoint_union(sf.sphere(), sf.sphere()),
+    sf.disjoint_union(sf.torus(), sf.genus_surface(2)),
+))
 
 
-def sample_chis() -> tuple[int, ...]:
-    """Euler characteristics of the sample closed surfaces."""
-    return tuple(chi_of(M) for M in sample_closed_surfaces())
+def invariants_agree(xi1: SKKInvariant, xi2: SKKInvariant) -> bool:
+    return all(xi1.on_chi(c) == xi2.on_chi(c) for c in SAMPLE_CHIS)
 
 
-# Chi-type invariants compared on the samples through their measured chi
-# values; callers that compare many invariants measure the samples once.
-def invariants_agree(xi1: SKKInvariant, xi2: SKKInvariant, chis=None) -> bool:
-    chis = sample_chis() if chis is None else chis
-    return all(xi1.on_chi(c) == xi2.on_chi(c) for c in chis)
-
-
-def invariant_is_trivial(xi: SKKInvariant, chis=None) -> bool:
-    chis = sample_chis() if chis is None else chis
-    return all(xi.on_chi(c).is_one for c in chis)
+def invariant_is_trivial(xi: SKKInvariant) -> bool:
+    return all(xi.on_chi(c).is_one for c in SAMPLE_CHIS)
 
 
 # -- the splitting -----------------------------------------------------------------
@@ -394,17 +386,19 @@ MAX_GRID = 128
 
 
 def default_grid(half_width: int = 4):
-    """(2*half_width + 1)^2 signed-exponential grid; signs alternate with the
-    exponent index so both components of the scalar group are exercised."""
+    """(2*half_width + 1)^2 signed-exponential grid of scalars exp(k), k from
+    -half_width to half_width, with sign -1 exactly when k mod 4 is 1 or 2.
+    Both components of the scalar group are exercised, and exp(1) * exp(-1)
+    has sign -1, so the grid holds sign-valued TQFTs of either sign."""
     if half_width < 0:
         raise InputError(f"grid half-width must be non-negative, got {half_width}")
     if half_width > MAX_GRID:
         raise InputError(f"grid half-width may be at most {MAX_GRID}, got {half_width}")
-    scalars = []
-    for k in range(-half_width, half_width + 1):
-        sign = -1 if k % 2 else 1
-        scalars.append(exp_scalar(k, sign))
-    return tuple(scalars)
+    return tuple(exp_scalar(k, -1 if k % 4 in (1, 2) else 1)
+                 for k in range(-half_width, half_width + 1))
+
+
+_SAMPLED_RS = tuple(Fraction(k) for k in range(-3, 4)) + (Fraction(1, 2), Fraction(-3, 2))
 
 
 def verify_split_sequence(grid=None, seed: int = 0, splitting=splitting_S) -> Report:
@@ -414,61 +408,53 @@ def verify_split_sequence(grid=None, seed: int = 0, splitting=splitting_S) -> Re
     restriction; (ii) sampled chi-type invariants are hit (via the
     splitting); (iii) the positive restriction after the splitting is the
     identity on samples; (iv) the positive restriction is a homomorphism.
-    All four run in dimension 2.
+    All four run in dimension 2; (ii) and (iii) read one list of
+    (r, restriction of the split exp(r*chi), exp(r*chi)) triples.
     """
     grid = default_grid() if grid is None else grid
     rng = random.Random(seed)
-    # each sample is measured once; the invariants are evaluated on its chi
-    chis = sample_chis()
-    checks = []
+    restricted = [(r, abs_psi(splitting((r,), 2, None)), chi_invariant(r)) for r in _SAMPLED_RS]
+    return Report((kernel_equals_sign_valued(grid), surjectivity_onto_chi_star(restricted),
+                   restriction_after_splitting_is_identity(restricted),
+                   restriction_is_homomorphism(grid, rng)))
 
-    witness = None
+
+@check
+def kernel_equals_sign_valued(grid):
     for a in grid:
         for e in grid:
             T = InvertibleTQFT2(a, e)
             in_kernel = kernel_membership(T)
-            trivial = invariant_is_trivial(abs_psi(T), chis)
+            trivial = invariant_is_trivial(abs_psi(T))
             if in_kernel != trivial:
-                witness = (f"cap={a}, cup={e}: kernel membership {in_kernel}"
-                           f" but trivial restriction {trivial}")
-                break
-        if witness:
-            break
-    checks.append(CheckResult("kernel_equals_sign_valued", witness is None, witness))
+                yield (f"cap={a}, cup={e}: kernel membership {in_kernel}"
+                       f" but trivial restriction {trivial}")
 
-    witness = None
-    sampled_rs = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2), Fraction(-3, 2)]
-    for r in sampled_rs:
-        xi = chi_invariant(r)
-        T = splitting((r,), 2, None)
-        if not invariants_agree(abs_psi(T), xi, chis):
-            witness = f"exp({r}*chi) is not hit: restriction disagrees on samples"
-            break
-    checks.append(CheckResult("surjectivity_onto_chi_star", witness is None, witness))
 
-    witness = None
-    for r in sampled_rs:
-        xi = chi_invariant(r)
-        got = abs_psi(splitting((r,), 2, None))
-        if not invariants_agree(got, xi, chis):
-            witness = (f"restriction after splitting of exp({r}*chi) gives"
-                       f" {got.descriptor}, expected {xi.descriptor}")
-            break
-    checks.append(CheckResult("restriction_after_splitting_is_identity",
-                              witness is None, witness))
+@check
+def surjectivity_onto_chi_star(restricted):
+    for r, got, xi in restricted:
+        if not invariants_agree(got, xi):
+            yield f"exp({r}*chi) is not hit: restriction disagrees on samples"
 
-    witness = None
+
+@check
+def restriction_after_splitting_is_identity(restricted):
+    for r, got, xi in restricted:
+        if not invariants_agree(got, xi):
+            yield (f"restriction after splitting of exp({r}*chi) gives"
+                   f" {got.descriptor}, expected {xi.descriptor}")
+
+
+@check
+def restriction_is_homomorphism(grid, rng):
     for _ in range(60):
         a1, e1, a2, e2 = (rng.choice(grid) for _ in range(4))
         T1, T2 = InvertibleTQFT2(a1, e1), InvertibleTQFT2(a2, e2)
         lhs = abs_psi(T1.product(T2))
         rhs = abs_psi(T1).product(abs_psi(T2))
-        if not invariants_agree(lhs, rhs, chis):
-            witness = f"product of cap={a1},cup={e1} and cap={a2},cup={e2}"
-            break
-    checks.append(CheckResult("restriction_is_homomorphism", witness is None, witness))
-
-    return Report(tuple(checks))
+        if not invariants_agree(lhs, rhs):
+            yield f"product of cap={a1},cup={e1} and cap={a2},cup={e2}"
 
 
 def b_sigma_dependence_demo(catalog: Catalog | None = None):

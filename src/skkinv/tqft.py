@@ -312,6 +312,16 @@ class CheckResult:
     witness: str | None = None
 
 
+def check(failures):
+    """Make a generator of failure witnesses into a check of the same name:
+    the first witness it yields fails the check, and the rest is not run."""
+    @functools.wraps(failures)
+    def run(*args, **kwargs) -> CheckResult:
+        witness = next(failures(*args, **kwargs), None)
+        return CheckResult(failures.__name__, witness is None, witness)
+    return run
+
+
 @dataclass(frozen=True)
 class Report:
     checks: tuple[CheckResult, ...]
@@ -364,70 +374,69 @@ def verify_axioms(T, seed: int = 0, budget: int = 200) -> Report:
     if budget > MAX_BUDGET:
         raise InputError(f"word budget may be at most {MAX_BUDGET}, got {budget}")
     rng = random.Random(seed)
-    checks = []
+    return Report((equivalence_invariance(T, rng, budget), functoriality(T, rng, budget),
+                   cylinder_law(T), monoidality(T, rng, budget), empty_law(T)))
 
-    witness = None
+
+@check
+def equivalence_invariance(T, rng, budget: int):
     for left, right, lw, rw in _canonical_words():
         lv, rv = evaluate(T, lw), evaluate(T, rw)
         if lv != rv:
-            witness = f"{left!r} -> {lv} but {right!r} -> {rv}"
-            break
-    if witness is None:
-        for _ in range(budget):
-            M = random_word(rng)
-            R = M
-            for _ in range(rng.randrange(1, 4)):
-                R = equivalent_rewrite(rng, R)
-            if normal_form(M) != normal_form(R):
-                continue
-            mv, rv = evaluate(T, M), evaluate(T, R)
-            if mv != rv:
-                witness = f"{M.text()!r} -> {mv} but rewrite {R.text()!r} -> {rv}"
-                break
-    checks.append(CheckResult("equivalence_invariance", witness is None, witness))
-
-    witness = None
+            yield f"{left!r} -> {lv} but {right!r} -> {rv}"
     for _ in range(budget):
         M = random_word(rng)
-        N = random_word(rng, start_arity=M.out_arity)
-        lhs = evaluate(T, compose(M, N))
+        R = M
+        for _ in range(rng.randrange(1, 4)):
+            R = equivalent_rewrite(rng, R)
+        if normal_form(M) != normal_form(R):
+            continue
+        mv, rv = evaluate(T, M), evaluate(T, R)
+        if mv != rv:
+            yield f"{M.text()!r} -> {mv} but rewrite {R.text()!r} -> {rv}"
+
+
+def _glued_values_multiply(T, rng, budget: int, glue):
+    """Witnesses of glue(M, N) -> value(M) * value(N) failing on random
+    pairs; for `compose` the second word starts where the first ends."""
+    for _ in range(budget):
+        M = random_word(rng)
+        N = random_word(rng, start_arity=M.out_arity if glue is compose else None)
+        lhs = evaluate(T, glue(M, N))
         rhs = evaluate(T, M) * evaluate(T, N)
         if lhs != rhs:
-            witness = f"compose({M.text()!r}, {N.text()!r}): {lhs} != {rhs}"
-            break
-    checks.append(CheckResult("functoriality", witness is None, witness))
+            yield f"{glue.__name__}({M.text()!r}, {N.text()!r}): {lhs} != {rhs}"
 
-    witness = None
+
+@check
+def functoriality(T, rng, budget: int):
+    yield from _glued_values_multiply(T, rng, budget, compose)
+
+
+@check
+def monoidality(T, rng, budget: int):
+    yield from _glued_values_multiply(T, rng, budget, tensor)
+
+
+@check
+def cylinder_law(T):
     for arity in range(0, 5):
         w = identity_word(arity)
         v = evaluate(T, w)
         if not v.is_one:
-            witness = f"identity word of arity {arity} -> {v}"
-            break
-    if witness is None:
-        # the right-hand sides of the first two pairs are cylinders
-        for _, text, _, w in _canonical_words()[:2]:
-            v = evaluate(T, w)
-            if not v.is_one:
-                witness = f"cylinder-equivalent word {text!r} -> {v}"
-                break
-    checks.append(CheckResult("cylinder_law", witness is None, witness))
+            yield f"identity word of arity {arity} -> {v}"
+    # the right-hand sides of the first two pairs are cylinders
+    for _, text, _, w in _canonical_words()[:2]:
+        v = evaluate(T, w)
+        if not v.is_one:
+            yield f"cylinder-equivalent word {text!r} -> {v}"
 
-    witness = None
-    for _ in range(budget):
-        M = random_word(rng)
-        N = random_word(rng)
-        lhs = evaluate(T, tensor(M, N))
-        rhs = evaluate(T, M) * evaluate(T, N)
-        if lhs != rhs:
-            witness = f"tensor({M.text()!r}, {N.text()!r}): {lhs} != {rhs}"
-            break
-    checks.append(CheckResult("monoidality", witness is None, witness))
 
+@check
+def empty_law(T):
     v = evaluate(T, CobordismWord(2, ()))
-    checks.append(CheckResult("empty_law", v.is_one, None if v.is_one else f"empty word -> {v}"))
-
-    return Report(tuple(checks))
+    if not v.is_one:
+        yield f"empty word -> {v}"
 
 
 # -- Theta multiplicativity ----------------------------------------------------
@@ -498,12 +507,13 @@ def glue_one_manifolds(M: OneManifold, N: OneManifold, matching) -> OneManifold:
     return OneManifold(arcs, circles)
 
 
+@check
 def check_theta_defines_tqft(theta, dim: int, seed: int = 0, budget: int = 300):
     """Sample gluings and test Theta(M glued N) = Theta(M) * Theta(N).
 
-    Returns (ok, witness). The canonical disk-pair gluings are checked
-    before the seeded random ones, so a failing Theta in dimension 1 is
-    always witnessed by two arcs closing into a circle.
+    The canonical disk-pair gluings are checked before the seeded random
+    ones, so a failing Theta in dimension 1 is always witnessed by two arcs
+    closing into a circle.
     """
     rng = random.Random(seed)
     if dim == 1:
@@ -512,9 +522,8 @@ def check_theta_defines_tqft(theta, dim: int, seed: int = 0, budget: int = 300):
         lhs = theta(arc) * theta(arc)
         rhs = theta(glued)
         if lhs != rhs:
-            witness = (f"two arcs glued to a circle: {_witness_str(theta(arc))} *"
-                       f" {_witness_str(theta(arc))} != {_witness_str(rhs)}")
-            return False, witness
+            yield (f"two arcs glued to a circle: {_witness_str(theta(arc))} *"
+                   f" {_witness_str(theta(arc))} != {_witness_str(rhs)}")
         for _ in range(budget):
             M = OneManifold(rng.randrange(0, 4), rng.randrange(0, 3))
             N = OneManifold(rng.randrange(0, 4), rng.randrange(0, 3))
@@ -526,18 +535,17 @@ def check_theta_defines_tqft(theta, dim: int, seed: int = 0, budget: int = 300):
             matching = list(zip(m_ends[:k], n_ends[:k]))
             glued = glue_one_manifolds(M, N, matching)
             if theta(M) * theta(N) != theta(glued):
-                return False, (f"arcs/circles {M} and {N} glued on {k} endpoint pairs:"
-                               f" {_witness_str(theta(M))} * {_witness_str(theta(N))}"
-                               f" != {_witness_str(theta(glued))}")
-        return True, None
-    if dim == 2:
+                yield (f"arcs/circles {M} and {N} glued on {k} endpoint pairs:"
+                       f" {_witness_str(theta(M))} * {_witness_str(theta(N))}"
+                       f" != {_witness_str(theta(glued))}")
+    elif dim == 2:
         from .surfaces import disk, random_surface
 
         glued = paste(surface_union(disk(), disk()), PasteSpec(((0, 1),)))
         lhs = theta(disk()) * theta(disk())
         if lhs != theta(glued):
-            return False, (f"two disks glued to a sphere: {theta(disk())} * {theta(disk())}"
-                           f" != {theta(glued)}")
+            yield (f"two disks glued to a sphere: {theta(disk())} * {theta(disk())}"
+                   f" != {theta(glued)}")
         for _ in range(budget):
             M = random_surface(rng, max_genus=3, max_components=3, max_boundary=3)
             N = random_surface(rng, max_genus=3, max_components=3, max_boundary=3)
@@ -550,10 +558,10 @@ def check_theta_defines_tqft(theta, dim: int, seed: int = 0, budget: int = 300):
             pairs = tuple(zip(m_circles[:k], n_circles[:k]))
             glued = paste(union, PasteSpec(pairs))
             if theta(M) * theta(N) != theta(glued):
-                return False, (f"{M.as_multiset()} and {N.as_multiset()} glued on {k} circles:"
-                               f" {theta(M)} * {theta(N)} != {theta(glued)}")
-        return True, None
-    raise WrongDimension(f"theta checks exist for dimensions 1 and 2, not {dim}")
+                yield (f"{M.as_multiset()} and {N.as_multiset()} glued on {k} circles:"
+                       f" {theta(M)} * {theta(N)} != {theta(glued)}")
+    else:
+        raise WrongDimension(f"theta checks exist for dimensions 1 and 2, not {dim}")
 
 
 def exp_chi_theta(dim: int):
@@ -569,34 +577,37 @@ def boundary_dependence_check(T, seed: int = 0, budget: int = 100) -> Report:
     """For a TQFT trivial on closed words, values depend only on arities.
 
     First verifies kernel membership on sampled closed words (raising
-    NotInKernel otherwise), then checks sampled equal-arity word pairs for
-    equal values and compares against the closed form cup**(in - out).
+    NotInKernel otherwise), then draws `budget` equal-arity word pairs, with
+    their values, and runs both checks over all of them: equal values within
+    a pair, and the closed form cup**(in - out).
     """
     rng = random.Random(seed)
     for _ in range(max(10, budget // 10)):
         w = random_closed_word(rng)
         if not evaluate(T, w).is_one:
             raise NotInKernel(f"closed word {w.text()!r} evaluates to {evaluate(T, w)}")
-
-    checks = []
-    witness = None
-    closed_form_witness = None
+    pairs = []
     for _ in range(budget):
         in_arity = rng.randrange(0, 4)
         out_arity = rng.randrange(0, 4)
         M = random_word_with_arities(rng, in_arity, out_arity)
         N = random_word_with_arities(rng, in_arity, out_arity)
-        mv, nv = evaluate(T, M), evaluate(T, N)
+        pairs.append((in_arity, out_arity, M, evaluate(T, M), N, evaluate(T, N)))
+    return Report((boundary_only_dependence(pairs), closed_form_cup_power(T, pairs)))
+
+
+@check
+def boundary_only_dependence(pairs):
+    for in_arity, out_arity, M, mv, N, nv in pairs:
         if mv != nv:
-            witness = (f"{M.text()!r} -> {mv} but {N.text()!r} -> {nv}"
-                       f" with arities {in_arity}->{out_arity}")
-            break
+            yield (f"{M.text()!r} -> {mv} but {N.text()!r} -> {nv}"
+                   f" with arities {in_arity}->{out_arity}")
+
+
+@check
+def closed_form_cup_power(T, pairs):
+    for in_arity, out_arity, M, mv, _, _ in pairs:
         expected = T.cup ** (in_arity - out_arity)
         if mv != expected:
-            closed_form_witness = (f"{M.text()!r} -> {mv}, expected"
-                                   f" cup**({in_arity}-{out_arity}) = {expected}")
-            break
-    checks.append(CheckResult("boundary_only_dependence", witness is None, witness))
-    checks.append(CheckResult("closed_form_cup_power", closed_form_witness is None,
-                              closed_form_witness))
-    return Report(tuple(checks))
+            yield (f"{M.text()!r} -> {mv}, expected"
+                   f" cup**({in_arity}-{out_arity}) = {expected}")

@@ -3,10 +3,11 @@
 A piece carries only invariant-level data: dimension, Euler characteristic,
 signature, a multiset of named boundary labels, and optional exact-rational
 attributes for closed catalog entries (Pontryagin numbers in the
-dimension-8 demo catalog). Gluing adds Euler characteristics (subtracting
-matched label characteristics, which vanish for odd-dimensional labels) and
-adds signatures; signature additivity under gluing and its negation under
-orientation reversal are axioms of the calculus, not derived facts.
+dimension-8 demo catalog). Pieces have even dimension, so their boundary
+labels are odd-dimensional and of Euler characteristic zero: gluing adds
+Euler characteristics and adds signatures; signature additivity under
+gluing and its negation under orientation reversal are axioms of the
+calculus, not derived facts.
 
 Catalogs declare named pieces, a boundary-capping assignment (for each
 label, a piece whose boundary is l copies of the label), and construction
@@ -47,7 +48,6 @@ class BoundaryLabel:
     """Named closed (n-1)-manifold type with an orientation sign."""
 
     name: str
-    chi: int = 0
     orientation: int = 1
 
     def __post_init__(self):
@@ -55,7 +55,7 @@ class BoundaryLabel:
             raise ValueError("orientation must be +1 or -1")
 
     def reversed(self) -> "BoundaryLabel":
-        return BoundaryLabel(self.name, self.chi, -self.orientation)
+        return BoundaryLabel(self.name, -self.orientation)
 
 
 @dataclass(frozen=True)
@@ -67,21 +67,18 @@ class VirtualPiece:
     sigma: int = 0
     boundary: tuple[BoundaryLabel, ...] = ()
     attributes: tuple[tuple[str, Fraction], ...] = ()
-    recipe: str = ""
     name: str = ""
     parts: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.dim % 2:
+            raise ValueError(f"pieces have even dimension, got {self.dim}")
         if self.sigma != 0 and self.dim % 4 != 0:
             raise ValueError("signature lives in dimensions divisible by 4")
-        if self.dim % 2 == 0 and any(lbl.chi != 0 for lbl in self.boundary):
-            raise ValueError("odd-dimensional boundary labels must have chi = 0")
         if not self.parts:
             # anonymous pieces carry an opaque part so declared identities can
             # only resolve constructions whose constituents are all named
             object.__setattr__(self, "parts", (self.name,) if self.name else ("?",))
-        if not self.recipe and self.name:
-            object.__setattr__(self, "recipe", self.name)
 
     @property
     def is_closed(self) -> bool:
@@ -97,55 +94,47 @@ class VirtualPiece:
         return any(k == key for k, _ in self.attributes)
 
 
-def piece(dim, chi, sigma=0, boundary=(), name="", attributes=(), recipe="") -> VirtualPiece:
+def piece(dim, chi, sigma=0, boundary=(), name="", attributes=()) -> VirtualPiece:
     """Convenience constructor; boundary entries are label names, a leading
     '-' marking reversed orientation."""
     labels = [BoundaryLabel(b[1:], orientation=-1) if b.startswith("-") else BoundaryLabel(b)
               for b in boundary]
     attrs = tuple(sorted((k, Fraction(v)) for k, v in dict(attributes).items()))
-    return VirtualPiece(dim, chi, sigma, tuple(labels), attrs, recipe, name)
+    return VirtualPiece(dim, chi, sigma, tuple(labels), attrs, name)
 
 
 def reverse(P: VirtualPiece) -> VirtualPiece:
     """Orientation reversal: chi fixed, sigma negated, labels reversed."""
-    return replace(
-        P,
-        sigma=-P.sigma,
-        boundary=tuple(lbl.reversed() for lbl in P.boundary),
-        recipe=f"reverse({P.recipe})" if P.recipe else "",
-    )
+    return replace(P, sigma=-P.sigma, boundary=tuple(lbl.reversed() for lbl in P.boundary))
 
 
 def glue(P: VirtualPiece, Q: VirtualPiece, matching) -> VirtualPiece:
     """Glue along matched boundary label pairs (index into P, index into Q).
 
-    chi adds with the matched labels' chi subtracted once per pair; sigma
-    adds outright. An empty matching is the disjoint union.
+    chi and sigma add (the matched labels are odd-dimensional, of chi 0).
+    An empty matching is the disjoint union.
     """
     if P.dim != Q.dim:
         raise DimensionMismatch(f"dimensions {P.dim} and {Q.dim} differ")
     used_p: set[int] = set()
     used_q: set[int] = set()
-    chi_correction = 0
     for i, j in matching:
         if i in used_p or j in used_q:
             raise LabelMismatch("boundary label matched twice")
         if not (0 <= i < len(P.boundary) and 0 <= j < len(Q.boundary)):
             raise LabelMismatch("matching references a missing boundary label")
         lp, lq = P.boundary[i], Q.boundary[j]
-        if lp.name != lq.name or lp.chi != lq.chi:
+        if lp.name != lq.name:
             raise LabelMismatch(f"cannot match label {lp.name!r} with {lq.name!r}")
         used_p.add(i)
         used_q.add(j)
-        chi_correction += lp.chi
     boundary = tuple(l for k, l in enumerate(P.boundary) if k not in used_p)
     boundary += tuple(l for k, l in enumerate(Q.boundary) if k not in used_q)
     return VirtualPiece(
         dim=P.dim,
-        chi=P.chi + Q.chi - chi_correction,
+        chi=P.chi + Q.chi,
         sigma=P.sigma + Q.sigma,
         boundary=boundary,
-        recipe=f"glue({P.recipe or '?'}, {Q.recipe or '?'})",
         parts=tuple(sorted(P.parts + Q.parts)),
     )
 
@@ -169,8 +158,7 @@ def double(P: VirtualPiece) -> VirtualPiece:
     """Glue P to its reversal along the identity of the whole boundary."""
     matching = tuple((i, i) for i in range(len(P.boundary)))
     # reversal flips label orientation but not the name, so name-matching applies
-    D = glue(P, reverse(P), matching)
-    return replace(D, recipe=f"double({P.recipe or '?'})")
+    return glue(P, reverse(P), matching)
 
 
 @dataclass(frozen=True)
@@ -184,6 +172,8 @@ class Catalog:
     identities: tuple[tuple[tuple[str, ...], str], ...]  # part multiset -> piece name
 
     def __post_init__(self):
+        if self.dim % 2:
+            raise ValueError(f"catalogs have even dimension, got {self.dim}")
         if self.l < 1:
             raise ValueError("l must be a positive integer")
         names = {p.name for p in self.pieces}
@@ -250,27 +240,25 @@ def close_up(M: VirtualPiece, in_labels, out_labels, catalog: Catalog) -> Virtua
     chi = l * M.chi
     sigma = l * M.sigma
     parts = list(M.parts) * l
-    label_chi = {lbl.name: lbl.chi for lbl in M.boundary}
     for name in in_names:
         B = catalog.capping_piece(name)
-        chi += B.chi - l * label_chi[name]
+        chi += B.chi
         sigma += B.sigma
         parts.extend(B.parts)
     for name in out_names:
         B = catalog.capping_piece(name)
-        chi += B.chi - l * label_chi[name]
+        chi += B.chi
         sigma -= B.sigma
         parts.extend(B.parts)
 
-    recipe = (f"close_up({M.recipe or '?'}; in={in_names}; out={out_names}; l={l})")
     resolved = catalog.resolve(tuple(parts))
     if resolved is not None:
         if resolved.chi != chi:
             raise CatalogFormatError(
                 f"identity for {resolved.name!r} has chi {resolved.chi}, computed {chi}"
             )
-        return replace(resolved, recipe=recipe)
-    return VirtualPiece(M.dim, chi, sigma, (), (), recipe, "", tuple(sorted(parts)))
+        return resolved
+    return VirtualPiece(M.dim, chi, sigma, (), (), "", tuple(sorted(parts)))
 
 
 def lemma_relation_check(X1: VirtualPiece, X2: VirtualPiece, X3: VirtualPiece,

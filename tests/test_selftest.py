@@ -59,6 +59,14 @@ def _kernel_reads_only_the_sign(monkeypatch):
     monkeypatch.setattr(skk, "kernel_membership", lambda T: (T.cap * T.cup).sign == 1)
 
 
+def _kernel_asks_for_one(monkeypatch):
+    monkeypatch.setattr(skk, "kernel_membership", lambda T: (T.cap * T.cup).is_one)
+
+
+def _restriction_keeps_the_sign(monkeypatch):
+    monkeypatch.setattr(skk, "abs_psi", skk.psi)
+
+
 def _sampled_words_get_an_extra_outgoing_circle(monkeypatch):
     real = tqft.random_word_with_arities
     monkeypatch.setattr(tqft, "random_word_with_arities",
@@ -116,14 +124,27 @@ def test_every_check_has_a_fault():
     assert list(FAULTS) == [c.name for c in selftest.run_selftest(0).checks]
 
 
-@pytest.mark.parametrize("name", FAULTS)
-def test_planted_fault_fails_the_check(monkeypatch, name):
-    plant, args = FAULTS[name]
+def _assert_fault_fails_the_check(monkeypatch, name, plant, args):
     assert getattr(selftest, name)(*args).passed
     plant(monkeypatch)
     result = getattr(selftest, name)(*args)
     assert (result.name, result.passed) == (name, False)
     assert result.witness
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_planted_fault_fails_the_check(monkeypatch, name):
+    plant, args = FAULTS[name]
+    _assert_fault_fails_the_check(monkeypatch, name, plant, args)
+
+
+# Faults that only a grid point with cap * cup = -1 shows: the signed grid
+# must hold a sign-valued TQFT of sign -1.
+@pytest.mark.parametrize("plant", [_kernel_asks_for_one, _restriction_keeps_the_sign],
+                         ids=lambda plant: plant.__name__.strip("_"))
+@pytest.mark.parametrize("name", ["kernel_theorem", "split_sequence"])
+def test_sign_fault_fails_the_check(monkeypatch, name, plant):
+    _assert_fault_fails_the_check(monkeypatch, name, plant, (0,))
 
 
 def test_closed_words_off_the_kernel_fail_the_check_not_the_command(monkeypatch):

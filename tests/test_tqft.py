@@ -317,27 +317,25 @@ class TestMappingCylinderRatio:
 
 class TestThetaChecks:
     def test_exp_chi_dim2_passes(self):
-        ok, witness = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(2), 2,
-                                                    seed=0, budget=150)
-        assert ok and witness is None
+        result = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(2), 2, seed=0, budget=150)
+        assert result.passed and result.witness is None
 
     def test_exp_chi_dim1_fails_on_arc_gluing(self):
-        ok, witness = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(1), 1,
-                                                    seed=0, budget=150)
-        assert not ok
-        assert witness == "two arcs glued to a circle: exp(1) * exp(1) != exp(0)"
+        result = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(1), 1, seed=0, budget=150)
+        assert not result.passed
+        assert result.witness == "two arcs glued to a circle: exp(1) * exp(1) != exp(0)"
 
     def test_constant_theta_passes_both(self):
         one = lambda m: tqft.exp_scalar(0)
-        assert tqft.check_theta_defines_tqft(one, 2, seed=1, budget=80)[0]
-        assert tqft.check_theta_defines_tqft(one, 1, seed=1, budget=80)[0]
+        assert tqft.check_theta_defines_tqft(one, 2, seed=1, budget=80).passed
+        assert tqft.check_theta_defines_tqft(one, 1, seed=1, budget=80).passed
 
     def test_component_count_theta_fails_dim2(self):
         def comp_count(s):
             return tqft.exp_scalar(len(s.components))
 
-        ok, witness = tqft.check_theta_defines_tqft(comp_count, 2, seed=1, budget=200)
-        assert not ok and witness
+        result = tqft.check_theta_defines_tqft(comp_count, 2, seed=1, budget=200)
+        assert not result.passed and result.witness
 
 
 class TestOneManifoldGluing:
@@ -398,3 +396,31 @@ class TestBoundaryDependence:
     def test_non_kernel_rejected(self):
         with pytest.raises(tqft.NotInKernel):
             tqft.boundary_dependence_check(rational_tqft(2, 3), seed=0, budget=40)
+
+    @pytest.mark.parametrize("dependence_pair, closed_form_pair", [(2, 5), (5, 2)])
+    def test_each_check_reports_its_own_first_failure(self, monkeypatch, dependence_pair,
+                                                      closed_form_pair):
+        """One pair breaks only boundary-only dependence (its second word gets
+        an extra outgoing circle), another only the closed form (both words
+        get one); each check reports its own pair, whichever comes first."""
+        real = tqft.random_word_with_arities
+        drawn = []
+
+        def sampler(rng, in_arity, out_arity):
+            pair, second = divmod(len(drawn), 2)
+            extra = pair == closed_form_pair or (pair == dependence_pair and second == 1)
+            word = real(rng, in_arity, out_arity + int(extra))
+            drawn.append((in_arity, out_arity, word))
+            return word
+
+        monkeypatch.setattr(tqft, "random_word_with_arities", sampler)
+        T = rational_tqft(2, Fraction(1, 2))
+        dependence, closed_form = tqft.boundary_dependence_check(T, seed=0, budget=8).checks
+        assert len(drawn) == 16
+        (i, o, M), (_, _, N) = drawn[2 * dependence_pair:2 * dependence_pair + 2]
+        assert dependence.witness == (f"{M.text()!r} -> {tqft.evaluate(T, M)} but {N.text()!r}"
+                                      f" -> {tqft.evaluate(T, N)} with arities {i}->{o}")
+        i, o, M = drawn[2 * closed_form_pair]
+        assert closed_form.witness == (f"{M.text()!r} -> {tqft.evaluate(T, M)}, expected"
+                                       f" cup**({i}-{o}) = {T.cup ** (i - o)}")
+        assert not dependence.passed and not closed_form.passed

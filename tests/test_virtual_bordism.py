@@ -258,6 +258,11 @@ class TestCatalogFormat:
         with pytest.raises(vb.CatalogFormatError):
             vb.catalog_from_json('{"dim": 2, "l": 1, "pieces": [], "extra": 1}')
 
+    def test_odd_dimension_rejected(self):
+        # boundary labels carry no chi, which is right only in even dimension
+        with pytest.raises(vb.CatalogFormatError):
+            vb.catalog_from_json('{"dim": 3, "l": 1, "pieces": []}')
+
     def test_b_sigma_must_name_pieces(self):
         with pytest.raises(vb.CatalogFormatError):
             vb.catalog_from_json(
