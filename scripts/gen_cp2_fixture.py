@@ -8,7 +8,8 @@ with Betti numbers (1, 0, 1, 0, 1) and prints the lexicographically first
 one together with the orientation normalized to cup-product signature +1.
 
 The output is frozen into skkinv.fixtures; rerunning this script
-reproduces it from scratch in a couple of minutes.
+reproduces it from scratch in about 0.3 s (Python 3.11 on one core of a
+2-vCPU virtual machine).
 """
 
 import itertools
@@ -18,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from skkinv.intersection_form import signature
-from skkinv.simplicial import SimplicialComplex, homology, orient, validate_closed
+from skkinv.simplicial import NotOrientable, SimplicialComplex, homology, orient, validate_closed
 
 
 def translate(subset, s, t):
@@ -60,7 +61,7 @@ def main():
             continue
         try:
             oriented = orient(K)
-        except Exception:
+        except NotOrientable:
             continue
         if homology(K, "rationals").betti != (1, 0, 1, 0, 1):
             continue

@@ -297,22 +297,6 @@ def normal_form(M: CobordismWord) -> CobordismClass:
     return CobordismClass(M.dim, M.in_arity, M.out_arity, tuple(components))
 
 
-def equivalent(M: CobordismWord, N: CobordismWord) -> bool:
-    """Equality of normal forms, including positional boundary assignment."""
-    if M.dim != N.dim:
-        raise WrongDimension("cannot compare words of different dimensions")
-    if M.in_arity != N.in_arity or M.out_arity != N.out_arity:
-        raise ArityMismatch("boundary arities differ")
-    return normal_form(M) == normal_form(N)
-
-
-def chi_from_generators(M: CobordismWord) -> int:
-    """Euler characteristic of a dimension-2 word from generator counts."""
-    if M.dim != 2:
-        raise WrongDimension("generator chi formula is for dimension 2")
-    return sum(CHI_2[g] * n for g, n in M.generator_counts().items())
-
-
 # -- seeded samplers -----------------------------------------------------------
 
 _GENS_BY_IN = {

@@ -20,16 +20,13 @@ mostly zeros with unit entries, and this step usually finishes the job.
 For invariant factors, whatever block is left has
 no unit entry and goes to the dense Smith loop; for kernels and independence
 over the rationals, elimination continues fraction-free. No `Fraction`,
-float or modular rank is involved. The unimodular transforms of a Smith
-normal form are computed only when asked for, by the dense Smith loop run
-on the whole matrix, which stays as the reference.
+float or modular rank is involved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 
@@ -61,10 +58,6 @@ class IntMatrix:
         return cls(len(rows), ncols, flat)
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, (0,) * (rows * cols))
 
@@ -74,63 +67,6 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([[self[i, j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        a, b = self.to_rows(), other.to_rows()
-        out = [[sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-               for i in range(self.rows)]
-        return IntMatrix.from_rows(out) if out else IntMatrix.zeros(0, other.cols)
-
-
-@dataclass(frozen=True, eq=False)
-class SNFResult:
-    """Smith normal form data: U * A * V = diag(d_1 ... d_r) padded with zeros.
-
-    `diag` lists only the nonzero invariant factors, each dividing the next;
-    `left` and `right` are unimodular. The transforms are computed on first
-    access, by the dense reference loop on `matrix`, the input A. Two results
-    are equal when `diag`, `left` and `right` all agree.
-    """
-
-    diag: tuple[int, ...]
-    matrix: IntMatrix = field(repr=False)
-
-    @cached_property
-    def _transforms(self) -> tuple[IntMatrix, IntMatrix]:
-        A = self.matrix
-        u = IntMatrix.identity(A.rows).to_rows()
-        v = IntMatrix.identity(A.cols).to_rows()
-        _smith_loop(A.to_rows(), A.rows, A.cols, u, v)
-        left = IntMatrix.from_rows(u) if A.rows else IntMatrix.zeros(0, 0)
-        right = IntMatrix.from_rows(v) if A.cols else IntMatrix.zeros(0, 0)
-        return left, right
-
-    @property
-    def left(self) -> IntMatrix:
-        return self._transforms[0]
-
-    @property
-    def right(self) -> IntMatrix:
-        return self._transforms[1]
-
-    def __eq__(self, other):
-        if not isinstance(other, SNFResult):
-            return NotImplemented
-        return (self.diag, self.left, self.right) == (other.diag, other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.diag, self.left, self.right))
-
-    def diagonal_matrix(self, rows: int, cols: int) -> IntMatrix:
-        entries = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(self.diag):
-            entries[i][i] = d
-        return IntMatrix.from_rows(entries) if rows else IntMatrix.zeros(0, cols)
 
 
 @dataclass(frozen=True)
@@ -160,40 +96,27 @@ def _min_pivot(m, t, rows, cols):
     return best
 
 
-def _smith_loop(m, rows, cols, u=None, v=None) -> tuple[int, ...]:
+def _smith_loop(m, rows, cols) -> tuple[int, ...]:
     """Diagonalize the dense rows `m` in place; returns the nonzero invariant factors.
 
     Pivot choice is the smallest nonzero absolute value in the remaining
     block, ties broken by row-major scan order, which makes the output
-    deterministic. When the identity rows `u` (rows x rows) and `v`
-    (cols x cols) are given, they receive the row and column operations, so
-    that u * A * v ends up diagonal.
+    deterministic.
     """
-    track = u is not None
 
     def row_op(dst, src, q):
         m[dst] = [a - q * b for a, b in zip(m[dst], m[src])]
-        if track:
-            u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
 
     def col_op(dst, src, q):
         for r in m:
             r[dst] -= q * r[src]
-        if track:
-            for r in v:
-                r[dst] -= q * r[src]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
-        if track:
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in m:
             r[i], r[j] = r[j], r[i]
-        if track:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
 
     t = 0
     while t < min(rows, cols):
@@ -234,8 +157,6 @@ def _smith_loop(m, rows, cols, u=None, v=None) -> tuple[int, ...]:
             pos = _min_pivot(m, t, rows, cols)
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
-            if track:
-                u[t] = [-x for x in u[t]]
         t += 1
     return tuple(m[i][i] for i in range(t))
 
@@ -412,27 +333,19 @@ class _Elimination:
         self.pivots.append((c, v[c], v))
 
 
-def _invariant_factors(A: IntMatrix) -> tuple[int, ...]:
-    """Nonzero invariant factors of A: one per unit pivot, then the dense
-    Smith loop on the block the unit pivots leave behind."""
+def smith_normal_form(A: IntMatrix) -> tuple[int, ...]:
+    """Nonzero invariant factors of A over the integers, each dividing the next:
+    one per unit pivot, then the dense Smith loop on the block the unit pivots
+    leave behind."""
     elim = _Elimination(_sparse_rows(A))
     units = elim.eliminate_units()
     rest, cols = elim.remainder()
     return (1,) * units + _smith_loop(rest, len(rest), cols)
 
 
-def smith_normal_form(A: IntMatrix) -> SNFResult:
-    """Smith normal form of A over the integers.
-
-    The invariant factors come from the sparse kernel; the unimodular
-    transforms `left` and `right` are computed only when first read.
-    """
-    return SNFResult(_invariant_factors(A), A)
-
-
 def rational_rank(A: IntMatrix) -> int:
     """Rank of A over the rationals: the number of nonzero invariant factors."""
-    return len(_invariant_factors(A))
+    return len(smith_normal_form(A))
 
 
 def _dense(vector: dict[int, int], length: int) -> tuple[int, ...]:

@@ -361,7 +361,7 @@ def homology(K: SimplicialComplex, coefficients: str = "integers") -> HomologyPr
     ranks = [0] * (n + 2)
     torsion: list[tuple[int, ...]] = [()] * (n + 1)
     for k in range(1, n + 1):
-        diag = smith_normal_form(chain.boundary(k)).diag
+        diag = smith_normal_form(chain.boundary(k))
         ranks[k] = sum(d % 2 for d in diag) if coefficients == "mod2" else len(diag)
         if coefficients == "integers":
             torsion[k - 1] = tuple(d for d in diag if d > 1)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import InputError
-from .simplicial import SimplicialComplex
 
 
 class NotClosedSurface(ValueError):
@@ -262,84 +261,6 @@ def mapping_torus_demo() -> Surface:
     the identity, so the mapping torus is the torus regardless of the map.
     """
     return torus()
-
-
-# -- conversion to simplicial models ------------------------------------------
-
-def _connected_sum(K1: SimplicialComplex, K2: SimplicialComplex) -> SimplicialComplex:
-    """Connected sum of closed triangulated surfaces along one facet each."""
-    shift = max(K1.vertices()) + 1
-    f1 = K1.facets[0]
-    k2_facets = [tuple(v + shift for v in f) for f in K2.facets]
-    f2 = k2_facets[0]
-    rename = dict(zip(f2, f1))
-    rest2 = [tuple(sorted(rename.get(v, v) for v in f)) for f in k2_facets[1:]]
-    facets = list(K1.facets[1:]) + rest2
-    return SimplicialComplex.from_facets(2, facets)
-
-
-def _subdivide_facet(K: SimplicialComplex, index: int) -> SimplicialComplex:
-    a, b, c = K.facets[index]
-    v = max(K.vertices()) + 1
-    facets = list(K.facets[:index]) + list(K.facets[index + 1:])
-    facets += [(a, b, v), (a, c, v), (b, c, v)]
-    return SimplicialComplex.from_facets(2, facets)
-
-
-def _closed_genus_complex(g: int) -> SimplicialComplex:
-    from .fixtures import sphere2, torus7
-
-    K = sphere2() if g == 0 else torus7()
-    for _ in range(g - 1):
-        K = _connected_sum(K, torus7())
-    return K
-
-
-def to_simplicial(S: Surface) -> SimplicialComplex:
-    """Triangulation with the same Euler characteristic, for cross-checking.
-
-    Boundary circles are realized by removing pairwise vertex-disjoint
-    facets from a closed model, subdividing first when the model is too
-    small to host disjoint holes.
-    """
-    from .simplicial import disjoint_union as complex_union
-
-    result = None
-    for comp in S.components:
-        K = _closed_genus_complex(comp.genus)
-        b = comp.boundary_count
-        if b:
-            chosen = _disjoint_facets(K, b)
-            attempts = 0
-            while chosen is None:
-                attempts += 1
-                if attempts > 60:
-                    raise ValueError(f"could not host {b} disjoint holes")
-                K = _subdivide_facet(K, attempts % len(K.facets))
-                chosen = _disjoint_facets(K, b)
-            keep = [f for i, f in enumerate(K.facets) if i not in chosen]
-            K = SimplicialComplex.from_facets(2, keep)
-        result = K if result is None else complex_union(result, K)
-    if result is None:
-        return SimplicialComplex.from_facets(2, [])
-    return result
-
-
-def _disjoint_facets(K: SimplicialComplex, count: int):
-    """Backtracking search for `count` pairwise vertex-disjoint facets."""
-
-    def search(start: int, chosen: list[int], seen: set[int]):
-        if len(chosen) == count:
-            return set(chosen)
-        for i in range(start, len(K.facets)):
-            f = K.facets[i]
-            if seen.isdisjoint(f):
-                found = search(i + 1, chosen + [i], seen | set(f))
-                if found is not None:
-                    return found
-        return None
-
-    return search(0, [], set())
 
 
 # -- seeded samplers -------------------------------------------------------------

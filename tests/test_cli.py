@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, and report formats."""
 
+import ast
 import itertools
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -460,14 +462,40 @@ class TestParserReuse:
             "facts['selftest_exit'] = cli.run(['selftest', '--seed', '0']).exit_code\n"
             "print(json.dumps(facts))\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert json.loads(out) == {"parsers": 0, "loaded": [], "selftest_exit": 0}
+        assert json.loads(_fresh_python(code)) == {"parsers": 0, "loaded": [], "selftest_exit": 0}
+
+
+def _fresh_python(code):
+    """Standard output of `code` run by a new interpreter that finds the source tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_word_and_surface_layers_load_no_linear_algebra():
+    code = (
+        "import json, sys\n"
+        "import skkinv.cobordism, skkinv.surfaces, skkinv.tqft\n"
+        "loaded = {'skkinv.simplicial', 'skkinv.exact_linalg'} & set(sys.modules)\n"
+        "print(json.dumps(sorted(loaded)))\n"
+    )
+    assert json.loads(_fresh_python(code)) == []
 
 
 class TestShippedFixtureFiles:
+    def test_cp2_fixture_is_what_the_search_script_prints(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ on the path
+        script = runpy.run_path(str(ROOT / "scripts" / "gen_cp2_fixture.py"))
+        script["main"]()
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("facets:")
+        signs = lines.index("orientation signs (signature +1):")
+        facets = [ast.literal_eval(line.strip().rstrip(",")) for line in lines[start + 1:signs]]
+        K = fixtures.cp2_9()
+        assert facets == list(K.facets)
+        assert ast.literal_eval(lines[signs + 1].strip()) == K.orientations
+
     def test_files_match_in_code_fixtures(self):
         from skkinv.simplicial import complex_from_json
 

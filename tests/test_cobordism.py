@@ -10,6 +10,11 @@ from skkinv import cobordism as cb
 seeds = st.integers(min_value=0, max_value=2 ** 31)
 
 
+def chi_from_generators(M):
+    """Euler characteristic of a dimension-2 word from its generator counts."""
+    return sum(cb.CHI_2[g] * n for g, n in M.generator_counts().items())
+
+
 class TestParse:
     def test_sphere_word(self):
         w = cb.parse_word("cap ; cup")
@@ -52,12 +57,12 @@ class TestCompose:
         nf = cb.normal_form(w)
         assert len(nf.components) == 1
         assert nf.components[0].genus == 1
-        assert cb.chi_from_generators(w) == -2
+        assert chi_from_generators(w) == -2
 
     def test_identity_law(self):
         M = cb.parse_word("copants ; pants")
         cylinder = cb.identity_word(M.out_arity)
-        assert cb.equivalent(cb.compose(M, cylinder), M)
+        assert cb.normal_form(cb.compose(M, cylinder)) == cb.normal_form(M)
 
     def test_arity_check(self):
         with pytest.raises(cb.ArityMismatch):
@@ -144,7 +149,7 @@ class TestNormalForm:
         rng = random.Random(5)
         for _ in range(200):
             w = cb.random_word(rng)
-            assert cb.chi_from_generators(w) == cb.normal_form(w).total_chi()
+            assert chi_from_generators(w) == cb.normal_form(w).total_chi()
 
     @given(seeds)
     @settings(max_examples=60, deadline=None)
@@ -192,18 +197,16 @@ class TestWidths:
 
 class TestEquivalent:
     def test_cylinder_vs_genus_tube(self):
-        assert not cb.equivalent(cb.parse_word("id"), cb.parse_word("copants ; pants"))
+        tube = cb.parse_word("copants ; pants")
+        assert cb.normal_form(cb.parse_word("id")) != cb.normal_form(tube)
 
     def test_swap_squared(self):
-        assert cb.equivalent(cb.parse_word("swap ; swap"), cb.parse_word("id | id"))
+        twice = cb.parse_word("swap ; swap")
+        assert cb.normal_form(twice) == cb.normal_form(cb.parse_word("id | id"))
 
     def test_reflexive(self):
         w = cb.parse_word("cap ; copants ; pants ; cup")
-        assert cb.equivalent(w, w)
-
-    def test_arity_guard(self):
-        with pytest.raises(cb.ArityMismatch):
-            cb.equivalent(cb.parse_word("cap"), cb.parse_word("cup"))
+        assert cb.normal_form(w) == cb.normal_form(w)
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -218,7 +221,7 @@ class TestEquivalent:
         for _ in range(g):
             w = cb.compose(w, cb.parse_word("copants ; pants"))
         w = cb.equivalent_rewrite(rng, w)
-        assert cb.equivalent(left, w)
+        assert cb.normal_form(left) == cb.normal_form(w)
 
 
 class TestDimensionOne:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from skkinv import fixtures
-from skkinv.exact_linalg import IntMatrix, independent_modulo
+from skkinv.exact_linalg import independent_modulo
 from skkinv.intersection_form import (
     WrongDimension,
     _h2_representatives,
@@ -21,6 +21,12 @@ from skkinv.simplicial import (
     euler_characteristic,
     orient,
 )
+
+
+def matrix_product(rows, A):
+    """The integer rows times the matrix A, as a list of rows."""
+    a = A.to_rows()
+    return [[sum(x * a[i][j] for i, x in enumerate(r)) for j in range(A.cols)] for r in rows]
 
 
 def relabelled(K, seed):
@@ -77,8 +83,8 @@ class TestIntersectionMatrix:
             assert len(reps) == rank
             assert all(len(r) == len(M.simplices(2)) for r in reps)
             if reps:
-                product = IntMatrix.from_rows(reps).mul(boundary_matrix(M, 3))
-                assert set(product.entries) == {0}
+                product = matrix_product(reps, boundary_matrix(M, 3))
+                assert {x for row in product for x in row} == {0}
                 assert independent_modulo(boundary_matrix(M, 2), reps) == reps
 
     def test_wrong_dimension(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skkinv import fixtures
-from skkinv.exact_linalg import IntMatrix, independent_modulo, left_kernel, smith_normal_form
+from skkinv.exact_linalg import independent_modulo, left_kernel, smith_normal_form
 from skkinv.simplicial import (
     MAX_CLOSURE,
     ChainComplex,
@@ -257,6 +257,12 @@ class TestHomology:
             homology(fixtures.sphere2(), "mod3")
 
 
+def matrix_product(rows, A):
+    """The integer rows times the matrix A, as a list of rows."""
+    a = A.to_rows()
+    return [[sum(x * a[i][j] for i, x in enumerate(r)) for j in range(A.cols)] for r in rows]
+
+
 def reference_homology(K, coefficients="integers"):
     """Betti numbers and torsion from Smith normal forms of the full boundary
     matrices, with no reduction."""
@@ -264,7 +270,7 @@ def reference_homology(K, coefficients="integers"):
     ranks = [0] * (n + 2)
     torsion = [()] * (n + 1)
     for k in range(1, n + 1):
-        diag = smith_normal_form(boundary_matrix(K, k)).diag
+        diag = smith_normal_form(boundary_matrix(K, k))
         ranks[k] = sum(d % 2 for d in diag) if coefficients == "mod2" else len(diag)
         if coefficients == "integers":
             torsion[k - 1] = tuple(d for d in diag if d > 1)
@@ -341,8 +347,8 @@ class TestReduction:
             reps = [chain.cocycle(k, z) for z in independent_modulo(chain.boundary(k), cocycles)]
             assert len(reps) == betti[k]
             if reps:
-                product = IntMatrix.from_rows(reps).mul(boundary_matrix(K, k + 1))
-                assert set(product.entries) <= {0}
+                product = matrix_product(reps, boundary_matrix(K, k + 1))
+                assert all(x == 0 for row in product for x in row)
                 assert independent_modulo(boundary_matrix(K, k), reps) == reps
 
     @settings(max_examples=100, deadline=None)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skkinv import surfaces as sf
-from skkinv.simplicial import euler_characteristic, validate_closed
 
 
 class TestChi:
@@ -301,15 +300,3 @@ class TestScriptFormat:
     def test_malformed_lines(self, bad):
         with pytest.raises(sf.ScriptError):
             sf.parse_script(bad)
-
-
-class TestSimplicialConversion:
-    @pytest.mark.parametrize("components", [
-        ((0, 0),), ((1, 0),), ((2, 0),), ((0, 1),), ((0, 2),), ((0, 3),),
-        ((1, 2),), ((2, 1),), ((0, 0), (1, 1)),
-    ])
-    def test_chi_matches(self, components):
-        S = sf.surface(*components)
-        K = sf.to_simplicial(S)
-        assert euler_characteristic(K) == sf.chi(S)
-        assert validate_closed(K) == S.is_closed
