@@ -57,14 +57,6 @@ class IntMatrix:
         flat = tuple(int(x) for r in rows for x in r)
         return cls(len(rows), ncols, flat)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
     def to_rows(self) -> list[list[int]]:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
 
@@ -379,7 +371,7 @@ def independent_modulo(span: IntMatrix, vectors) -> list[tuple[int, ...]]:
     return kept
 
 
-# -- symmetric forms and determinants --------------------------------------------
+# -- symmetric forms -------------------------------------------------------------
 
 def symmetric_signature(Q) -> SignatureTriple:
     """Inertia of a symmetric matrix of exact rationals via congruence moves.
@@ -425,28 +417,3 @@ def symmetric_signature(Q) -> SignatureTriple:
                 for j in range(n):
                     m[j][i] -= f * m[j][k]
     return SignatureTriple(n_plus, n_minus, n_zero)
-
-
-def determinant(A: IntMatrix) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    m = A.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

@@ -150,6 +150,125 @@ def disjoint_union(S1: Surface, S2: Surface) -> Surface:
     return Surface(comps, shift + S2.next_circle)
 
 
+class _Piece:
+    """A component under edit: mutable, compared and hashed by identity."""
+
+    __slots__ = ("genus", "circles")
+
+    def __init__(self, genus: int, circles: list[int]):
+        self.genus = genus
+        self.circles = circles
+
+
+class _Editor:
+    """A surface under a sequence of moves: its components in order, the
+    component owning each circle, and the next fresh circle identifier.
+
+    Each move kind is one method that edits this state in place; a move that
+    raises may leave it part-edited, and every caller drops it with the
+    exception. `surface()` validates the result once.
+    """
+
+    def __init__(self, S: Surface):
+        self.pieces = [_Piece(c.genus, list(c.circles)) for c in S.components]
+        self.owner = {c: p for p in self.pieces for c in p.circles}
+        self.next_circle = S.next_circle
+
+    def surface(self) -> Surface:
+        return Surface(tuple(Component(p.genus, tuple(p.circles)) for p in self.pieces),
+                       self.next_circle)
+
+    def normal_form(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """chi and the sorted multiset of (genus, boundary circles) of the
+        current surface, as `chi` and `Surface.as_multiset` give them."""
+        shape = tuple(sorted([(p.genus, len(p.circles)) for p in self.pieces]))
+        return sum(2 - 2 * g - b for g, b in shape), shape
+
+    def apply(self, move) -> None:
+        if isinstance(move, CutSpec):
+            self.cut(move)
+        elif isinstance(move, PasteSpec):
+            self.paste(move)
+        else:
+            raise ScriptError(f"unknown move object {move!r}")
+
+    def cut(self, spec: CutSpec) -> None:
+        if not 0 <= spec.component < len(self.pieces):
+            raise InvalidSpec(f"no component {spec.component}")
+        piece = self.pieces[spec.component]
+        nxt = self.next_circle
+        if isinstance(spec.kind, NonSeparating):
+            if piece.genus == 0:
+                raise InvalidSpec("non-separating curve requires genus >= 1")
+            piece.genus -= 1
+            piece.circles += (nxt, nxt + 1)
+            self.owner[nxt] = self.owner[nxt + 1] = piece
+            self.next_circle = nxt + 2
+            return
+        kind = spec.kind
+        if not 0 <= kind.genus_first <= piece.genus:
+            raise InvalidSpec(
+                f"genus split {kind.genus_first} out of range for genus {piece.genus}")
+        if not all(self.owner.get(c) is piece for c in kind.circles_first):
+            raise InvalidSpec("partition names circles absent from the component")
+        second = _Piece(piece.genus - kind.genus_first,
+                        [c for c in piece.circles if c not in kind.circles_first] + [nxt + 1])
+        piece.genus = kind.genus_first
+        piece.circles = [c for c in piece.circles if c in kind.circles_first] + [nxt]
+        self.pieces.insert(spec.component + 1, second)
+        for c in second.circles:
+            self.owner[c] = second
+        self.owner[nxt] = piece
+        self.next_circle = nxt + 2
+
+    def paste(self, spec: PasteSpec) -> None:
+        used: set[int] = set()
+        for a, b in spec.pairs:
+            if a == b:
+                raise InvalidMatching(f"circle {a} matched with itself")
+            for c in (a, b):
+                if c in used:
+                    raise InvalidMatching(f"circle {c} matched twice")
+                used.add(c)
+        owner = self.owner
+        # union-find over the pieces the matching touches
+        parent: dict[_Piece, _Piece] = {}
+
+        def find(x):
+            while parent.setdefault(x, x) is not x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for a, b in spec.pairs:
+            for c in (a, b):
+                if c not in owner:
+                    raise InvalidMatching(f"no circle {c}")
+            parent[find(owner[a])] = find(owner[b])
+
+        # clusters in the order of their first piece; the first piece keeps
+        # the cluster's place and becomes the glued component
+        clusters: dict[_Piece, list[_Piece]] = {}
+        for piece in [p for p in self.pieces if p in parent]:
+            clusters.setdefault(find(piece), []).append(piece)
+        absorbed: set[_Piece] = set()
+        for members in clusters.values():
+            total_chi = sum(2 - 2 * p.genus - len(p.circles) for p in members)
+            remaining = [c for p in members for c in p.circles if c not in used]
+            genus2 = 2 - len(remaining) - total_chi
+            if genus2 < 0 or genus2 % 2 != 0:
+                raise InvalidMatching("matching does not produce an orientable surface")
+            first = members[0]
+            first.genus, first.circles = genus2 // 2, remaining
+            for p in members[1:]:
+                for c in p.circles:
+                    owner[c] = first
+                absorbed.add(p)
+        for c in used:
+            del owner[c]
+        if absorbed:
+            self.pieces = [p for p in self.pieces if p not in absorbed]
+
+
 def cut(S: Surface, spec: CutSpec) -> Surface:
     """Cut one component along a simple closed curve.
 
@@ -157,31 +276,9 @@ def cut(S: Surface, spec: CutSpec) -> Surface:
     splits into (g1, b1+1) and (g-g1, b2+1) along the declared partition of
     the boundary circles. Both preserve the Euler characteristic.
     """
-    if not 0 <= spec.component < len(S.components):
-        raise InvalidSpec(f"no component {spec.component}")
-    comp = S.components[spec.component]
-    nxt = S.next_circle
-    if isinstance(spec.kind, NonSeparating):
-        if comp.genus == 0:
-            raise InvalidSpec("non-separating curve requires genus >= 1")
-        new_comp = Component(comp.genus - 1, comp.circles + (nxt, nxt + 1))
-        comps = (
-            S.components[: spec.component] + (new_comp,) + S.components[spec.component + 1:]
-        )
-        return Surface(comps, nxt + 2)
-    kind = spec.kind
-    if not 0 <= kind.genus_first <= comp.genus:
-        raise InvalidSpec(f"genus split {kind.genus_first} out of range for genus {comp.genus}")
-    if not kind.circles_first <= set(comp.circles):
-        raise InvalidSpec("partition names circles absent from the component")
-    first_circles = tuple(c for c in comp.circles if c in kind.circles_first)
-    second_circles = tuple(c for c in comp.circles if c not in kind.circles_first)
-    first = Component(kind.genus_first, first_circles + (nxt,))
-    second = Component(comp.genus - kind.genus_first, second_circles + (nxt + 1,))
-    comps = (
-        S.components[: spec.component] + (first, second) + S.components[spec.component + 1:]
-    )
-    return Surface(comps, nxt + 2)
+    editor = _Editor(S)
+    editor.cut(spec)
+    return editor.surface()
 
 
 def paste(S: Surface, spec: PasteSpec) -> Surface:
@@ -191,44 +288,9 @@ def paste(S: Surface, spec: PasteSpec) -> Surface:
     is recovered from chi = 2 - 2g - b over its remaining boundary, which
     leaves an unmatched component as it was.
     """
-    used: set[int] = set()
-    for a, b in spec.pairs:
-        if a == b:
-            raise InvalidMatching(f"circle {a} matched with itself")
-        for c in (a, b):
-            if c in used:
-                raise InvalidMatching(f"circle {c} matched twice")
-            used.add(c)
-    owner = {c: i for i, comp in enumerate(S.components) for c in comp.circles}
-    # union-find over component indices
-    parent = list(range(len(S.components)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in spec.pairs:
-        for c in (a, b):
-            if c not in owner:
-                raise InvalidMatching(f"no circle {c}")
-        parent[find(owner[a])] = find(owner[b])
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(len(S.components)):
-        clusters.setdefault(find(i), []).append(i)
-
-    new_components = []
-    for indices in sorted(clusters.values(), key=lambda ix: ix[0]):
-        members = [S.components[i] for i in indices]
-        total_chi = sum(c.chi for c in members)
-        remaining = tuple(c for comp in members for c in comp.circles if c not in used)
-        genus2 = 2 - len(remaining) - total_chi
-        if genus2 < 0 or genus2 % 2 != 0:
-            raise InvalidMatching("matching does not produce an orientable surface")
-        new_components.append(Component(genus2 // 2, remaining))
-    return Surface(tuple(new_components), S.next_circle)
+    editor = _Editor(S)
+    editor.paste(spec)
+    return editor.surface()
 
 
 def sk_equivalent(M: Surface, N: Surface) -> bool:
@@ -347,11 +409,20 @@ def parse_script(text: str):
 
 
 def apply_script(S: Surface, moves) -> Surface:
+    editor = _Editor(S)
     for move in moves:
-        if isinstance(move, CutSpec):
-            S = cut(S, move)
-        elif isinstance(move, PasteSpec):
-            S = paste(S, move)
-        else:
-            raise ScriptError(f"unknown move object {move!r}")
-    return S
+        editor.apply(move)
+    return editor.surface()
+
+
+def trace_script(S: Surface, moves):
+    """Yield (chi, sorted multiset) of S and of the surface after each move.
+
+    One pass: the moves edit one `_Editor`, and no intermediate `Surface` is
+    built. An invalid move raises after the steps before it were yielded.
+    """
+    editor = _Editor(S)
+    yield editor.normal_form()
+    for move in moves:
+        editor.apply(move)
+        yield editor.normal_form()

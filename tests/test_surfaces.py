@@ -1,6 +1,7 @@
 """Cut-and-paste bookkeeping on surfaces in classification normal form."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,6 +259,104 @@ class TestRandomSequences:
 
         assert (chi_after(X, f_pairs) - chi_after(X, g_pairs)
                 == chi_after(Y, f_pairs) - chi_after(Y, g_pairs))
+
+
+def cut_reference(S, spec):
+    """A cut written out on frozen components, one new `Surface` per call."""
+    comp, nxt, i = S.components[spec.component], S.next_circle, spec.component
+    if isinstance(spec.kind, sf.NonSeparating):
+        pieces = (sf.Component(comp.genus - 1, comp.circles + (nxt, nxt + 1)),)
+    else:
+        chosen, g1 = spec.kind.circles_first, spec.kind.genus_first
+        pieces = (sf.Component(g1, tuple(c for c in comp.circles if c in chosen) + (nxt,)),
+                  sf.Component(comp.genus - g1,
+                               tuple(c for c in comp.circles if c not in chosen) + (nxt + 1,)))
+    return sf.Surface(S.components[:i] + pieces + S.components[i + 1:], nxt + 2)
+
+
+def random_script(rng, length):
+    """A random start surface, a script of valid random moves, and the
+    surface after each move by the references above."""
+    S = sf.random_surface(rng, max_components=5)
+    moves, surfaces = [], [S]
+    for _ in range(length):
+        move = sf.random_move(rng, S)
+        if move is None:
+            break
+        if isinstance(move, sf.CutSpec):
+            S = cut_reference(S, move)
+        else:
+            S = paste_reference(S, move.pairs)
+        moves.append(move)
+        surfaces.append(S)
+    return moves, surfaces
+
+
+def invalid_moves(S):
+    """(move, exception class, message) for moves that do not apply to S."""
+    n, nxt = len(S.components), S.next_circle
+    cases = [(sf.CutSpec(n, sf.NonSeparating()), sf.InvalidSpec, f"no component {n}"),
+             (sf.CutSpec(0, sf.Separating(S.components[0].genus + 1)), sf.InvalidSpec,
+              f"genus split {S.components[0].genus + 1} out of range"
+              f" for genus {S.components[0].genus}"),
+             (sf.CutSpec(0, sf.Separating(0, frozenset({nxt}))), sf.InvalidSpec,
+              "partition names circles absent from the component"),
+             (sf.PasteSpec(((nxt, nxt),)), sf.InvalidMatching, f"circle {nxt} matched with itself"),
+             (sf.PasteSpec(((nxt, nxt + 1), (nxt + 1, nxt + 2))), sf.InvalidMatching,
+              f"circle {nxt + 1} matched twice"),
+             (sf.PasteSpec(((nxt + 1, nxt),)), sf.InvalidMatching, f"no circle {nxt + 1}"),
+             ("paste 0~1", sf.ScriptError, "unknown move object 'paste 0~1'")]
+    cases += [(sf.CutSpec(i, sf.NonSeparating()), sf.InvalidSpec,
+               "non-separating curve requires genus >= 1")
+              for i, comp in enumerate(S.components) if comp.genus == 0][:1]
+    ids = S.circle_ids()
+    if ids:
+        cases.append((sf.PasteSpec(((ids[0], nxt),)), sf.InvalidMatching, f"no circle {nxt}"))
+    glued = sorted(set(range(nxt)) - set(ids))  # circles an earlier paste used up
+    if glued:
+        cases += [(sf.PasteSpec(((glued[0], nxt),)), sf.InvalidMatching, f"no circle {glued[0]}"),
+                  (sf.CutSpec(0, sf.Separating(0, frozenset(glued[:1]))), sf.InvalidSpec,
+                   "partition names circles absent from the component")]
+    return cases
+
+
+class TestTraceScript:
+    @given(st.integers(min_value=0, max_value=2 ** 31))
+    @settings(max_examples=100, deadline=None)
+    def test_steps_match_the_per_move_path(self, seed):
+        rng = random.Random(seed)
+        moves, surfaces = random_script(rng, rng.randrange(0, 40))
+        S, expected = surfaces[0], [(sf.chi(surfaces[0]), surfaces[0].as_multiset())]
+        for move in moves:
+            S = sf.apply_script(S, [move])
+            expected.append((sf.chi(S), S.as_multiset()))
+        assert list(sf.trace_script(surfaces[0], moves)) == expected
+        assert expected == [(sf.chi(R), R.as_multiset()) for R in surfaces]
+
+    @given(st.integers(min_value=0, max_value=2 ** 31))
+    @settings(max_examples=100, deadline=None)
+    def test_apply_script_keeps_circle_ids(self, seed):
+        rng = random.Random(seed)
+        moves, surfaces = random_script(rng, rng.randrange(0, 40))
+        assert sf.apply_script(surfaces[0], moves) == surfaces[-1]
+        for move, before, after in zip(moves, surfaces, surfaces[1:]):
+            single = sf.cut if isinstance(move, sf.CutSpec) else sf.paste
+            assert single(before, move) == sf.apply_script(before, [move]) == after
+
+    @given(st.integers(min_value=0, max_value=2 ** 31))
+    @settings(max_examples=60, deadline=None)
+    def test_invalid_move_raises_after_the_steps_before_it(self, seed):
+        rng = random.Random(seed)
+        moves, surfaces = random_script(rng, rng.randrange(0, 20))
+        k = rng.randrange(len(moves) + 1)
+        for bad, error, message in invalid_moves(surfaces[k]):
+            script = moves[:k] + [bad] + moves[k:]
+            steps = []
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                steps.extend(sf.trace_script(surfaces[0], script))
+            assert len(steps) == k + 1
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                sf.apply_script(surfaces[0], script)
 
 
 class TestScriptFormat:
