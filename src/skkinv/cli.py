@@ -173,13 +173,15 @@ def _cmd_cutpaste(args) -> CommandResult:
                              f" and boundary circles in all; this script passes it after"
                              f" {len(trace)} of its {len(moves)} moves")
         trace.append((chi, shape))
+    if args.json:
+        doc = {"schema": SCHEMA, "command": "cutpaste",
+               "trace": [{"chi": c, "components": [list(x) for x in shape]}
+                         for c, shape in trace]}
+        return CommandResult(0, "", doc)
     lines = [f"start: {trace[0][1]} chi {trace[0][0]}"]
     for i, (chi, shape) in enumerate(trace[1:], start=1):
         lines.append(f"after move {i}: {shape} chi {chi}")
-    doc = {"schema": SCHEMA, "command": "cutpaste",
-           "trace": [{"chi": c, "components": [list(x) for x in shape]}
-                     for c, shape in trace]}
-    return CommandResult(0, "\n".join(lines), doc)
+    return CommandResult(0, "\n".join(lines))
 
 
 def _cmd_cob_normal_form(args) -> CommandResult:

@@ -5,12 +5,12 @@ by side; the bottom layer is applied first. Dimension-2 generators are the
 surface pieces id, swap, cap, cup, pants, copants; dimension-1 generators
 are pid, acap, acup on finite point sets.
 
-Equivalence of words is decided through a normal form: connected components
-are traced with union-find through the layers, and each dimension-2
-component is classified by (genus, attached in-circles, attached
-out-circles), which is complete by the classification of compact oriented
-surfaces. Boundary circles are tracked positionally; reorderings are
-explicit swap layers.
+Equivalence of words is decided through a normal form: one sweep from the
+bottom layer up carries each wire's component label, merging components
+where a generator joins wires, and each dimension-2 component is classified
+by (genus, attached in-circles, attached out-circles), which is complete by
+the classification of compact oriented surfaces. Boundary circles are
+tracked positionally; reorderings are explicit swap layers.
 
 Grammar (whitespace-insensitive):
     word  := layer (";" layer)*
@@ -21,7 +21,6 @@ Grammar (whitespace-insensitive):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import InputError
@@ -60,6 +59,10 @@ GENERATORS = {
     "acup": (1, 2, 0),
 }
 
+# dimension -> generator -> (in-arity, out-arity), read by the word kernels
+ARITIES = {dim: {g: (n_in, n_out) for g, (d, n_in, n_out) in GENERATORS.items() if d == dim}
+           for dim in (1, 2)}
+
 # contribution of each dimension-2 generator to the Euler characteristic
 CHI_2 = {"id": 0, "swap": 0, "cap": 1, "cup": 1, "pants": -1, "copants": -1}
 
@@ -80,19 +83,25 @@ class CobordismWord:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dimension {self.dim} not supported")
+        arities = ARITIES[self.dim]
         widths: list[int] = []
         for layer in self.layers:
+            ins = outs = 0
             for g in layer:
-                if g not in GENERATORS:
-                    raise ValueError(f"unknown generator {g!r}")
-                if GENERATORS[g][0] != self.dim:
-                    raise WrongDimension(f"generator {g!r} lives in dimension {GENERATORS[g][0]}")
-            ins = sum(GENERATORS[g][1] for g in layer)
+                try:
+                    n_in, n_out = arities[g]
+                except KeyError:
+                    if g not in GENERATORS:
+                        raise ValueError(f"unknown generator {g!r}") from None
+                    raise WrongDimension(
+                        f"generator {g!r} lives in dimension {GENERATORS[g][0]}") from None
+                ins += n_in
+                outs += n_out
             if not widths:
                 widths.append(ins)
             elif ins != widths[-1]:
                 raise ArityMismatch(f"layer expects {ins} inputs but receives {widths[-1]}")
-            widths.append(sum(GENERATORS[g][2] for g in layer))
+            widths.append(outs)
         object.__setattr__(self, "widths", tuple(widths) or (0,))
 
     @property
@@ -218,15 +227,18 @@ class CobordismClass:
 def normal_form(M: CobordismWord) -> CobordismClass:
     """Classify the word's connected components.
 
-    Wires (boundary positions between layers) and generator patches are
-    merged with union-find over integer node ids: the wires of boundary li
-    are numbered from base[li], and patches follow every wire. Per
-    component the Euler characteristic comes from generator counts and the
-    genus from chi = 2 - 2g - (boundary circles). A swap is two disjoint
-    strands, not a connected patch.
+    One sweep from the bottom layer up carries the component label of each
+    wire: every in-boundary wire starts a component of its own, id and pid
+    pass a label on, and swap exchanges two (a swap is two disjoint strands,
+    not a connected patch). Any other generator opens a component, merges
+    the components of its inputs into it and labels its outputs with it;
+    union-find runs over components only, and a merge adds up their Euler
+    characteristics from the generators. The genus then comes from
+    chi = 2 - 2g - (boundary circles).
     """
-    base = list(itertools.accumulate(M.widths, initial=0))
-    parent = list(range(base.pop()))
+    arities = ARITIES[M.dim]
+    parent = list(range(M.in_arity))
+    chi = [0] * M.in_arity
 
     def find(x):
         root = x
@@ -236,55 +248,47 @@ def normal_form(M: CobordismWord) -> CobordismClass:
             parent[x], x = root, parent[x]
         return root
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    patch_gen: list[tuple[int, str]] = []
-    for li, layer in enumerate(M.layers):
-        in_pos = base[li]
-        out_pos = base[li + 1]
+    labels = parent[:]
+    for layer in M.layers:
+        out: list[int] = []
+        pos = 0
         for g in layer:
-            _, n_in, n_out = GENERATORS[g]
-            if g in ("id", "pid"):
-                union(in_pos, out_pos)
+            if g == "id" or g == "pid":
+                out.append(labels[pos])
+                pos += 1
             elif g == "swap":
-                union(in_pos, out_pos + 1)
-                union(in_pos + 1, out_pos)
+                out += (labels[pos + 1], labels[pos])
+                pos += 2
             else:
-                patch = len(parent)
-                parent.append(patch)
-                patch_gen.append((patch, g))
-                for node in range(in_pos, in_pos + n_in):
-                    union(patch, node)
-                for node in range(out_pos, out_pos + n_out):
-                    union(patch, node)
-            in_pos += n_in
-            out_pos += n_out
+                n_in, n_out = arities[g]
+                comp = len(parent)
+                parent.append(comp)
+                chi.append(CHI_2.get(g, 0))
+                for label in labels[pos:pos + n_in]:
+                    root = find(label)
+                    if root != comp:
+                        parent[root] = comp
+                        chi[comp] += chi[root]
+                pos += n_in
+                out += (comp,) * n_out
+        labels = out
 
-    comp_chi: dict[int, int] = {}
     comp_ins: dict[int, list[int]] = {}
     comp_outs: dict[int, list[int]] = {}
-    for patch, g in patch_gen:
-        root = find(patch)
-        comp_chi[root] = comp_chi.get(root, 0) + CHI_2.get(g, 0)
     for p in range(M.in_arity):
         comp_ins.setdefault(find(p), []).append(p)
-    for p in range(M.out_arity):
-        comp_outs.setdefault(find(base[-1] + p), []).append(p)
+    for p, label in enumerate(labels):
+        comp_outs.setdefault(find(label), []).append(p)
 
-    roots = set(comp_chi) | set(comp_ins) | set(comp_outs)
     components = []
-    for root in roots:
-        ins = tuple(sorted(comp_ins.get(root, [])))
-        outs = tuple(sorted(comp_outs.get(root, [])))
+    for root in [c for c, up in enumerate(parent) if c == up]:
+        ins = tuple(comp_ins.get(root, ()))
+        outs = tuple(comp_outs.get(root, ()))
         if M.dim == 2:
-            chi = comp_chi.get(root, 0)
-            two_g = 2 - chi - len(ins) - len(outs)
+            two_g = 2 - chi[root] - len(ins) - len(outs)
             if two_g < 0 or two_g % 2 != 0:
                 raise InternalInvariantViolation(
-                    f"component chi {chi} with boundary {len(ins)}+{len(outs)}"
+                    f"component chi {chi[root]} with boundary {len(ins)}+{len(outs)}"
                 )
             components.append(ComponentClass(two_g // 2, ins, outs))
         else:
@@ -308,23 +312,30 @@ _GENS_BY_IN = {
 def random_word(rng, dim: int = 2, start_arity: int | None = None) -> CobordismWord:
     """Seeded random word of 1 to 5 layers; arbitrary boundary arities."""
     table = _GENS_BY_IN[dim]
+    arities = ARITIES[dim]
     cur = rng.randrange(0, 4) if start_arity is None else start_arity
     layers = []
     for _ in range(rng.randrange(1, 6)):
         layer = []
         rem = cur
+        cur = 0
         while rem > 0:
             if rem >= 2 and rng.random() < 0.4:
                 g = rng.choice(table[2])
             else:
                 g = rng.choice(table[1])
             layer.append(g)
-            rem -= GENERATORS[g][1]
+            n_in, n_out = arities[g]
+            rem -= n_in
+            cur += n_out
         while rng.random() < 0.25:
-            layer.append(rng.choice(table[0]))
+            g = rng.choice(table[0])
+            layer.append(g)
+            cur += arities[g][1]
         if not layer:
-            layer.append(rng.choice(table[0]))
-        cur = sum(GENERATORS[g][2] for g in layer)
+            g = rng.choice(table[0])
+            layer.append(g)
+            cur += arities[g][1]
         layers.append(tuple(layer))
     return CobordismWord(dim, tuple(layers))
 

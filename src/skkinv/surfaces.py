@@ -254,9 +254,15 @@ class _Editor:
         for members in clusters.values():
             total_chi = sum(2 - 2 * p.genus - len(p.circles) for p in members)
             remaining = [c for p in members for c in p.circles if c not in used]
+            # A cluster of m pieces of genera summing to G, joined by k pairs,
+            # has total_chi = 2m - 2G - B for B circles and 2k of them glued,
+            # so genus2 = 2 - (B - 2k) - total_chi = 2(G + k - m + 1). The
+            # pairs connect the m pieces, so k >= m - 1: genus2 is even and
+            # at least 2G, and a matching cannot make it otherwise.
             genus2 = 2 - len(remaining) - total_chi
             if genus2 < 0 or genus2 % 2 != 0:
-                raise InvalidMatching("matching does not produce an orientable surface")
+                raise RuntimeError(f"paste computed {genus2} as twice the genus of a"
+                                   f" cluster of {len(members)} pieces")
             first = members[0]
             first.genus, first.circles = genus2 // 2, remaining
             for p in members[1:]:

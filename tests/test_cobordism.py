@@ -1,5 +1,6 @@
 """Cobordism words: parsing, composition, tensor, and normal forms."""
 
+import itertools
 import random
 
 import pytest
@@ -162,6 +163,126 @@ class TestNormalForm:
         assert cb.normal_form(rewritten) == cb.normal_form(w)
 
 
+def normal_form_reference(M):
+    """Union-find over every wire of every layer and one node per generator
+    patch; a swap joins its strands crosswise, and the Euler characteristic
+    of a component sums its patches' contributions."""
+    base = list(itertools.accumulate(M.widths, initial=0))
+    parent = list(range(base.pop()))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    patch_gen = []
+    for li, layer in enumerate(M.layers):
+        in_pos, out_pos = base[li], base[li + 1]
+        for g in layer:
+            _, n_in, n_out = cb.GENERATORS[g]
+            if g in ("id", "pid"):
+                union(in_pos, out_pos)
+            elif g == "swap":
+                union(in_pos, out_pos + 1)
+                union(in_pos + 1, out_pos)
+            else:
+                patch = len(parent)
+                parent.append(patch)
+                patch_gen.append((patch, g))
+                for node in [*range(in_pos, in_pos + n_in), *range(out_pos, out_pos + n_out)]:
+                    union(patch, node)
+            in_pos += n_in
+            out_pos += n_out
+
+    comp_chi, comp_ins, comp_outs = {}, {}, {}
+    for patch, g in patch_gen:
+        comp_chi[find(patch)] = comp_chi.get(find(patch), 0) + cb.CHI_2.get(g, 0)
+    for p in range(M.in_arity):
+        comp_ins.setdefault(find(p), []).append(p)
+    for p in range(M.out_arity):
+        comp_outs.setdefault(find(base[-1] + p), []).append(p)
+    components = []
+    for root in set(comp_chi) | set(comp_ins) | set(comp_outs):
+        ins = tuple(sorted(comp_ins.get(root, [])))
+        outs = tuple(sorted(comp_outs.get(root, [])))
+        if M.dim == 2:
+            two_g = 2 - comp_chi.get(root, 0) - len(ins) - len(outs)
+            assert two_g >= 0 and two_g % 2 == 0
+            components.append(cb.ComponentClass(two_g // 2, ins, outs))
+        else:
+            assert len(ins) + len(outs) in (0, 2)
+            components.append(cb.ComponentClass(None, ins, outs))
+    components.sort(key=lambda c: (c.in_positions, c.out_positions,
+                                   -1 if c.genus is None else c.genus))
+    return cb.CobordismClass(M.dim, M.in_arity, M.out_arity, tuple(components))
+
+
+def swap_heavy_word(rng, layers):
+    """Dimension-2 word whose layers are mostly swaps, with a few patches."""
+    width = rng.randrange(0, 7)
+    rows = []
+    for _ in range(layers):
+        row, rem = [], width
+        while rem > 0:
+            if rem >= 2 and rng.random() < 0.7:
+                g = "swap" if rng.random() < 0.85 else "pants"
+            else:
+                g = rng.choice(("id", "id", "cup", "copants"))
+            row.append(g)
+            rem -= cb.GENERATORS[g][1]
+        if rng.random() < 0.2 or not row:
+            row.append("cap")
+        rows.append(tuple(row))
+        width = sum(cb.GENERATORS[g][2] for g in row)
+    return cb.CobordismWord(2, tuple(rows))
+
+
+def long_word(rng, dim, generators):
+    """Random words composed and tensored until the word has the given
+    number of generators or more."""
+    M = cb.random_word(rng, dim=dim)
+    while sum(map(len, M.layers)) < generators:
+        if rng.random() < 0.7:
+            M = cb.compose(M, cb.random_word(rng, dim=dim, start_arity=M.out_arity))
+        else:
+            M = cb.tensor(M, cb.random_word(rng, dim=dim))
+    return M
+
+
+class TestSweepMatchesReference:
+    @given(seeds, st.sampled_from([1, 2]), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=150, deadline=None)
+    def test_random_words_and_rewrite_chains(self, seed, dim, rewrites):
+        rng = random.Random(seed)
+        M = cb.random_word(rng, dim=dim)
+        for _ in range(rewrites):
+            assert cb.normal_form(M) == normal_form_reference(M)
+            M = cb.equivalent_rewrite(rng, M)
+        assert cb.normal_form(M) == normal_form_reference(M)
+
+    @given(seeds, st.sampled_from([1, 2]))
+    @settings(max_examples=80, deadline=None)
+    def test_closed_words(self, seed, dim):
+        M = cb.random_closed_word(random.Random(seed), dim=dim)
+        assert cb.normal_form(M) == normal_form_reference(M)
+
+    @given(seeds, st.integers(min_value=1, max_value=40))
+    @settings(max_examples=80, deadline=None)
+    def test_swap_heavy_words(self, seed, layers):
+        M = swap_heavy_word(random.Random(seed), layers)
+        assert cb.normal_form(M) == normal_form_reference(M)
+
+    @given(seeds, st.sampled_from([1, 2]))
+    @settings(max_examples=15, deadline=None)
+    def test_words_of_a_thousand_generators(self, seed, dim):
+        M = long_word(random.Random(seed), dim, 1000)
+        assert sum(map(len, M.layers)) >= 1000
+        assert cb.normal_form(M) == normal_form_reference(M)
+
+
 def widths_reference(M):
     """Wire count at each boundary, summed from the generator table."""
     if not M.layers:
@@ -193,6 +314,32 @@ class TestWidths:
         object.__setattr__(twin, "widths", (7, 7))
         assert twin == M and hash(twin) == hash(M)
         assert repr(twin) == repr(M) == f"CobordismWord(dim=2, layers={M.layers!r})"
+
+
+class TestConstructionErrors:
+    """Generators are checked left to right, each for being known and then
+    for its dimension, before the layer's arity; layers go bottom up."""
+
+    @pytest.mark.parametrize("dim,layers,error,message", [
+        (3, (("bogus",),), ValueError, "dimension 3 not supported"),
+        (2, (("cap",), ("pants", "bogus")), ValueError, "unknown generator 'bogus'"),
+        (2, (("cap",), ("bogus", "pid")), ValueError, "unknown generator 'bogus'"),
+        (2, (("cap",), ("pants", "pid", "bogus")), cb.WrongDimension,
+         "generator 'pid' lives in dimension 1"),
+        (1, (("acap",), ("cap", "pid")), cb.WrongDimension,
+         "generator 'cap' lives in dimension 2"),
+        (2, (("cap",), ("pants", "id")), cb.ArityMismatch,
+         "layer expects 3 inputs but receives 1"),
+        (2, (("cap",), ("pants",), ("bogus",)), cb.ArityMismatch,
+         "layer expects 2 inputs but receives 1"),
+        (1, (("acap",), ("acup",), ("pid",)), cb.ArityMismatch,
+         "layer expects 1 inputs but receives 0"),
+    ])
+    def test_class_message_and_precedence(self, dim, layers, error, message):
+        with pytest.raises(ValueError) as err:
+            cb.CobordismWord(dim, layers)
+        assert type(err.value) is error
+        assert str(err.value) == message
 
 
 class TestEquivalent:

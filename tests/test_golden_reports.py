@@ -28,6 +28,11 @@ SCRIPTS = {
 _FIX = "{root}/fixtures/"
 _COMPLEXES = ("circle", "sphere2", "torus7", "projective_plane6", "sphere3", "sphere4", "cp2_9")
 
+# 200 layers in dimension 1: each acap either closes into a circle at the next
+# acup or carries a through-strand on a zigzag
+_LONG_DIM1 = " ; ".join(["pid | acap | pid", "pid | acup | pid",
+                         "acap | pid | pid", "pid | acup | pid"] * 50)
+
 ARGV = (
     [["homology", _FIX + f"{name}.json", "--coefficients", coefficients]
      for name in ("circle", "torus7", "projective_plane6", "sphere3", "cp2_9")
@@ -51,6 +56,9 @@ ARGV = (
        ["cob", "normal-form", "pid | pid ; acup", "--dim", "1"],
        ["cob", "normal-form", "cap ; pants"],
        ["cob", "normal-form", "cap ; capp"],
+       ["cob", "normal-form", _LONG_DIM1, "--dim", "1"],
+       ["cob", "normal-form", "cap ; copants ; pid | id"],
+       ["cob", "normal-form", "acap ; pid | pid ; id", "--dim", "1"],
        ["cob", "eval", "cap ; cup", "--cap", "2", "--cup", "3"],
        ["cob", "eval", "cap ; copants ; pants ; cup", "--cap=-3/2", "--cup", "5/7"],
        ["cob", "eval", "cap | cap ; pants ; cup", "--cap-exp", "1/2", "--cup-exp=-3"],
@@ -63,6 +71,9 @@ ARGV = (
        ["tqft", "verify", "--cap-exp=7", "--cup-exp=-9/5", "--seed", "761527", "--budget", "100",
         "--corrupt"],
        ["tqft", "verify", "--cap=-3", "--cup=7/4", "--budget", "100"]]
+    + [["tqft", "verify", *scalars, "--seed", "5", "--budget", "300", *corrupt]
+       for scalars in (["--cap=-5/3", "--cup", "7"], ["--cap-exp", "2/3", "--cup-exp=-4"])
+       for corrupt in ([], ["--corrupt"])]
     + [["skk", "verify-sequence", "--grid", "1", "--seed", "0"],
        ["skk", "verify-sequence", "--grid", "1", "--seed", "2", "--corrupt-splitting"],
        ["skk", "verify-sequence", "--grid", "0"],

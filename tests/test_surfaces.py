@@ -104,19 +104,48 @@ def paste_reference(S, pairs):
     return sf.Surface(tuple(comps), S.next_circle)
 
 
+def random_matching(seed):
+    """A random surface, cut a few times, and a random matching of its circles."""
+    rng = random.Random(seed)
+    S = sf.random_surface(rng, max_components=5)
+    for _ in range(rng.randrange(0, 4)):  # cuts renumber circles out of order
+        move = sf.random_move(rng, S)
+        if isinstance(move, sf.CutSpec):
+            S = sf.cut(S, move)
+    ids = list(S.circle_ids())
+    rng.shuffle(ids)
+    pairs = tuple((ids[2 * k], ids[2 * k + 1]) for k in range(rng.randrange(len(ids) // 2 + 1)))
+    return S, pairs
+
+
 class TestPasteReference:
     @pytest.mark.parametrize("seed", range(60))
     def test_random_matchings(self, seed):
-        rng = random.Random(seed)
-        S = sf.random_surface(rng, max_components=5)
-        for _ in range(rng.randrange(0, 4)):  # cuts renumber circles out of order
-            move = sf.random_move(rng, S)
-            if isinstance(move, sf.CutSpec):
-                S = sf.cut(S, move)
-        ids = list(S.circle_ids())
-        rng.shuffle(ids)
-        pairs = tuple((ids[2 * k], ids[2 * k + 1]) for k in range(rng.randrange(len(ids) // 2 + 1)))
+        S, pairs = random_matching(seed)
         assert sf.paste(S, sf.PasteSpec(pairs)) == paste_reference(S, pairs)
+
+    @given(st.integers(min_value=0, max_value=2 ** 31))
+    @settings(max_examples=200, deadline=None)
+    def test_glued_genus_is_whole(self, seed):
+        """For each cluster a paste glues, 2 - (circles left) - chi is
+        2(G + k - m + 1) for m members of genera summing to G and k pairs:
+        even and non-negative, so the paste never meets a bad genus."""
+        S, pairs = random_matching(seed)
+        owner = {c: i for i, comp in enumerate(S.components) for c in comp.circles}
+        cluster_of = list(range(len(S.components)))
+        for a, b in pairs:
+            old, new = cluster_of[owner[a]], cluster_of[owner[b]]
+            cluster_of = [new if x == old else x for x in cluster_of]
+        used = {c for pair in pairs for c in pair}
+        for cluster in {cluster_of[owner[a]] for a, _ in pairs}:
+            members = [comp for i, comp in enumerate(S.components) if cluster_of[i] == cluster]
+            k = sum(1 for a, _ in pairs if cluster_of[owner[a]] == cluster)
+            left = sum(1 for m in members for c in m.circles if c not in used)
+            chi = sum(2 - 2 * m.genus - m.boundary_count for m in members)
+            twice_genus = 2 - left - chi
+            assert twice_genus == 2 * (sum(m.genus for m in members) + k - len(members) + 1)
+            assert twice_genus % 2 == 0 and twice_genus >= 0
+        sf.paste(S, sf.PasteSpec(pairs))
 
     @pytest.mark.parametrize("script,message", [
         ("paste 99~1 2~2", "circle 2 matched with itself"),

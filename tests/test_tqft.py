@@ -165,13 +165,20 @@ class TestEvaluate:
     def test_two_powers_per_word(self, monkeypatch):
         """A word with all six generators costs one power per base, whatever
         its length."""
-        calls = []
-        for cls in (tqft.RationalScalar, tqft.ExpScalar):
+        calls, inside = [], []
+        # a rational power may be taken on the scalar or on its Fraction
+        # value; one taken inside another counts once
+        for cls in (tqft.RationalScalar, tqft.ExpScalar, Fraction):
             real = cls.__pow__
 
             def counting(self, k, real=real):
-                calls.append(k)
-                return real(self, k)
+                if not inside:
+                    calls.append(k)
+                inside.append(k)
+                try:
+                    return real(self, k)
+                finally:
+                    inside.pop()
 
             monkeypatch.setattr(cls, "__pow__", counting)
         w = cb.parse_word("cap | cap ; swap ; pants ; copants ; id | cup ; cup")
@@ -198,6 +205,67 @@ class TestEvaluate:
         exponent = sum(1 - c.genus for c in nf.components)
         assert exponent * 2 == nf.total_chi()
         assert tqft.evaluate(T, w) == (T.cap * T.cup) ** exponent
+
+
+def evaluate_through_scalars(T, w):
+    """The product of base ** k over T's bases, each power and product taken
+    as a scalar, with k summed from the exponent rows."""
+    counts = w.generator_counts()
+    value = T.cap.one()
+    for i, base in enumerate(T.bases):
+        value = value * base ** sum(T.EXPONENTS[g][i] * n for g, n in counts.items())
+    return value
+
+
+def side_by_side(counts):
+    """One layer holding count copies of each generator."""
+    return cb.CobordismWord(2, (tuple(g for g, n in counts.items() for _ in range(n)),))
+
+
+_BITS = tqft.MAX_SCALAR_BITS
+
+
+class TestRationalEvaluate:
+    @given(seeds, small_rationals, small_rationals, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_product_of_scalar_powers(self, seed, a, e, corrupt):
+        T = rational_tqft(a, e)
+        if corrupt:
+            T = tqft.corrupted_tqft(T)
+        rng = random.Random(seed)
+        w = cb.random_closed_word(rng) if seed % 2 else cb.random_word(rng)
+        value = tqft.evaluate(T, w)
+        assert type(value) is tqft.RationalScalar and type(value.value) is Fraction
+        assert value == evaluate_through_scalars(T, w)
+
+    def test_words_without_powers_give_one(self):
+        T = rational_tqft(Fraction(-5, 3), 7)
+        for w in (cb.empty_word(), cb.identity_word(3), cb.parse_word("cap | id ; pants")):
+            assert tqft.evaluate(T, w) == evaluate_through_scalars(T, w) == tqft.rational(1)
+
+    @pytest.mark.parametrize("cap,cup,counts,refused", [
+        # 4096**n has 12n + 1 bits: the largest accepted power, then one more cap
+        (4096, 3, {"cap": (_BITS - 1) // 12}, None),
+        (4096, 3, {"cap": (_BITS - 1) // 12 + 1},
+         f"^a power in the answer would have at least {12 * ((_BITS - 1) // 12 + 1) + 1} bits;"),
+        # 4096**-n has a 1-bit numerator and a 12n + 1 bit denominator
+        (4096, 3, {"pants": (_BITS - 2) // 12}, None),
+        (4096, 3, {"pants": (_BITS - 2) // 12 + 1}, "^a power in the answer would have"),
+        # 3**60 has 96 bits: 2757 caps pass the least size but not the exact one
+        (3 ** 60, 3, {"cap": 2756}, None),
+        (3 ** 60, 3, {"cap": 2757}, f"^the answer has {(3 ** (60 * 2757)).bit_length()} bits;"),
+        # powers that together pass the bound but cancel to a small answer
+        (2 ** 200, Fraction(1, 2 ** 200), {"cap": 1000, "cup": 1000}, None),
+        (-1, 3, {"cap": 140_000}, None),
+    ])
+    def test_answer_size_boundaries(self, cap, cup, counts, refused):
+        T = rational_tqft(cap, cup)
+        w = side_by_side(counts)
+        if refused is None:
+            assert tqft.evaluate(T, w) == evaluate_through_scalars(T, w)
+        else:
+            with pytest.raises(tqft.AnswerTooLarge, match=refused):
+                tqft.evaluate(T, w)
 
 
 class TestGroupStructure:
