@@ -49,12 +49,17 @@ _SURFACE_TERM = re.compile(r"g(\d+)b(\d+)")
 MAX_SURFACE_CIRCLES = 1 << 17
 
 # Bound on a cut/paste trace: the components and boundary circles of the
-# start surface and of the surface after every move, summed. The work and the
-# report grow with it, quadratically in the script length when moves add
-# components. At 2^17 the costliest accepted trace, 2000 components through
-# 64 moves, answers in about 0.15 s with --json (shared 2-vCPU VM, Python
-# 3.11); the benchmark's largest trace sums 5828.
-MAX_TRACE_ENTRIES = 1 << 17
+# start surface and of the surface after every move, summed, with a
+# component weighing TRACE_COMPONENT_WEIGHT circles. The work and the report
+# grow with this sum, quadratically in the script length when moves add
+# components. With --json a component entry costs 1-1.8 us (it is sorted and
+# printed) and a circle at most 0.17 us (walked by a cut of its component).
+# The bound admits 2^17 components or 2^21 circles; the costliest traces
+# measured there answer in 0.1-0.3 s, and a start of 2^17 spheres, whose
+# parsing costs the most, in 0.75 s (shared 2-vCPU VM, Python 3.11). The
+# benchmark's largest trace sums 5828 components and circles.
+TRACE_COMPONENT_WEIGHT = 16
+MAX_TRACE_WEIGHT = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -164,14 +169,15 @@ def _cmd_invariants(args) -> CommandResult:
 
 def _cmd_cutpaste(args) -> CommandResult:
     moves = sf.parse_script(_read(args.script))
-    trace, entries = [], 0
+    trace, weight = [], 0
     # the start surface, then the surface after each move
     for chi, shape in sf.trace_script(args.start, moves):
-        entries += len(shape) + sum(b for _, b in shape)
-        if entries > MAX_TRACE_ENTRIES:
-            raise InputError(f"a cut/paste trace may hold at most {MAX_TRACE_ENTRIES} components"
-                             f" and boundary circles in all; this script passes it after"
-                             f" {len(trace)} of its {len(moves)} moves")
+        weight += TRACE_COMPONENT_WEIGHT * len(shape) + sum(b for _, b in shape)
+        if weight > MAX_TRACE_WEIGHT:
+            raise InputError(f"a cut/paste trace may weigh at most {MAX_TRACE_WEIGHT} in all,"
+                             f" {TRACE_COMPONENT_WEIGHT} per component and 1 per boundary"
+                             f" circle; this script passes it after {len(trace)} of its"
+                             f" {len(moves)} moves")
         trace.append((chi, shape))
     if args.json:
         doc = {"schema": SCHEMA, "command": "cutpaste",

@@ -287,7 +287,7 @@ def abs_psi(T: InvertibleTQFT2) -> SKKInvariant:
         raise VariantMismatch("absolute restriction needs signed-exponential scalars")
     base = (T.cap * T.cup).abs_value()
     return SKKInvariant(2, base=base,
-                        descriptor=f"exp({base.exponent / 2}*chi)")
+                        descriptor=f"exp({Fraction(base.exponent, 2)}*chi)")
 
 
 def kernel_membership(T: InvertibleTQFT2) -> bool:
@@ -300,15 +300,16 @@ def kernel_membership(T: InvertibleTQFT2) -> bool:
 
 # Euler characteristics of sample closed surfaces separating the chi classes
 # (sphere, torus, genus 2 and 3, two spheres, torus plus genus 2), measured
-# once per process; chi-type invariants are compared through them.
-SAMPLE_CHIS = tuple(sf.chi(M) for M in (
+# once per process, each distinct value kept once; chi-type invariants are
+# compared through them.
+SAMPLE_CHIS = tuple(dict.fromkeys(sf.chi(M) for M in (
     sf.sphere(),
     sf.torus(),
     sf.genus_surface(2),
     sf.genus_surface(3),
     sf.disjoint_union(sf.sphere(), sf.sphere()),
     sf.disjoint_union(sf.torus(), sf.genus_surface(2)),
-))
+)))
 
 
 def invariants_agree(xi1: SKKInvariant, xi2: SKKInvariant) -> bool:
@@ -354,7 +355,7 @@ def splitting_S(descriptor, dim: int = 2, catalog: Catalog | None = None):
         if (descriptor.custom is not None or descriptor.base is None
                 or not isinstance(descriptor.base, ExpScalar)):
             raise ValueError("splitting needs an exponential chi/sigma-type descriptor")
-        r = descriptor.base.exponent / 2
+        r = Fraction(descriptor.base.exponent, 2)
         s = descriptor.sigma_base.exponent if descriptor.sigma_base is not None else Fraction(0)
     else:
         parts = tuple(Fraction(x) for x in descriptor)

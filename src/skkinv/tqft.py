@@ -3,7 +3,11 @@
 Scalars live in one of two exactly-represented groups: the nonzero
 rationals, or signed exponentials sign * e**(p/q) with rational exponent.
 The latter makes expressions of the form exp(integer invariant) exact and
-accommodates the sign needed by TQFTs whose closed values are +-1.
+accommodates the sign needed by TQFTs whose closed values are +-1. An
+exponent is an `int` when it is integral and a reduced `Fraction` otherwise,
+so the common integral case never enters `Fraction` arithmetic; code that
+halves or divides an exponent writes `Fraction(e, 2)`, never `e / 2`, which
+would make a float of an `int`. Scalars refuse floats.
 
 An invertible 2d TQFT is determined by two scalars: the cap (birth disk)
 value a and the cup (death disk) value e. The cylinder identities force
@@ -19,7 +23,8 @@ over a word's generator counts and raises each base once, so a word costs at
 most one power per base and no inverse. Requests are bounded: a rational
 answer may have at most `MAX_SCALAR_BITS` bits, no power is taken whose
 least size, read from its exponent, exceeds that, and `verify_axioms` runs
-at most `MAX_BUDGET` words per check.
+at most `MAX_BUDGET` words per check, and fewer as rational bases grow, so
+that the budget times their bits stays within `MAX_BUDGET_BITS`.
 """
 
 from __future__ import annotations
@@ -73,6 +78,15 @@ MAX_SCALAR_BITS = 1 << 18
 # in-process on a shared 2-vCPU VM with Python 3.11).
 MAX_BUDGET = 3000
 
+# Bound on the budget times the bits of the rational bases: every product
+# and comparison of the checks works on powers of them, so a 4000-digit cap
+# took 5 s at budget 3000. The costliest requests at the bound take under a
+# second: 0.8 s at budget 3000 with a 210-digit cap, 0.75 s for two
+# 2000-digit fractions at budget 78 with --corrupt (same VM). Exponential
+# bases are not weighed: their checks add exponents, and 4000-digit ones
+# take 0.65 s at budget 3000.
+MAX_BUDGET_BITS = 1 << 21
+
 
 @dataclass(frozen=True)
 class RationalScalar:
@@ -82,7 +96,7 @@ class RationalScalar:
 
     def __post_init__(self):
         if type(self.value) is not Fraction:
-            object.__setattr__(self, "value", Fraction(self.value))
+            object.__setattr__(self, "value", Fraction(_exact(self.value)))
         if self.value == 0:
             raise ValueError("scalar must be nonzero")
 
@@ -120,14 +134,23 @@ class RationalScalar:
 
 @dataclass(frozen=True)
 class ExpScalar:
-    """sign * e**(exponent), with exact rational exponent and sign in {+1, -1}."""
+    """sign * e**(exponent), with exact rational exponent and sign in {+1, -1}.
 
-    exponent: Fraction
+    The exponent is held in one canonical form: an `int` when it is integral,
+    a `Fraction` in lowest terms otherwise. `int` and `Fraction` mix exactly,
+    compare equal and hash alike, so the arithmetic below needs no case for
+    either; only `/` does, as `int / int` is a float, so halve an exponent
+    with `Fraction(e, 2)`.
+    """
+
+    exponent: int | Fraction
     sign: int = 1
 
     def __post_init__(self):
-        if type(self.exponent) is not Fraction:
-            object.__setattr__(self, "exponent", Fraction(self.exponent))
+        e = self.exponent
+        if type(e) is not int:
+            e = Fraction(_exact(e))
+            object.__setattr__(self, "exponent", e.numerator if e.denominator == 1 else e)
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
@@ -167,15 +190,25 @@ class ExpScalar:
         return f"{prefix}exp({fraction_text(self.exponent)})"
 
 
-# Products and powers of valid scalars are valid, so they skip __post_init__
-# and its Fraction re-normalization.
+def _exact(value):
+    """`value` itself, unless it is a float: a binary fraction such as
+    0.1 == 3602879701896397/2**55 is never what a scalar meant."""
+    if isinstance(value, float):
+        raise TypeError(f"scalars are exact; got the float {value!r}")
+    return value
+
+
+# Products and powers of valid scalars are valid, so they skip __post_init__;
+# an exponential one still takes the canonical exponent form.
 def _rational_of(value: Fraction) -> RationalScalar:
     s = object.__new__(RationalScalar)
     object.__setattr__(s, "value", value)
     return s
 
 
-def _exp_of(exponent: Fraction, sign: int) -> ExpScalar:
+def _exp_of(exponent: int | Fraction, sign: int) -> ExpScalar:
+    if type(exponent) is not int and exponent.denominator == 1:
+        exponent = exponent.numerator
     s = object.__new__(ExpScalar)
     object.__setattr__(s, "exponent", exponent)
     object.__setattr__(s, "sign", sign)
@@ -183,18 +216,18 @@ def _exp_of(exponent: Fraction, sign: int) -> ExpScalar:
 
 
 _RATIONAL_ONE = RationalScalar(Fraction(1))
-_EXP_ONE = ExpScalar(Fraction(0))
+_EXP_ONE = ExpScalar(0)
 
 
 GroupScalar = RationalScalar | ExpScalar
 
 
 def rational(value) -> RationalScalar:
-    return RationalScalar(Fraction(value))
+    return RationalScalar(value)
 
 
 def exp_scalar(exponent, sign: int = 1) -> ExpScalar:
-    return ExpScalar(Fraction(exponent), sign)
+    return ExpScalar(exponent, sign)
 
 
 @dataclass(frozen=True)
@@ -379,6 +412,10 @@ def verify_axioms(T, seed: int = 0, budget: int = 200) -> Report:
         raise InputError(f"word budget must be non-negative, got {budget}")
     if budget > MAX_BUDGET:
         raise InputError(f"word budget may be at most {MAX_BUDGET}, got {budget}")
+    bits = sum(_bits(b.value) for b in T.bases if type(b) is RationalScalar)
+    if budget * bits > MAX_BUDGET_BITS:
+        raise InputError(f"word budget times the bits of the rational scalars may be at most"
+                         f" {MAX_BUDGET_BITS}, got {budget} * {bits}")
     rng = random.Random(seed)
     return Report((equivalence_invariance(T, rng, budget), functoriality(T, rng, budget),
                    cylinder_law(T), monoidality(T, rng, budget), empty_law(T)))

@@ -7,16 +7,23 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skkinv import fixtures
-from skkinv.cli import MAX_SURFACE_CIRCLES, MAX_TRACE_ENTRIES, _build_parser, run
+from skkinv.cli import (
+    MAX_SURFACE_CIRCLES,
+    MAX_TRACE_WEIGHT,
+    TRACE_COMPONENT_WEIGHT,
+    _build_parser,
+    run,
+)
 from skkinv.rationals import int_text
 from skkinv.skk import MAX_GRID
-from skkinv.tqft import MAX_BUDGET, MAX_SCALAR_BITS
+from skkinv.tqft import MAX_BUDGET, MAX_BUDGET_BITS, MAX_SCALAR_BITS
 from skkinv.simplicial import SimplicialComplex, complex_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -169,19 +176,23 @@ class TestCutpasteCommand:
     def test_trace_size_is_bounded_at_the_start(self, tmp_path):
         script = tmp_path / "empty.txt"
         script.write_text("")
-        at_bound = run(["cutpaste", str(script), "--start", f"g0b{MAX_TRACE_ENTRIES - 1}"])
+        # k spheres and one more component with r circles weigh the bound exactly
+        k, r = divmod(MAX_TRACE_WEIGHT, TRACE_COMPONENT_WEIGHT)
+        spheres = "g0b0 + " * (k - 1)
+        at_bound = run(["cutpaste", str(script), "--start", f"{spheres}g0b{r}", "--json"])
         assert at_bound.exit_code == 0
-        over = run(["cutpaste", str(script), "--start", f"g0b{MAX_TRACE_ENTRIES}", "--json"])
+        over = run(["cutpaste", str(script), "--start", f"{spheres}g0b{r + 1}", "--json"])
         assert (over.exit_code, over.report) == (
-            2, f"error: a cut/paste trace may hold at most {MAX_TRACE_ENTRIES} components and"
-               " boundary circles in all; this script passes it after 0 of its 0 moves")
+            2, f"error: a cut/paste trace may weigh at most {MAX_TRACE_WEIGHT} in all,"
+               f" {TRACE_COMPONENT_WEIGHT} per component and 1 per boundary circle;"
+               " this script passes it after 0 of its 0 moves")
 
     def test_trace_size_is_bounded_as_cuts_add_components(self, tmp_path):
         # after k separating cuts of a sphere: k + 1 components and 2k circles
-        def entries(n):
-            return sum(3 * k + 1 for k in range(n + 1))
+        def weight(n):
+            return sum(TRACE_COMPONENT_WEIGHT * (k + 1) + 2 * k for k in range(n + 1))
 
-        n = max(n for n in range(1000) if entries(n) <= MAX_TRACE_ENTRIES)
+        n = max(n for n in range(1000) if weight(n) <= MAX_TRACE_WEIGHT)
         script = tmp_path / "cuts.txt"
         script.write_text("cut 0 sep 0 -\n" * n)
         assert run(["cutpaste", str(script), "--start", "g0b0", "--json"]).exit_code == 0
@@ -189,6 +200,18 @@ class TestCutpasteCommand:
         result = run(["cutpaste", str(script), "--start", "g0b0"])
         assert result.exit_code == 2
         assert result.report.endswith(f"passes it after {n + 1} of its {n + 1} moves")
+
+    def test_circle_heavy_trace_is_accepted(self, tmp_path):
+        # a circle weighs a sixteenth of a component: 3 x 65534 circles pass
+        script = tmp_path / "moves.txt"
+        script.write_text("paste 0~1\ncut 0 sep 0 -\n")
+        start = time.perf_counter()
+        result = run(["cutpaste", str(script), "--start", "g0b65534", "--json"])
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 0
+        assert [entry["components"] for entry in json.loads(result.report)["trace"]] == [
+            [[0, 65534]], [[1, 65532]], [[0, 1], [1, 65533]]]
+        assert elapsed < 1.0
 
 
 class TestCobCommands:
@@ -291,6 +314,25 @@ class TestTqftVerifyCommand:
                           "--budget", str(budget)])
             assert result.exit_code == 2
             assert result.report == f"error: word budget may be at most {MAX_BUDGET}, got {budget}"
+
+    def test_budget_is_weighed_by_rational_scalar_bits(self):
+        # 2**2046 has 2047 bits and 1 has 1, so budget 1024 weighs the bound exactly
+        assert MAX_BUDGET_BITS == 2048 * 1024
+        scalars = [f"--cap={2 ** 2046}", "--cup=1"]
+        at_bound = run(["tqft", "verify", *scalars, "--budget", "1024"])
+        assert at_bound.exit_code == 0
+        over = run(["tqft", "verify", *scalars, "--budget", "1025", "--json"])
+        assert (over.exit_code, over.report) == (
+            2, f"error: word budget times the bits of the rational scalars may be at most"
+               f" {MAX_BUDGET_BITS}, got 1025 * 2048")
+        # a denominator counts too: 1/2**2046 has 1 + 2047 bits
+        over = run(["tqft", "verify", "--cap=1", f"--cup=-1/{2 ** 2046}", "--budget", "1025"])
+        assert over.report.endswith("got 1025 * 2049")
+
+    def test_exponential_scalars_are_not_weighed(self):
+        result = run(["tqft", "verify", "--cap-exp=" + "7" * 4000, "--cup-exp=-1/3",
+                      "--budget", "300"])
+        assert result.exit_code == 0
 
     def test_corrupt_flag_finds_violation(self):
         result = run(["tqft", "verify", "--cap", "2", "--cup", "1/2",

@@ -192,6 +192,18 @@ class TestAbsPsi:
         assert skk.abs_psi(T).descriptor == f"exp({(p + q) / 2}*chi)"
         assert skk.abs_psi(T).descriptor == skk.chi_invariant((p + q) / 2).descriptor
 
+    @given(st.integers(-40, 40), st.integers(-40, 40), st.sampled_from((1, -1)))
+    @settings(max_examples=80, deadline=None)
+    def test_descriptor_of_odd_integer_sum_has_no_decimal_point(self, p, q, sign):
+        """Integer exponents are ints, and half of an odd int stays a Fraction."""
+        assume((p + q) % 2)
+        descriptor = skk.abs_psi(InvertibleTQFT2(exp_scalar(p, sign), exp_scalar(q))).descriptor
+        assert "." not in descriptor
+        assert descriptor == f"exp({p + q}/2*chi)"
+        half = exp_scalar(Fraction(p + q, 2))
+        split = skk.splitting_S(skk.abs_psi(InvertibleTQFT2(exp_scalar(p), exp_scalar(q))))
+        assert split == InvertibleTQFT2(half, half)
+
     @given(st.fractions(min_value=-6, max_value=6, max_denominator=6),
            st.sampled_from((1, -1)), st.integers(-12, 12))
     @settings(max_examples=80, deadline=None)

@@ -14,6 +14,12 @@ small_rationals = st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
                                max_denominator=5).filter(lambda q: q != 0)
 
 
+def _exp_text(exponent: Fraction, sign: int) -> str:
+    """The text of sign * e**exponent as the Fraction reference prints it."""
+    prefix = "-" if sign == -1 else ""
+    return prefix + ("1" if exponent == 0 else f"exp({exponent})")
+
+
 def rational_tqft(a, e):
     return tqft.InvertibleTQFT2(tqft.rational(a), tqft.rational(e))
 
@@ -90,12 +96,42 @@ class TestScalars:
             assert type(got.value) is Fraction
             assert got == tqft.RationalScalar(want) and hash(got) == hash(tqft.RationalScalar(want))
         u, v = tqft.exp_scalar(p, sign), tqft.exp_scalar(q)
-        for got, want in ((u * v, tqft.ExpScalar(p + q, sign)),
-                          (u ** k, tqft.ExpScalar(p * k, sign if k % 2 else 1)),
-                          (u.inverse(), tqft.ExpScalar(-p, sign)),
-                          (u.abs_value(), tqft.ExpScalar(p)), (u.one(), tqft.ExpScalar(0))):
-            assert type(got.exponent) is Fraction
-            assert got == want and hash(got) == hash(want)
+        for got, want in ((u * v, (p + q, sign)), (u ** k, (p * k, sign if k % 2 else 1)),
+                          (u.inverse(), (-p, sign)), (u.abs_value(), (p, 1)), (u.one(), (0, 1))):
+            exponent, want_sign = want
+            # canonical form: an int exactly when the exponent is integral
+            assert type(got.exponent) is (int if exponent.denominator == 1 else Fraction)
+            built = tqft.ExpScalar(exponent, want_sign)
+            assert got == built and hash(got) == hash(built)
+            assert str(got) == str(built) == _exp_text(exponent, want_sign)
+
+    def test_float_scalars_refused(self):
+        for make in (tqft.exp_scalar, tqft.ExpScalar, tqft.rational, tqft.RationalScalar):
+            with pytest.raises(TypeError):
+                make(0.1)
+        with pytest.raises(TypeError):
+            tqft.ExpScalar(2.0, -1)
+
+    def test_integral_fraction_exponent_is_an_int(self):
+        x = tqft.exp_scalar(Fraction(6, 3))
+        assert x.exponent == 2 and type(x.exponent) is int
+        assert type(tqft.ExpScalar(Fraction(-4, 2), -1).exponent) is int
+        assert type(tqft.exp_scalar(Fraction(1, 2)).exponent) is Fraction
+
+    @given(st.integers(0, 6), st.lists(st.integers(0, 12), min_size=1, max_size=6),
+           st.integers(-5, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_products_and_powers_keep_int_exponents(self, half_width, picks, k):
+        from skkinv.skk import default_grid
+
+        grid = default_grid(half_width)
+        value = grid[0].one()
+        for i in picks:
+            x = grid[i % len(grid)]
+            for got in (x, x ** k, x.inverse(), x.abs_value(), value * x):
+                assert type(got.exponent) is int
+            value = value * x ** k
+        assert type(value.exponent) is int
 
     def test_variant_mixing_rejected(self):
         with pytest.raises(tqft.VariantMismatch):
