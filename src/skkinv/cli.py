@@ -48,6 +48,12 @@ _SURFACE_TERM = re.compile(r"g(\d+)b(\d+)")
 # `simplicial.MAX_CLOSURE`; the benchmark's start surfaces have at most 15.
 MAX_SURFACE_CIRCLES = 1 << 17
 
+# Bound on the terms of a surface expression, counted before any is parsed.
+# Each term becomes a component, so without it a 3.5 MB expression of
+# 500,000 spheres was parsed and built (2.7 s, 170 MB) before the trace bound
+# refused it. 2^17 terms, the most spheres a cut/paste trace admits.
+MAX_SURFACE_COMPONENTS = 1 << 17
+
 # Bound on a cut/paste trace: the components and boundary circles of the
 # start surface and of the surface after every move, summed, with a
 # component weighing TRACE_COMPONENT_WEIGHT circles. The work and the report
@@ -87,6 +93,9 @@ def fraction(text: str) -> Fraction:
 
 def surface_expr(text: str) -> sf.Surface:
     """Argument type for surfaces: g<genus>b<boundary> terms joined by '+'."""
+    if text.count("+") + 1 > MAX_SURFACE_COMPONENTS:
+        raise argparse.ArgumentTypeError(
+            f"a surface expression may have at most {MAX_SURFACE_COMPONENTS} terms")
     comps = []
     for term in text.split("+"):
         match = _SURFACE_TERM.fullmatch(term.strip().lower())

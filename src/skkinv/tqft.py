@@ -20,7 +20,10 @@ A TQFT declares its `bases`, here (a, e), and in `EXPONENTS` the integer
 exponent row of each generator's value over them: cap (1, 0), cup (0, 1),
 pants (-1, 0), copants (0, -1), id and swap (0, 0). `evaluate` sums the rows
 over a word's generator counts and raises each base once, so a word costs at
-most one power per base and no inverse. Requests are bounded: a rational
+most one power per base and no inverse. The value thus depends only on those
+totals, so verification tabulates it per call: `verify_axioms` and
+`boundary_dependence_check` each pass one dict to `evaluate`, which computes
+each distinct tuple of totals once. Requests are bounded: a rational
 answer may have at most `MAX_SCALAR_BITS` bits, no power is taken whose
 least size, read from its exponent, exceeds that, and `verify_axioms` runs
 at most `MAX_BUDGET` words per check, and fewer as rational bases grow, so
@@ -74,17 +77,18 @@ class AnswerTooLarge(InputError):
 MAX_SCALAR_BITS = 1 << 18
 
 # Bound on the random words per check of `verify_axioms`; a request at the
-# bound takes about half a second (0.45-0.7 s with scalars of a few digits,
-# in-process on a shared 2-vCPU VM with Python 3.11).
+# bound takes at most about half a second (0.2-0.55 s with scalars of a few
+# digits, in-process on a shared 2-vCPU VM with Python 3.11).
 MAX_BUDGET = 3000
 
 # Bound on the budget times the bits of the rational bases: every product
 # and comparison of the checks works on powers of them, so a 4000-digit cap
-# took 5 s at budget 3000. The costliest requests at the bound take under a
-# second: 0.8 s at budget 3000 with a 210-digit cap, 0.75 s for two
+# took 5 s at budget 3000. The costliest requests at the bound take about
+# half a second: 0.53 s at budget 3000 with a 210-digit cap, 0.56 s for two
 # 2000-digit fractions at budget 78 with --corrupt (same VM). Exponential
-# bases are not weighed: their checks add exponents, and 4000-digit ones
-# take 0.65 s at budget 3000.
+# bases are not weighed: their checks add exponents, and 4000-digit integral
+# ones take 0.41 s at budget 3000, but exponents whose numerator and
+# denominator both have 4000 digits take 8.5 s.
 MAX_BUDGET_BITS = 1 << 21
 
 
@@ -302,9 +306,14 @@ def _refuse_size(what: str, bits: int) -> None:
         raise AnswerTooLarge(f"{what} {bits} bits; at most {MAX_SCALAR_BITS} are allowed")
 
 
-def evaluate(T, M: CobordismWord) -> GroupScalar:
+def evaluate(T, M: CobordismWord, values: dict | None = None) -> GroupScalar:
     """Value of a dimension-2 word: the product of base ** k over T's bases,
     where k sums the generators' exponent rows over the word's counts.
+
+    The value is a function of T's bases and those totals, so a verifier
+    passes one dict `values` for all its words of one T: each distinct
+    tuple of totals is then computed once and looked up after that. Without
+    it the value is computed directly.
 
     A rational answer may have at most `MAX_SCALAR_BITS` bits. A power is
     taken only when its least size fits, so none has more than about twice
@@ -318,6 +327,17 @@ def evaluate(T, M: CobordismWord) -> GroupScalar:
     for g, n in M.generator_counts().items():
         for i, k in enumerate(rows[g]):
             totals[i] += k * n
+    if values is None:
+        return _value(bases, totals)
+    key = tuple(totals)
+    value = values.get(key)
+    if value is None:
+        value = values[key] = _value(bases, key)
+    return value
+
+
+def _value(bases, totals) -> GroupScalar:
+    """The product of base ** k over `bases` and their exponent `totals`."""
     # rational powers and their product stay Fractions until the answer
     value = None
     most = 0  # bits of the powers, at most
@@ -406,7 +426,8 @@ def verify_axioms(T, seed: int = 0, budget: int = 200) -> Report:
 
     Covers equivalence-invariance (equal normal forms give equal values),
     functoriality under composition, the cylinder law, monoidality, and the
-    empty-word law. Violations are reported with witnesses, not raised.
+    empty-word law. Violations are reported with witnesses, not raised. The
+    five checks share one table of values by exponent totals.
     """
     if budget < 0:
         raise InputError(f"word budget must be non-negative, got {budget}")
@@ -417,14 +438,16 @@ def verify_axioms(T, seed: int = 0, budget: int = 200) -> Report:
         raise InputError(f"word budget times the bits of the rational scalars may be at most"
                          f" {MAX_BUDGET_BITS}, got {budget} * {bits}")
     rng = random.Random(seed)
-    return Report((equivalence_invariance(T, rng, budget), functoriality(T, rng, budget),
-                   cylinder_law(T), monoidality(T, rng, budget), empty_law(T)))
+    values = {}
+    return Report((equivalence_invariance(T, rng, budget, values),
+                   functoriality(T, rng, budget, values), cylinder_law(T, values),
+                   monoidality(T, rng, budget, values), empty_law(T, values)))
 
 
 @check
-def equivalence_invariance(T, rng, budget: int):
+def equivalence_invariance(T, rng, budget: int, values: dict):
     for left, right, lw, rw in _canonical_words():
-        lv, rv = evaluate(T, lw), evaluate(T, rw)
+        lv, rv = evaluate(T, lw, values), evaluate(T, rw, values)
         if lv != rv:
             yield f"{left!r} -> {lv} but {right!r} -> {rv}"
     for _ in range(budget):
@@ -434,50 +457,50 @@ def equivalence_invariance(T, rng, budget: int):
             R = equivalent_rewrite(rng, R)
         if normal_form(M) != normal_form(R):
             continue
-        mv, rv = evaluate(T, M), evaluate(T, R)
+        mv, rv = evaluate(T, M, values), evaluate(T, R, values)
         if mv != rv:
             yield f"{M.text()!r} -> {mv} but rewrite {R.text()!r} -> {rv}"
 
 
-def _glued_values_multiply(T, rng, budget: int, glue):
+def _glued_values_multiply(T, rng, budget: int, values: dict, glue):
     """Witnesses of glue(M, N) -> value(M) * value(N) failing on random
     pairs; for `compose` the second word starts where the first ends."""
     for _ in range(budget):
         M = random_word(rng)
         N = random_word(rng, start_arity=M.out_arity if glue is compose else None)
-        lhs = evaluate(T, glue(M, N))
-        rhs = evaluate(T, M) * evaluate(T, N)
+        lhs = evaluate(T, glue(M, N), values)
+        rhs = evaluate(T, M, values) * evaluate(T, N, values)
         if lhs != rhs:
             yield f"{glue.__name__}({M.text()!r}, {N.text()!r}): {lhs} != {rhs}"
 
 
 @check
-def functoriality(T, rng, budget: int):
-    yield from _glued_values_multiply(T, rng, budget, compose)
+def functoriality(T, rng, budget: int, values: dict):
+    yield from _glued_values_multiply(T, rng, budget, values, compose)
 
 
 @check
-def monoidality(T, rng, budget: int):
-    yield from _glued_values_multiply(T, rng, budget, tensor)
+def monoidality(T, rng, budget: int, values: dict):
+    yield from _glued_values_multiply(T, rng, budget, values, tensor)
 
 
 @check
-def cylinder_law(T):
+def cylinder_law(T, values: dict):
     for arity in range(0, 5):
         w = identity_word(arity)
-        v = evaluate(T, w)
+        v = evaluate(T, w, values)
         if not v.is_one:
             yield f"identity word of arity {arity} -> {v}"
     # the right-hand sides of the first two pairs are cylinders
     for _, text, _, w in _canonical_words()[:2]:
-        v = evaluate(T, w)
+        v = evaluate(T, w, values)
         if not v.is_one:
             yield f"cylinder-equivalent word {text!r} -> {v}"
 
 
 @check
-def empty_law(T):
-    v = evaluate(T, CobordismWord(2, ()))
+def empty_law(T, values: dict):
+    v = evaluate(T, CobordismWord(2, ()), values)
     if not v.is_one:
         yield f"empty word -> {v}"
 
@@ -622,20 +645,24 @@ def boundary_dependence_check(T, seed: int = 0, budget: int = 100) -> Report:
     First verifies kernel membership on sampled closed words (raising
     NotInKernel otherwise), then draws `budget` equal-arity word pairs, with
     their values, and runs both checks over all of them: equal values within
-    a pair, and the closed form cup**(in - out).
+    a pair, and the closed form cup**(in - out). Both loops share one table
+    of values by exponent totals.
     """
     rng = random.Random(seed)
+    values = {}
     for _ in range(max(10, budget // 10)):
         w = random_closed_word(rng)
-        if not evaluate(T, w).is_one:
-            raise NotInKernel(f"closed word {w.text()!r} evaluates to {evaluate(T, w)}")
+        v = evaluate(T, w, values)
+        if not v.is_one:
+            raise NotInKernel(f"closed word {w.text()!r} evaluates to {v}")
     pairs = []
     for _ in range(budget):
         in_arity = rng.randrange(0, 4)
         out_arity = rng.randrange(0, 4)
         M = random_word_with_arities(rng, in_arity, out_arity)
         N = random_word_with_arities(rng, in_arity, out_arity)
-        pairs.append((in_arity, out_arity, M, evaluate(T, M), N, evaluate(T, N)))
+        pairs.append((in_arity, out_arity, M, evaluate(T, M, values),
+                      N, evaluate(T, N, values)))
     return Report((boundary_only_dependence(pairs), closed_form_cup_power(T, pairs)))
 
 

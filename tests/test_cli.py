@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from skkinv import fixtures
 from skkinv.cli import (
     MAX_SURFACE_CIRCLES,
+    MAX_SURFACE_COMPONENTS,
     MAX_TRACE_WEIGHT,
     TRACE_COMPONENT_WEIGHT,
     _build_parser,
@@ -186,6 +187,21 @@ class TestCutpasteCommand:
             2, f"error: a cut/paste trace may weigh at most {MAX_TRACE_WEIGHT} in all,"
                f" {TRACE_COMPONENT_WEIGHT} per component and 1 per boundary circle;"
                " this script passes it after 0 of its 0 moves")
+
+    def test_start_terms_are_bounded_before_parsing(self, tmp_path, capsys):
+        script = tmp_path / "empty.txt"
+        script.write_text("")
+        at_bound = run(["cutpaste", str(script), "--start",
+                        " + ".join(["g0b0"] * MAX_SURFACE_COMPONENTS), "--json"])
+        assert at_bound.exit_code == 0
+        capsys.readouterr()
+        # one term more is refused before any term is parsed, bad ones included
+        for term in ("g0b0", "torus"):
+            over = run(["cutpaste", str(script), "--start",
+                        " + ".join([term] * (MAX_SURFACE_COMPONENTS + 1))])
+            assert (over.exit_code, over.report) == (2, "")
+            assert (f"a surface expression may have at most {MAX_SURFACE_COMPONENTS} terms"
+                    in capsys.readouterr().err)
 
     def test_trace_size_is_bounded_as_cuts_add_components(self, tmp_path):
         # after k separating cuts of a sphere: k + 1 components and 2k circles
@@ -660,6 +676,16 @@ class TestInputErrors:
         assert at_bound.report == "error: surface has boundary circles"  # parsed, then refused
         over = run(["skk", "class", "--surface", f"g1b{MAX_SURFACE_CIRCLES - 1} + g0b2"])
         assert (over.exit_code, over.report) == (2, "")
+
+    def test_surface_beyond_term_bound(self, capsys):
+        at_bound = run(["skk", "class", "--surface",
+                        " + ".join(["g0b0"] * MAX_SURFACE_COMPONENTS)])
+        assert (at_bound.exit_code, at_bound.report) == (0, f"dim 2 class: {MAX_SURFACE_COMPONENTS}")
+        over = run(["skk", "class", "--surface",
+                    " + ".join(["g0b0"] * (MAX_SURFACE_COMPONENTS + 1))])
+        assert (over.exit_code, over.report) == (2, "")
+        assert (f"a surface expression may have at most {MAX_SURFACE_COMPONENTS} terms"
+                in capsys.readouterr().err)
 
     def test_negative_boundary_count(self, tmp_path):
         script = tmp_path / "moves.cutpaste"

@@ -49,6 +49,18 @@ def layer_by_layer_value(T, w):
     return value
 
 
+class FreeAssignment:
+    """A duck-typed generator assignment with four independent bases, one
+    per generator, so pants and copants stay free; it has only `bases` and
+    `EXPONENTS`."""
+
+    EXPONENTS = {"cap": (1, 0, 0, 0), "cup": (0, 1, 0, 0), "pants": (0, 0, 1, 0),
+                 "copants": (0, 0, 0, 1), "id": (0, 0, 0, 0), "swap": (0, 0, 0, 0)}
+
+    def __init__(self, a, e, p, c):
+        self.bases = (tqft.rational(a), tqft.rational(e), tqft.rational(p), tqft.rational(c))
+
+
 class TestScalars:
     def test_rational_group_laws(self):
         a = tqft.rational(Fraction(3, 4))
@@ -304,6 +316,113 @@ class TestRationalEvaluate:
                 tqft.evaluate(T, w)
 
 
+@st.composite
+def any_tqfts(draw):
+    """A rational or exp TQFT, honest or corrupted, or a free assignment."""
+    kind = draw(st.sampled_from(("rational", "exp", "free")))
+    if kind == "free":
+        return FreeAssignment(*(draw(small_rationals) for _ in range(4)))
+    if kind == "rational":
+        T = rational_tqft(draw(small_rationals), draw(small_rationals))
+    else:
+        signs = st.sampled_from((1, -1))
+        exponents = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+        T = tqft.InvertibleTQFT2(tqft.exp_scalar(draw(exponents), draw(signs)),
+                                 tqft.exp_scalar(draw(exponents), draw(signs)))
+    return tqft.corrupted_tqft(T) if draw(st.booleans()) else T
+
+
+def verifier_words(rng):
+    """Words shaped like those the verifiers evaluate: random words, their
+    compositions and tensor products, chains of equivalent rewrites and
+    closed words, then one word of at least 1000 generators."""
+    words = []
+    for _ in range(20):
+        M = cb.random_word(rng)
+        N = cb.random_word(rng, start_arity=M.out_arity)
+        R = M
+        for _ in range(rng.randrange(1, 4)):
+            R = cb.equivalent_rewrite(rng, R)
+        words += [M, cb.compose(M, N), cb.tensor(M, N), R, cb.random_closed_word(rng)]
+    long = words[0]
+    while sum(len(layer) for layer in long.layers) < 1000:
+        long = cb.tensor(long, rng.choice(words))
+    return words + [long]
+
+
+def exponent_totals(T, w):
+    counts = w.generator_counts()
+    return tuple(sum(T.EXPONENTS[g][i] * n for g, n in counts.items())
+                 for i in range(len(T.bases)))
+
+
+class TestValueTable:
+    """A table of values by exponent totals, shared by the words of one
+    TQFT, gives what direct evaluation gives."""
+
+    @given(any_tqfts(), seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_one_table_gives_the_direct_values(self, T, seed):
+        words = verifier_words(random.Random(seed))
+        values = {}
+        for _ in range(2):  # the second pass reads every value from the table
+            for w in words:
+                got, direct = tqft.evaluate(T, w, values), tqft.evaluate(T, w)
+                assert got == direct
+                assert (type(got), str(got)) == (type(direct), str(direct))
+        assert values.keys() == {exponent_totals(T, w) for w in words}
+
+    def test_each_distinct_totals_is_computed_once(self, monkeypatch):
+        real = tqft._value
+        computed = []
+        monkeypatch.setattr(tqft, "_value",
+                            lambda bases, totals: computed.append(tuple(totals)) or real(bases, totals))
+        T = rational_tqft(Fraction(3, 2), -5)
+        words = verifier_words(random.Random(5))
+        values = {}
+        for w in words:
+            tqft.evaluate(T, w, values)
+        distinct = {exponent_totals(T, w) for w in words}
+        assert sorted(computed) == sorted(distinct) and len(distinct) < len(words)
+
+    def test_refused_power_is_refused_again(self):
+        T = rational_tqft(4096, 3)
+        w = side_by_side({"cap": (_BITS - 1) // 12 + 1})
+        values = {}
+        for _ in range(2):
+            with pytest.raises(tqft.AnswerTooLarge, match="^a power in the answer would have"):
+                tqft.evaluate(T, w, values)
+        assert values == {}
+
+    def test_verifiers_pass_one_table_per_call(self, monkeypatch):
+        """Through `verify_axioms` and `boundary_dependence_check` every value
+        equals the direct one, and each call has a table of its own, so no
+        TQFT reads another's values."""
+        real = tqft.evaluate
+        tables = []
+
+        def checked(T, M, values=None):
+            got, direct = real(T, M, values), real(T, M)
+            assert (got, type(got), str(got)) == (direct, type(direct), str(direct))
+            if not any(values is t for t in tables):
+                tables.append(values)
+            return got
+
+        monkeypatch.setattr(tqft, "evaluate", checked)
+        exp = tqft.InvertibleTQFT2(tqft.exp_scalar(2, -1), tqft.exp_scalar(Fraction(-1, 3)))
+        verified = (rational_tqft(2, 3), rational_tqft(5, Fraction(-7, 2)), exp,
+                    tqft.corrupted_tqft(rational_tqft(2, 3)), tqft.corrupted_tqft(exp),
+                    FreeAssignment(2, 3, Fraction(1, 2), 5))
+        for T in verified:
+            tqft.verify_axioms(T, seed=1, budget=40)
+        kernel = (rational_tqft(2, Fraction(1, 2)), rational_tqft(-3, Fraction(-1, 3)),
+                  tqft.InvertibleTQFT2(tqft.exp_scalar(4), tqft.exp_scalar(-4)))
+        for T in kernel:
+            tqft.boundary_dependence_check(T, seed=1, budget=40)
+        assert len(tables) == len(verified) + len(kernel)
+        assert all(type(t) is dict for t in tables)
+
+
 class TestGroupStructure:
     def test_product_componentwise(self):
         T = rational_tqft(2, 3).product(rational_tqft(5, 7))
@@ -368,13 +487,7 @@ class TestTwoParameterForm:
     @given(small_rationals, small_rationals, small_rationals, small_rationals)
     @settings(max_examples=50, deadline=None)
     def test_cylinder_relations_force_the_form(self, a, e, p, c):
-        class FreeAssignment:
-            # four independent bases, one per generator, so pants and copants stay free
-            bases = (tqft.rational(a), tqft.rational(e), tqft.rational(p), tqft.rational(c))
-            EXPONENTS = {"cap": (1, 0, 0, 0), "cup": (0, 1, 0, 0), "pants": (0, 0, 1, 0),
-                         "copants": (0, 0, 0, 1), "id": (0, 0, 0, 0), "swap": (0, 0, 0, 0)}
-
-        assignment = FreeAssignment()
+        assignment = FreeAssignment(a, e, p, c)
         report = tqft.verify_axioms(assignment, seed=4, budget=40)
         forced = (tqft.rational(p) == tqft.rational(a).inverse()
                   and tqft.rational(c) == tqft.rational(e).inverse())
@@ -500,6 +613,21 @@ class TestBoundaryDependence:
     def test_non_kernel_rejected(self):
         with pytest.raises(tqft.NotInKernel):
             tqft.boundary_dependence_check(rational_tqft(2, 3), seed=0, budget=40)
+
+    def test_non_kernel_word_is_evaluated_once(self, monkeypatch):
+        """The message reports the value already computed for the failing
+        closed word."""
+        real = tqft.evaluate
+        evaluated = []
+        monkeypatch.setattr(tqft, "evaluate", lambda T, M, values=None: evaluated.append(
+            (M, real(T, M, values))) or evaluated[-1][1])
+        with pytest.raises(tqft.NotInKernel) as raised:
+            tqft.boundary_dependence_check(rational_tqft(2, 3), seed=0, budget=40)
+        words = [M for M, _ in evaluated]
+        assert len({id(M) for M in words}) == len(words)
+        w, v = evaluated[-1]
+        assert not v.is_one
+        assert str(raised.value) == f"closed word {w.text()!r} evaluates to {v}"
 
     @pytest.mark.parametrize("dependence_pair, closed_form_pair", [(2, 5), (5, 2)])
     def test_each_check_reports_its_own_first_failure(self, monkeypatch, dependence_pair,
