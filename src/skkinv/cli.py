@@ -237,6 +237,8 @@ def _cmd_tqft_verify(args) -> CommandResult:
 
 
 def _cmd_skk_class(args) -> CommandResult:
+    if args.surface is not None and args.file is not None:
+        raise InputError("give a complex file or --surface, not both")
     if args.surface is not None:
         M = args.surface
         dim = 2

@@ -202,24 +202,9 @@ class CobordismClass:
     out_arity: int
     components: tuple[ComponentClass, ...]
 
-    def closed_genera(self) -> tuple[int, ...]:
-        return tuple(sorted(c.genus for c in self.components if c.is_closed))
-
-    @property
-    def arc_count(self) -> int:
-        if self.dim != 1:
-            raise WrongDimension("arc counts only exist in dimension 1")
-        return sum(1 for c in self.components if c.in_positions or c.out_positions)
-
-    @property
-    def circle_count(self) -> int:
-        if self.dim != 1:
-            raise WrongDimension("circle counts only exist in dimension 1")
-        return sum(1 for c in self.components if c.is_closed)
-
     def total_chi(self) -> int:
         if self.dim == 1:
-            return self.arc_count
+            return sum(1 for c in self.components if not c.is_closed)
         return sum(2 - 2 * c.genus - len(c.in_positions) - len(c.out_positions)
                    for c in self.components)
 
@@ -396,19 +381,3 @@ def equivalent_rewrite(rng, M: CobordismWord) -> CobordismWord:
     second = (idg,) * head_out + tail
     layers[li:li + 1] = [first, second]
     return CobordismWord(M.dim, tuple(layers))
-
-
-# -- canonical words -----------------------------------------------------------
-
-def sphere_word() -> CobordismWord:
-    return parse_word("cap ; cup")
-
-
-def torus_word() -> CobordismWord:
-    return parse_word("cap ; copants ; pants ; cup")
-
-
-def closed_genus_word(g: int) -> CobordismWord:
-    """Closed connected word of genus g: cap ; (copants ; pants)^g ; cup."""
-    layers = [("cap",)] + [("copants",), ("pants",)] * g + [("cup",)]
-    return CobordismWord(2, tuple(layers))

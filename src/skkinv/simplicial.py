@@ -188,14 +188,6 @@ def check_orientation(K: SimplicialComplex) -> None:
         raise NotOrientable(f"orientation signs do not cancel on the face {list(bad)}")
 
 
-def is_orientable(K: SimplicialComplex) -> bool:
-    try:
-        orient(K)
-        return True
-    except NotOrientable:
-        return False
-
-
 def euler_characteristic(K: SimplicialComplex) -> int:
     """Alternating sum of simplex counts over the facet closure."""
     return sum((-1) ** k * len(cells) for k, cells in enumerate(K.face_index.cells))

@@ -3,6 +3,9 @@
 Classes of closed manifolds are represented by complete invariant tuples:
 circle-count parity in dimension 1, half the Euler characteristic in
 dimension 2, and the (Euler characteristic, signature) pair in dimension 4.
+The class functions take the closed models that commands build: surfaces
+(`surfaces.Surface`), simplicial complexes and catalog pieces
+(`virtual_bordism.VirtualPiece`); dimension 1 takes complexes only.
 Restricting an invertible 2d TQFT to closed words gives a class function
 (the value is (cap*cup)**(chi/2)), and over signed-exponential scalars the
 absolute value of that restriction is hit by an explicit splitting, with
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import InputError, surfaces as sf
-from .cobordism import CobordismWord, normal_form
 from .intersection_form import signature as complex_signature
 from .simplicial import SimplicialComplex, euler_characteristic, homology, validate_closed
 from .tqft import (
@@ -59,8 +61,6 @@ def chi_of(M) -> int:
         return euler_characteristic(M)
     if isinstance(M, VirtualPiece):
         return M.chi
-    if isinstance(M, CobordismWord):
-        return normal_form(M).total_chi()
     raise TypeError(f"no Euler characteristic for {type(M).__name__}")
 
 
@@ -80,18 +80,10 @@ def _require_closed(M):
         raise NotClosedManifold("piece has boundary labels")
     if isinstance(M, SimplicialComplex) and not validate_closed(M):
         raise NotClosedManifold("complex is not closed")
-    if isinstance(M, CobordismWord) and (M.in_arity or M.out_arity):
-        raise NotClosedManifold("word has boundary circles")
 
 
 def circle_count(M) -> int:
-    """Connected-component count of a closed 1-manifold model."""
-    if isinstance(M, int):
-        return M
-    if isinstance(M, CobordismWord):
-        if M.dim != 1:
-            raise UnsupportedDimension("expected a dimension-1 word")
-        return normal_form(M).circle_count
+    """Connected-component count of a closed 1-manifold complex."""
     if isinstance(M, SimplicialComplex):
         if M.dim != 1:
             raise UnsupportedDimension("expected a dimension-1 complex")
@@ -122,8 +114,7 @@ class SKKClass:
 
 def skk_class(M, dim: int) -> SKKClass:
     if dim == 1:
-        if not isinstance(M, int):
-            _require_closed(M)
+        _require_closed(M)
         return SKKClass(1, circle_count(M) % 2)
     if dim == 2:
         _require_closed(M)
@@ -204,7 +195,6 @@ class SKKInvariant:
     base: GroupScalar | None = None
     sigma_base: GroupScalar | None = None
     custom: object = None           # callable M -> GroupScalar
-    descriptor: str = ""
 
     def __call__(self, M) -> GroupScalar:
         if self.custom is not None:
@@ -232,8 +222,7 @@ class SKKInvariant:
             raise UnsupportedDimension("cannot multiply invariants of different dimensions")
         if self.custom is not None or other.custom is not None:
             left, right = self, other
-            return SKKInvariant(self.dim, custom=lambda M: left(M) * right(M),
-                                descriptor=f"({self.descriptor})*({other.descriptor})")
+            return SKKInvariant(self.dim, custom=lambda M: left(M) * right(M))
         def mul(a, b):
             if a is None:
                 return b
@@ -241,20 +230,17 @@ class SKKInvariant:
                 return a
             return a * b
         return SKKInvariant(self.dim, mul(self.base, other.base),
-                            mul(self.sigma_base, other.sigma_base),
-                            descriptor=f"({self.descriptor})*({other.descriptor})")
+                            mul(self.sigma_base, other.sigma_base))
 
 
 def chi_invariant(r, dim: int = 2) -> SKKInvariant:
     """exp(r * chi) as a positive-real-valued invariant."""
-    r = Fraction(r)
-    return SKKInvariant(dim, base=exp_scalar(2 * r), descriptor=f"exp({r}*chi)")
+    return SKKInvariant(dim, base=exp_scalar(2 * Fraction(r)))
 
 
 def sigma_invariant(s) -> SKKInvariant:
     """exp(s * sigma) on closed dimension-4 models."""
-    s = Fraction(s)
-    return SKKInvariant(4, sigma_base=exp_scalar(s), descriptor=f"exp({s}*sigma)")
+    return SKKInvariant(4, sigma_base=exp_scalar(Fraction(s)))
 
 
 def attribute_invariant(key: str, catalog: Catalog) -> SKKInvariant:
@@ -273,21 +259,19 @@ def attribute_invariant(key: str, catalog: Catalog) -> SKKInvariant:
             total += catalog.piece(part).attribute(key)
         return exp_scalar(total)
 
-    return SKKInvariant(catalog.dim, custom=value, descriptor=f"exp(1*{key})")
+    return SKKInvariant(catalog.dim, custom=value)
 
 
 def psi(T: InvertibleTQFT2) -> SKKInvariant:
     """Restriction of a TQFT to closed manifolds: M -> (cap*cup)**(chi/2)."""
-    return SKKInvariant(2, base=T.cap * T.cup, descriptor=f"({T.cap}*{T.cup})^(chi/2)")
+    return SKKInvariant(2, base=T.cap * T.cup)
 
 
 def abs_psi(T: InvertibleTQFT2) -> SKKInvariant:
     """Positive part of the restriction; defined over exponential scalars."""
     if T.variant != "exp":
         raise VariantMismatch("absolute restriction needs signed-exponential scalars")
-    base = (T.cap * T.cup).abs_value()
-    return SKKInvariant(2, base=base,
-                        descriptor=f"exp({Fraction(base.exponent, 2)}*chi)")
+    return SKKInvariant(2, base=(T.cap * T.cup).abs_value())
 
 
 def kernel_membership(T: InvertibleTQFT2) -> bool:
@@ -444,7 +428,7 @@ def restriction_after_splitting_is_identity(restricted):
     for r, got, xi in restricted:
         if not invariants_agree(got, xi):
             yield (f"restriction after splitting of exp({r}*chi) gives"
-                   f" {got.descriptor}, expected {xi.descriptor}")
+                   f" exp({Fraction(got.base.exponent, 2)}*chi), expected exp({r}*chi)")
 
 
 @check

@@ -103,14 +103,6 @@ def disk() -> Surface:
     return surface((0, 1))
 
 
-def cylinder() -> Surface:
-    return surface((0, 2))
-
-
-def pair_of_pants() -> Surface:
-    return surface((0, 3))
-
-
 def genus_surface(g: int, b: int = 0) -> Surface:
     return surface((g, b))
 
@@ -304,31 +296,6 @@ def sk_equivalent(M: Surface, N: Surface) -> bool:
     if not M.is_closed or not N.is_closed:
         raise NotClosedSurface("cut-and-paste equivalence compares closed surfaces")
     return chi(M) == chi(N)
-
-
-def double(S: Surface) -> Surface:
-    """Glue S to its mirror along the identity of the boundary.
-
-    A component (g, b) with b >= 1 doubles to a closed component of genus
-    2g + b - 1; closed components contribute themselves plus a mirror copy.
-    """
-    comps = []
-    for c in S.components:
-        if c.boundary_count == 0:
-            comps.append((c.genus, 0))
-            comps.append((c.genus, 0))
-        else:
-            comps.append((2 * c.genus + c.boundary_count - 1, 0))
-    return surface(*comps)
-
-
-def mapping_torus_demo() -> Surface:
-    """Mapping torus of a circle diffeomorphism.
-
-    Every orientation-preserving diffeomorphism of the circle is isotopic to
-    the identity, so the mapping torus is the torus regardless of the map.
-    """
-    return torus()
 
 
 # -- seeded samplers -------------------------------------------------------------

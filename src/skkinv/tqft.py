@@ -26,8 +26,9 @@ totals, so verification tabulates it per call: `verify_axioms` and
 each distinct tuple of totals once. Requests are bounded: a rational
 answer may have at most `MAX_SCALAR_BITS` bits, no power is taken whose
 least size, read from its exponent, exceeds that, and `verify_axioms` runs
-at most `MAX_BUDGET` words per check, and fewer as rational bases grow, so
-that the budget times their bits stays within `MAX_BUDGET_BITS`.
+at most `MAX_BUDGET` words per check, and fewer as rational bases or
+fractional exponents grow, so that the budget times their bits stays within
+`MAX_BUDGET_BITS`.
 """
 
 from __future__ import annotations
@@ -81,14 +82,17 @@ MAX_SCALAR_BITS = 1 << 18
 # digits, in-process on a shared 2-vCPU VM with Python 3.11).
 MAX_BUDGET = 3000
 
-# Bound on the budget times the bits of the rational bases: every product
-# and comparison of the checks works on powers of them, so a 4000-digit cap
-# took 5 s at budget 3000. The costliest requests at the bound take about
-# half a second: 0.53 s at budget 3000 with a 210-digit cap, 0.56 s for two
-# 2000-digit fractions at budget 78 with --corrupt (same VM). Exponential
-# bases are not weighed: their checks add exponents, and 4000-digit integral
-# ones take 0.41 s at budget 3000, but exponents whose numerator and
-# denominator both have 4000 digits take 8.5 s.
+# Bound on the budget times the bits of the rational bases and of the
+# fractional exponents of exponential bases: every product and comparison of
+# the checks works on powers of the former and on sums of the latter, so a
+# 4000-digit cap took 5 s at budget 3000, and two exponents whose numerator
+# and denominator have 4000 digits each took 4.3 s. The costliest requests
+# at the bound take about half a second: 0.53 s at budget 3000 with a
+# 210-digit cap, 0.56 s for two 2000-digit fractions at budget 78 with
+# --corrupt, 0.28 s for fractional exponents at budget 3000, and fractional
+# exponent requests at 1.1-1.65 times the bound took 0.04-0.28 s over budgets
+# 100-3000 (same VM). Integral exponents are not weighed: sums of them stay
+# cheap, and 4000-digit ones take 0.41 s at budget 3000.
 MAX_BUDGET_BITS = 1 << 21
 
 
@@ -433,7 +437,8 @@ def verify_axioms(T, seed: int = 0, budget: int = 200) -> Report:
         raise InputError(f"word budget must be non-negative, got {budget}")
     if budget > MAX_BUDGET:
         raise InputError(f"word budget may be at most {MAX_BUDGET}, got {budget}")
-    bits = sum(_bits(b.value) for b in T.bases if type(b) is RationalScalar)
+    bits = sum(_bits(b.value) if type(b) is RationalScalar else _bits(b.exponent)
+               for b in T.bases if type(b) is RationalScalar or type(b.exponent) is not int)
     if budget * bits > MAX_BUDGET_BITS:
         raise InputError(f"word budget times the bits of the rational scalars may be at most"
                          f" {MAX_BUDGET_BITS}, got {budget} * {bits}")

@@ -346,9 +346,26 @@ class TestTqftVerifyCommand:
         assert over.report.endswith("got 1025 * 2049")
 
     def test_exponential_scalars_are_not_weighed(self):
+        # an integral exponent weighs nothing, and -1/3 weighs 1 + 2 bits
         result = run(["tqft", "verify", "--cap-exp=" + "7" * 4000, "--cup-exp=-1/3",
                       "--budget", "300"])
         assert result.exit_code == 0
+
+    def test_budget_is_weighed_by_fractional_exponent_bits(self):
+        # 1/2**2046 has 1 + 2047 bits and the integral exponent 5 none, so
+        # budget 1024 weighs the bound exactly
+        scalars = [f"--cap-exp=1/{2 ** 2046}", "--cup-exp=5"]
+        at_bound = run(["tqft", "verify", *scalars, "--budget", "1024"])
+        assert at_bound.exit_code == 0
+        over = run(["tqft", "verify", *scalars, "--budget", "1025", "--json"])
+        assert (over.exit_code, over.report) == (
+            2, f"error: word budget times the bits of the rational scalars may be at most"
+               f" {MAX_BUDGET_BITS}, got 1025 * 2048")
+        # two exponents with 4000-digit numerators and denominators
+        big = "7" * 4000 + "/" + "3" * 3999 + "1"
+        over = run(["tqft", "verify", f"--cap-exp={big}", f"--cup-exp=-{big}", "--budget", "3000"])
+        assert over.exit_code == 2
+        assert over.report.startswith("error: word budget times the bits of the rational scalars")
 
     def test_corrupt_flag_finds_violation(self):
         result = run(["tqft", "verify", "--cap", "2", "--cup", "1/2",
@@ -371,6 +388,13 @@ class TestSkkCommands:
     def test_class_needs_input(self):
         result = run(["skk", "class"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_class_refuses_file_and_surface(self, json_flag):
+        sphere = str(FIXTURES_DIR / "sphere2.json")
+        result = run(["skk", "class", "--surface", "g3b0", sphere, *json_flag])
+        assert (result.exit_code, result.report) == (
+            2, "error: give a complex file or --surface, not both")
 
     def test_verify_sequence(self):
         result = run(["skk", "verify-sequence", "--grid", "2", "--seed", "1"])

@@ -51,7 +51,7 @@ class TestParse:
 class TestCompose:
     def test_sphere_from_disks(self):
         w = cb.compose(cb.parse_word("cap"), cb.parse_word("cup"))
-        assert cb.normal_form(w).closed_genera() == (0,)
+        assert cb.normal_form(w).components == (cb.ComponentClass(0, (), ()),)
 
     def test_genus_one_tube(self):
         w = cb.compose(cb.parse_word("copants"), cb.parse_word("pants"))
@@ -143,8 +143,8 @@ class TestNormalForm:
 
     def test_closed_genus_series(self):
         for g in range(4):
-            nf = cb.normal_form(cb.closed_genus_word(g))
-            assert nf.closed_genera() == (g,)
+            nf = cb.normal_form(cb.parse_word("cap ; " + "copants ; pants ; " * g + "cup"))
+            assert nf.components == (cb.ComponentClass(g, (), ()),)
 
     def test_chi_consistency(self):
         rng = random.Random(5)
@@ -374,17 +374,18 @@ class TestEquivalent:
 class TestDimensionOne:
     def test_circle(self):
         nf = cb.normal_form(cb.parse_word("acap ; acup", dim=1))
-        assert nf.circle_count == 1
-        assert nf.arc_count == 0
+        assert nf.components == (cb.ComponentClass(None, (), ()),)
+        assert nf.total_chi() == 0
 
     def test_arc(self):
         nf = cb.normal_form(cb.parse_word("acap", dim=1))
-        assert nf.arc_count == 1
+        assert nf.components == (cb.ComponentClass(None, (), (0, 1)),)
         assert nf.total_chi() == 1
 
     def test_point_identity(self):
         nf = cb.normal_form(cb.parse_word("pid | pid", dim=1))
-        assert nf.arc_count == 2
+        assert nf.components == (cb.ComponentClass(None, (0,), (0,)),
+                                 cb.ComponentClass(None, (1,), (1,)))
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises((cb.WrongDimension, cb.WordSyntaxError)):

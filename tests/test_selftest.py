@@ -87,7 +87,7 @@ def _double_without_reversal(monkeypatch):
 
 def _restriction_forgets_the_cup(monkeypatch):
     monkeypatch.setattr(skk, "abs_psi", lambda T: skk.SKKInvariant(
-        2, base=T.cap.abs_value(), descriptor="|cap|^(chi/2)"))
+        2, base=T.cap.abs_value()))
 
 
 def _capping_choice_is_ignored(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from skkinv import fixtures, skk, surfaces as sf, virtual_bordism as vb
 from skkinv import cobordism as cb
+from skkinv.simplicial import disjoint_union
 from skkinv.tqft import InvertibleTQFT2, exp_scalar, rational
 
 seeds = st.integers(min_value=0, max_value=2 ** 31)
@@ -25,12 +26,10 @@ class TestSkkClass:
         assert skk.skk_class(fixtures.cp2_9(), 4).value == (3, 1)
 
     def test_dim1_circles(self):
-        assert skk.skk_class(3, 1).value == 1
-        word = cb.parse_word("acap ; acup", dim=1)
-        assert skk.skk_class(word, 1).value == 1
-
-    def test_closed_word_input(self):
-        assert skk.skk_class(cb.torus_word(), 2).value == 0
+        two = disjoint_union(fixtures.circle(3), fixtures.circle(4))
+        assert skk.skk_class(fixtures.circle(), 1).value == 1
+        assert skk.skk_class(two, 1).value == 0
+        assert skk.skk_class(disjoint_union(two, fixtures.circle(5)), 1).value == 1
 
     def test_simplicial_input(self):
         assert skk.skk_class(fixtures.torus7(), 2).value == 0
@@ -55,18 +54,23 @@ class TestSkkClass:
         ).value
 
     def test_dim4_additivity(self):
-        from skkinv.simplicial import disjoint_union
-
         cp2 = fixtures.cp2_9()
         union = disjoint_union(cp2, cp2.reversed_orientation())
         cls = skk.skk_class(union, 4)
         assert cls.value == (6, 0)
 
     def test_dim1_additivity_mod_two(self):
-        for a in range(4):
-            for b in range(4):
-                total = skk.skk_class(a + b, 1)
-                assert total.value == (skk.skk_class(a, 1) + skk.skk_class(b, 1)).value
+        def circles(n):
+            K = fixtures.circle()
+            for k in range(1, n):
+                K = disjoint_union(K, fixtures.circle(3 + k))
+            return K
+
+        for a in range(1, 4):
+            for b in range(1, 4):
+                total = skk.skk_class(disjoint_union(circles(a), circles(b)), 1)
+                assert total.value == (skk.skk_class(circles(a), 1)
+                                       + skk.skk_class(circles(b), 1)).value
                 assert total.value == (a + b) % 2
 
 
@@ -108,8 +112,6 @@ class TestTables:
     def test_bordism_projection(self):
         assert skk.bordism_projection(fixtures.cp2_9()) == 1
         assert skk.bordism_projection(fixtures.sphere4()) == 0
-        from skkinv.simplicial import disjoint_union
-
         cp2 = fixtures.cp2_9()
         union = disjoint_union(cp2, cp2.reversed_orientation())
         assert skk.bordism_projection(union) == 0
@@ -137,7 +139,7 @@ class TestPsi:
         T = InvertibleTQFT2(rational(3), rational(5))
         inv = skk.psi(T)
         for g in range(4):
-            word = cb.closed_genus_word(g)
+            word = cb.parse_word("cap ; " + "copants ; pants ; " * g + "cup")
             surface = sf.genus_surface(g)
             assert evaluate(T, word) == inv(surface)
 
@@ -186,20 +188,16 @@ class TestAbsPsi:
            st.fractions(min_value=-20, max_value=20, max_denominator=12),
            st.sampled_from((1, -1)))
     @settings(max_examples=80, deadline=None)
-    def test_descriptor_halves_the_exponent(self, p, q, sign):
-        """The descriptor is exp(r*chi) with r = (p + q) / 2 as a reduced Fraction prints."""
+    def test_restriction_is_exp_of_half_the_exponent_sum(self, p, q, sign):
+        """|Psi(exp(p), +-exp(q))| is the chi-type invariant exp((p + q) / 2 * chi)."""
         T = InvertibleTQFT2(exp_scalar(p, sign), exp_scalar(q))
-        assert skk.abs_psi(T).descriptor == f"exp({(p + q) / 2}*chi)"
-        assert skk.abs_psi(T).descriptor == skk.chi_invariant((p + q) / 2).descriptor
+        assert skk.invariants_agree(skk.abs_psi(T), skk.chi_invariant((p + q) / 2))
 
-    @given(st.integers(-40, 40), st.integers(-40, 40), st.sampled_from((1, -1)))
+    @given(st.integers(-40, 40), st.integers(-40, 40))
     @settings(max_examples=80, deadline=None)
-    def test_descriptor_of_odd_integer_sum_has_no_decimal_point(self, p, q, sign):
+    def test_splitting_of_odd_integer_sum_halves_it(self, p, q):
         """Integer exponents are ints, and half of an odd int stays a Fraction."""
         assume((p + q) % 2)
-        descriptor = skk.abs_psi(InvertibleTQFT2(exp_scalar(p, sign), exp_scalar(q))).descriptor
-        assert "." not in descriptor
-        assert descriptor == f"exp({p + q}/2*chi)"
         half = exp_scalar(Fraction(p + q, 2))
         split = skk.splitting_S(skk.abs_psi(InvertibleTQFT2(exp_scalar(p), exp_scalar(q))))
         assert split == InvertibleTQFT2(half, half)
@@ -242,7 +240,7 @@ class TestSplitting:
         assert T.cap == exp_scalar(1) and T.cup == exp_scalar(1)
         from skkinv.tqft import evaluate
 
-        assert evaluate(T, cb.sphere_word()) == exp_scalar(2)
+        assert evaluate(T, cb.parse_word("cap ; cup")) == exp_scalar(2)
 
     def test_chi_summand_bypasses_close_up(self):
         """The genus-one tube gets exp(chi) = exp(-2) directly, not the value
@@ -298,6 +296,14 @@ class TestVerifySplitSequence:
         report = skk.verify_split_sequence(seed=3, splitting=skk.corrupted_splitting)
         assert not report.checks[2].passed
         assert report.checks[2].name == "restriction_after_splitting_is_identity"
+
+    def test_corrupted_witness_prints_half_exponents_as_fractions(self):
+        """The first sampled r is -3; its corrupted restriction is exp(-3/2*chi),
+        printed from an int exponent halved as a Fraction, never as -1.5."""
+        witness = skk.verify_split_sequence(splitting=skk.corrupted_splitting).checks[2].witness
+        assert witness == ("restriction after splitting of exp(-3*chi) gives"
+                           " exp(-3/2*chi), expected exp(-3*chi)")
+        assert "." not in witness
 
     def test_trivial_invariant_splits_to_trivial(self):
         assert skk.splitting_S((0,), 2).is_trivial

@@ -14,7 +14,7 @@ class TestChi:
         assert sf.chi(sf.sphere()) == 2
 
     def test_pair_of_pants(self):
-        assert sf.chi(sf.pair_of_pants()) == -1
+        assert sf.chi(sf.surface((0, 3))) == -1
 
     def test_genus_two(self):
         assert sf.chi(sf.genus_surface(2)) == -2
@@ -54,7 +54,7 @@ class TestCut:
 
 class TestPaste:
     def test_cylinder_to_torus(self):
-        result = sf.paste(sf.cylinder(), sf.PasteSpec(((0, 1),)))
+        result = sf.paste(sf.surface((0, 2)), sf.PasteSpec(((0, 1),)))
         assert result.as_multiset() == ((1, 0),)
 
     def test_two_disks_to_sphere(self):
@@ -63,20 +63,20 @@ class TestPaste:
         assert result.as_multiset() == ((0, 0),)
 
     def test_pants_self_paste(self):
-        result = sf.paste(sf.pair_of_pants(), sf.PasteSpec(((0, 1),)))
+        result = sf.paste(sf.surface((0, 3)), sf.PasteSpec(((0, 1),)))
         assert result.as_multiset() == ((1, 1),)
 
     def test_self_match_rejected(self):
         with pytest.raises(sf.InvalidMatching):
-            sf.paste(sf.cylinder(), sf.PasteSpec(((0, 0),)))
+            sf.paste(sf.surface((0, 2)), sf.PasteSpec(((0, 0),)))
 
     def test_double_use_rejected(self):
         with pytest.raises(sf.InvalidMatching):
-            sf.paste(sf.pair_of_pants(), sf.PasteSpec(((0, 1), (1, 2))))
+            sf.paste(sf.surface((0, 3)), sf.PasteSpec(((0, 1), (1, 2))))
 
     def test_missing_circle_rejected(self):
         with pytest.raises(sf.InvalidMatching):
-            sf.paste(sf.cylinder(), sf.PasteSpec(((0, 9),)))
+            sf.paste(sf.surface((0, 2)), sf.PasteSpec(((0, 9),)))
 
 
 def paste_reference(S, pairs):
@@ -175,40 +175,6 @@ class TestSkEquivalent:
     def test_requires_closed(self):
         with pytest.raises(sf.NotClosedSurface):
             sf.sk_equivalent(sf.disk(), sf.sphere())
-
-
-class TestDouble:
-    def test_disk(self):
-        assert sf.double(sf.disk()).as_multiset() == ((0, 0),)
-
-    def test_cylinder(self):
-        assert sf.double(sf.cylinder()).as_multiset() == ((1, 0),)
-
-    def test_pair_of_pants(self):
-        assert sf.double(sf.pair_of_pants()).as_multiset() == ((2, 0),)
-
-    def test_closed_doubles_to_two_copies(self):
-        assert sf.double(sf.torus()).as_multiset() == ((1, 0), (1, 0))
-
-    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4))
-    def test_chi_doubles(self, g, b):
-        S = sf.surface((g, b))
-        assert sf.chi(sf.double(S)) == 2 * sf.chi(S)
-
-
-class TestMappingTorusDemo:
-    def test_returns_torus(self):
-        assert sf.mapping_torus_demo().as_multiset() == ((1, 0),)
-
-    def test_cut_gives_cylinder(self):
-        cut = sf.cut(sf.mapping_torus_demo(), sf.CutSpec(0, sf.NonSeparating()))
-        assert cut.as_multiset() == ((0, 2),)
-
-    def test_round_trip(self):
-        cut = sf.cut(sf.mapping_torus_demo(), sf.CutSpec(0, sf.NonSeparating()))
-        ids = cut.circle_ids()
-        back = sf.paste(cut, sf.PasteSpec(((ids[0], ids[1]),)))
-        assert back.as_multiset() == ((1, 0),)
 
 
 class TestRandomSequences:

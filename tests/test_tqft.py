@@ -155,11 +155,11 @@ class TestScalars:
 class TestEvaluate:
     def test_sphere(self):
         T = rational_tqft(2, 3)
-        assert tqft.evaluate(T, cb.sphere_word()) == tqft.rational(6)
+        assert tqft.evaluate(T, cb.parse_word("cap ; cup")) == tqft.rational(6)
 
     def test_torus(self):
         T = rational_tqft(2, 3)
-        assert tqft.evaluate(T, cb.torus_word()).is_one
+        assert tqft.evaluate(T, cb.parse_word("cap ; copants ; pants ; cup")).is_one
 
     def test_kernel_point(self):
         T = rational_tqft(2, Fraction(1, 2))

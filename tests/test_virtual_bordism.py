@@ -106,7 +106,6 @@ class TestDouble:
     def test_pants_matches_surface_double(self):
         pants = vb.piece(2, -1, boundary=("S1", "S1", "S1"))
         assert vb.double(pants).chi == -2
-        assert vb.double(pants).chi == sf.chi(sf.double(sf.pair_of_pants()))
 
     @given(seeds)
     @settings(max_examples=50, deadline=None)
