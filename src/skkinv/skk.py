@@ -4,18 +4,19 @@ Classes of closed manifolds are represented by complete invariant tuples:
 circle-count parity in dimension 1, half the Euler characteristic in
 dimension 2, and the (Euler characteristic, signature) pair in dimension 4.
 The class functions take the closed models that commands build: surfaces
-(`surfaces.Surface`), simplicial complexes and catalog pieces
-(`virtual_bordism.VirtualPiece`); dimension 1 takes complexes only.
-Restricting an invertible 2d TQFT to closed words gives a class function
-(the value is (cap*cup)**(chi/2)), and over signed-exponential scalars the
-absolute value of that restriction is hit by an explicit splitting, with
-the sign-valued TQFTs forming the kernel. All of this is checked exactly
-on parameter grids by `verify_split_sequence`.
+(`surfaces.Surface`) and simplicial complexes; dimension 1 takes complexes
+only.
 
-The splitting's chi-type summand evaluates invariants directly on pieces;
-only bordism-type summands (signature, attribute invariants such as
-Pontryagin numbers) go through the close-up construction, whose dependence
-on the capping catalog is demonstrated by `b_sigma_dependence_demo`.
+Restricting an invertible 2d TQFT to closed words gives the chi-type
+invariant (cap*cup)**(chi/2), an `SKKInvariant`. Over signed-exponential
+scalars the absolute value of that restriction is hit by an explicit
+splitting, exp(r*chi) -> (cap = cup = exp(r)), with the sign-valued TQFTs
+forming the kernel. All of this is checked exactly on parameter grids by
+`verify_split_sequence`.
+
+Attribute invariants such as exp(p2) are evaluated on catalog pieces after
+the close-up construction, whose dependence on the capping catalog is
+demonstrated by `b_sigma_dependence_demo`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .tqft import (
     check,
     exp_scalar,
 )
-from .virtual_bordism import Catalog, VirtualPiece, close_up, dim8_catalog
+from .virtual_bordism import Catalog, VirtualPiece, close_up
 
 
 class UnsupportedDimension(InputError):
@@ -59,15 +60,11 @@ def chi_of(M) -> int:
         return sf.chi(M)
     if isinstance(M, SimplicialComplex):
         return euler_characteristic(M)
-    if isinstance(M, VirtualPiece):
-        return M.chi
     raise TypeError(f"no Euler characteristic for {type(M).__name__}")
 
 
 def sigma_of(M) -> int:
     """Signature of a closed dimension-4 model object."""
-    if isinstance(M, VirtualPiece):
-        return M.sigma
     if isinstance(M, SimplicialComplex):
         return complex_signature(M)
     raise TypeError(f"no signature for {type(M).__name__}")
@@ -76,8 +73,6 @@ def sigma_of(M) -> int:
 def _require_closed(M):
     if isinstance(M, sf.Surface) and not M.is_closed:
         raise NotClosedManifold("surface has boundary circles")
-    if isinstance(M, VirtualPiece) and not M.is_closed:
-        raise NotClosedManifold("piece has boundary labels")
     if isinstance(M, SimplicialComplex) and not validate_closed(M):
         raise NotClosedManifold("complex is not closed")
 
@@ -99,17 +94,6 @@ class SKKClass:
 
     dim: int
     value: int | tuple[int, int]
-
-    def __add__(self, other: "SKKClass") -> "SKKClass":
-        if self.dim != other.dim:
-            raise UnsupportedDimension("cannot add classes of different dimensions")
-        if self.dim == 1:
-            return SKKClass(1, (self.value + other.value) % 2)
-        if self.dim == 4:
-            a, b = self.value
-            c, d = other.value
-            return SKKClass(4, (a + c, b + d))
-        return SKKClass(self.dim, self.value + other.value)
 
 
 def skk_class(M, dim: int) -> SKKClass:
@@ -152,106 +136,38 @@ def i_n_table(n: int) -> str:
     return "0"
 
 
-# rank of Hom(Omega_n, R_+) for 4 | n; external input, not derived here
-OMEGA_HOM_RANKS = {4: 1, 8: 2}
-
-
-@dataclass(frozen=True)
-class SKKHomStructure:
-    dim: int
-    shape: str                      # "zero" | "chi_star" | "chi_star_plus_bordism"
-    bordism_rank: int | None = None
-
-
-def hom_structure(n: int) -> SKKHomStructure:
-    """Shape of the positive-real-valued invariant group by dimension class."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if n % 2 == 1:
-        return SKKHomStructure(n, "zero")
-    if n % 4 == 2:
-        return SKKHomStructure(n, "chi_star")
-    return SKKHomStructure(n, "chi_star_plus_bordism", OMEGA_HOM_RANKS.get(n))
-
-
-def bordism_projection(M) -> int:
-    """Bordism class of a closed oriented 4-manifold, detected by signature."""
-    _require_closed(M)
-    return sigma_of(M)
-
-
 # -- invariants and the TQFT restriction ---------------------------------------------
 
 @dataclass(frozen=True)
 class SKKInvariant:
-    """Multiplicative class function on closed manifolds.
+    """The chi-type class function base**(chi/2) on closed manifolds."""
 
-    `base` gives the value (base)**(chi/2); dimension-4 invariants may add
-    a signature factor sigma_base**sigma. Arbitrary evaluators (attribute
-    invariants) supply `custom` instead.
-    """
-
-    dim: int
-    base: GroupScalar | None = None
-    sigma_base: GroupScalar | None = None
-    custom: object = None           # callable M -> GroupScalar
-
-    def __call__(self, M) -> GroupScalar:
-        if self.custom is not None:
-            return self.custom(M)
-        value = None
-        if self.base is not None:
-            value = self.on_chi(chi_of(M))
-        if self.sigma_base is not None:
-            s = self.sigma_base ** sigma_of(M)
-            value = s if value is None else value * s
-        if value is None:
-            raise ValueError("invariant has no evaluator")
-        return value
+    base: GroupScalar
 
     def on_chi(self, chi: int) -> GroupScalar:
-        """The chi factor base**(chi/2) on a closed manifold of Euler
-        characteristic chi: an integer power when chi is even. The root for
-        odd chi is exact for positive exponentials, so chi-type invariants
-        also evaluate on odd-chi 4-manifolds."""
+        """The value on a closed manifold of Euler characteristic chi: an
+        integer power when chi is even. The root for odd chi is exact for
+        positive exponentials, so the invariant also evaluates on odd-chi
+        4-manifolds."""
         half, odd = divmod(chi, 2)
         return self.base ** (Fraction(chi, 2) if odd else half)
 
     def product(self, other: "SKKInvariant") -> "SKKInvariant":
-        if self.dim != other.dim:
-            raise UnsupportedDimension("cannot multiply invariants of different dimensions")
-        if self.custom is not None or other.custom is not None:
-            left, right = self, other
-            return SKKInvariant(self.dim, custom=lambda M: left(M) * right(M))
-        def mul(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return a * b
-        return SKKInvariant(self.dim, mul(self.base, other.base),
-                            mul(self.sigma_base, other.sigma_base))
+        return SKKInvariant(self.base * other.base)
 
 
-def chi_invariant(r, dim: int = 2) -> SKKInvariant:
+def chi_invariant(r) -> SKKInvariant:
     """exp(r * chi) as a positive-real-valued invariant."""
-    return SKKInvariant(dim, base=exp_scalar(2 * Fraction(r)))
+    return SKKInvariant(exp_scalar(2 * Fraction(r)))
 
 
-def sigma_invariant(s) -> SKKInvariant:
-    """exp(s * sigma) on closed dimension-4 models."""
-    return SKKInvariant(4, sigma_base=exp_scalar(Fraction(s)))
-
-
-def attribute_invariant(key: str, catalog: Catalog) -> SKKInvariant:
-    """exp(attribute) on closed catalog pieces.
+def attribute_invariant(key: str, catalog: Catalog):
+    """The function M -> exp(attribute of M) on closed catalog pieces.
 
     Pieces without the attribute are evaluated through their part multiset
     (disjoint unions sum the attribute).
     """
-    def value(M) -> ExpScalar:
-        if not isinstance(M, VirtualPiece):
-            raise TypeError("attribute invariants evaluate catalog pieces")
+    def value(M: VirtualPiece) -> ExpScalar:
         if M.has_attribute(key):
             return exp_scalar(M.attribute(key))
         total = Fraction(0)
@@ -259,24 +175,24 @@ def attribute_invariant(key: str, catalog: Catalog) -> SKKInvariant:
             total += catalog.piece(part).attribute(key)
         return exp_scalar(total)
 
-    return SKKInvariant(catalog.dim, custom=value)
+    return value
 
 
 def psi(T: InvertibleTQFT2) -> SKKInvariant:
     """Restriction of a TQFT to closed manifolds: M -> (cap*cup)**(chi/2)."""
-    return SKKInvariant(2, base=T.cap * T.cup)
+    return SKKInvariant(T.cap * T.cup)
 
 
 def abs_psi(T: InvertibleTQFT2) -> SKKInvariant:
     """Positive part of the restriction; defined over exponential scalars."""
     if T.variant != "exp":
         raise VariantMismatch("absolute restriction needs signed-exponential scalars")
-    return SKKInvariant(2, base=(T.cap * T.cup).abs_value())
+    return SKKInvariant(psi(T).base.abs_value())
 
 
 def kernel_membership(T: InvertibleTQFT2) -> bool:
     """True iff every closed value is a sign: |cap * cup| = 1."""
-    prod = T.cap * T.cup
+    prod = psi(T).base
     if isinstance(prod, ExpScalar):
         return prod.exponent == 0
     return abs(prod.value) == 1
@@ -306,63 +222,17 @@ def invariant_is_trivial(xi: SKKInvariant) -> bool:
 
 # -- the splitting -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PieceEvaluator:
-    """TQFT-style evaluator on dimension-4 pieces produced by the splitting.
-
-    The chi part is evaluated directly on the piece; the sigma part goes
-    through the close-up of the piece's declared in/out boundary split.
-    """
-
-    chi_coefficient: Fraction
-    sigma_coefficient: Fraction
-    catalog: Catalog
-
-    def evaluate(self, P: VirtualPiece, in_labels=(), out_labels=()) -> ExpScalar:
-        value = exp_scalar(self.chi_coefficient * P.chi)
-        if self.sigma_coefficient:
-            closed = close_up(P, in_labels, out_labels, self.catalog)
-            xi_value = exp_scalar(self.sigma_coefficient * closed.sigma)
-            value = value * (xi_value ** Fraction(1, self.catalog.l))
-        return value
+def splitting_S(r):
+    """Right inverse of the positive restriction: the TQFT with cap = cup =
+    exp(r), whose closed values are exp(r*chi)."""
+    r = Fraction(r)
+    return InvertibleTQFT2(exp_scalar(r), exp_scalar(r))
 
 
-def splitting_S(descriptor, dim: int = 2, catalog: Catalog | None = None):
-    """Right inverse of the positive restriction on chi/sigma descriptors.
-
-    descriptor: (r,) or (r, s) of rationals for exp(r*chi + s*sigma). In
-    dimension 2 the result is the TQFT with cap = cup = exp(r), whose closed
-    values are exp(r*chi). In dimension 4 the result evaluates pieces, with
-    the sigma summand routed through the catalog's close-up.
-    """
-    if isinstance(descriptor, SKKInvariant):
-        if (descriptor.custom is not None or descriptor.base is None
-                or not isinstance(descriptor.base, ExpScalar)):
-            raise ValueError("splitting needs an exponential chi/sigma-type descriptor")
-        r = Fraction(descriptor.base.exponent, 2)
-        s = descriptor.sigma_base.exponent if descriptor.sigma_base is not None else Fraction(0)
-    else:
-        parts = tuple(Fraction(x) for x in descriptor)
-        r = parts[0]
-        s = parts[1] if len(parts) > 1 else Fraction(0)
-    if dim == 2:
-        if s:
-            raise UnsupportedDimension("signature summand requires dimension 4")
-        return InvertibleTQFT2(exp_scalar(r), exp_scalar(r))
-    if dim == 4:
-        if catalog is None:
-            raise ValueError("dimension-4 splitting needs a catalog")
-        return PieceEvaluator(r, s, catalog)
-    raise UnsupportedDimension(f"no splitting in dimension {dim}")
-
-
-def corrupted_splitting(descriptor, dim: int = 2, catalog: Catalog | None = None):
+def corrupted_splitting(r):
     """Negative control: puts the whole exponent on the cap, so the absolute
     restriction returns exp(r*chi/2) instead of exp(r*chi)."""
-    r = Fraction(descriptor[0])
-    if dim != 2:
-        raise UnsupportedDimension("negative control exists in dimension 2")
-    return InvertibleTQFT2(exp_scalar(r), exp_scalar(0))
+    return InvertibleTQFT2(exp_scalar(Fraction(r)), exp_scalar(0))
 
 
 # Bound on the grid half-width of `default_grid`: the kernel check visits
@@ -393,12 +263,12 @@ def verify_split_sequence(grid=None, seed: int = 0, splitting=splitting_S) -> Re
     restriction; (ii) sampled chi-type invariants are hit (via the
     splitting); (iii) the positive restriction after the splitting is the
     identity on samples; (iv) the positive restriction is a homomorphism.
-    All four run in dimension 2; (ii) and (iii) read one list of
-    (r, restriction of the split exp(r*chi), exp(r*chi)) triples.
+    (ii) and (iii) read one list of (r, restriction of the split
+    exp(r*chi), exp(r*chi)) triples.
     """
     grid = default_grid() if grid is None else grid
     rng = random.Random(seed)
-    restricted = [(r, abs_psi(splitting((r,), 2, None)), chi_invariant(r)) for r in _SAMPLED_RS]
+    restricted = [(r, abs_psi(splitting(r)), chi_invariant(r)) for r in _SAMPLED_RS]
     return Report((kernel_equals_sign_valued(grid), surjectivity_onto_chi_star(restricted),
                    restriction_after_splitting_is_identity(restricted),
                    restriction_is_homomorphism(grid, rng)))
@@ -442,10 +312,10 @@ def restriction_is_homomorphism(grid, rng):
             yield f"product of cap={a1},cup={e1} and cap={a2},cup={e2}"
 
 
-def b_sigma_dependence_demo(catalog: Catalog | None = None):
-    """Evaluate the split image of exp(p2) on the disk cobordism under the two
-    declared cappings of its boundary sphere; returns the two scalars."""
-    catalog = dim8_catalog() if catalog is None else catalog
+def b_sigma_dependence_demo(catalog: Catalog):
+    """Evaluate exp(p2) on the disk cobordism under the two declared cappings
+    of its boundary sphere, as the l-th root of its value on the close-up;
+    returns the two scalars."""
     disk = catalog.piece("D8")
     xi = attribute_invariant("p2", catalog)
     values = []

@@ -440,8 +440,8 @@ def verify_axioms(T, seed: int = 0, budget: int = 200) -> Report:
     bits = sum(_bits(b.value) if type(b) is RationalScalar else _bits(b.exponent)
                for b in T.bases if type(b) is RationalScalar or type(b.exponent) is not int)
     if budget * bits > MAX_BUDGET_BITS:
-        raise InputError(f"word budget times the bits of the rational scalars may be at most"
-                         f" {MAX_BUDGET_BITS}, got {budget} * {bits}")
+        raise InputError(f"word budget times the bits of the rational scalars and fractional"
+                         f" exponents may be at most {MAX_BUDGET_BITS}, got {budget} * {bits}")
     rng = random.Random(seed)
     values = {}
     return Report((equivalence_invariance(T, rng, budget, values),

@@ -80,10 +80,6 @@ class VirtualPiece:
             # only resolve constructions whose constituents are all named
             object.__setattr__(self, "parts", (self.name,) if self.name else ("?",))
 
-    @property
-    def is_closed(self) -> bool:
-        return not self.boundary
-
     def attribute(self, key: str) -> Fraction:
         for k, v in self.attributes:
             if k == key:

@@ -339,8 +339,8 @@ class TestTqftVerifyCommand:
         assert at_bound.exit_code == 0
         over = run(["tqft", "verify", *scalars, "--budget", "1025", "--json"])
         assert (over.exit_code, over.report) == (
-            2, f"error: word budget times the bits of the rational scalars may be at most"
-               f" {MAX_BUDGET_BITS}, got 1025 * 2048")
+            2, f"error: word budget times the bits of the rational scalars and fractional"
+               f" exponents may be at most {MAX_BUDGET_BITS}, got 1025 * 2048")
         # a denominator counts too: 1/2**2046 has 1 + 2047 bits
         over = run(["tqft", "verify", "--cap=1", f"--cup=-1/{2 ** 2046}", "--budget", "1025"])
         assert over.report.endswith("got 1025 * 2049")
@@ -359,13 +359,14 @@ class TestTqftVerifyCommand:
         assert at_bound.exit_code == 0
         over = run(["tqft", "verify", *scalars, "--budget", "1025", "--json"])
         assert (over.exit_code, over.report) == (
-            2, f"error: word budget times the bits of the rational scalars may be at most"
-               f" {MAX_BUDGET_BITS}, got 1025 * 2048")
+            2, f"error: word budget times the bits of the rational scalars and fractional"
+               f" exponents may be at most {MAX_BUDGET_BITS}, got 1025 * 2048")
         # two exponents with 4000-digit numerators and denominators
         big = "7" * 4000 + "/" + "3" * 3999 + "1"
         over = run(["tqft", "verify", f"--cap-exp={big}", f"--cup-exp=-{big}", "--budget", "3000"])
         assert over.exit_code == 2
-        assert over.report.startswith("error: word budget times the bits of the rational scalars")
+        assert over.report.startswith("error: word budget times the bits of the rational scalars"
+                                      " and fractional exponents")
 
     def test_corrupt_flag_finds_violation(self):
         result = run(["tqft", "verify", "--cap", "2", "--cup", "1/2",
@@ -447,6 +448,38 @@ class TestSkkCommands:
         result = run(["skk", "demo-bsigma", "--catalog", str(path)])
         assert result.exit_code == 0
         assert "exp(10)" in result.report
+
+    @staticmethod
+    def _catalog_without_identities(tmp_path, p2_by_piece):
+        """The dim-8 catalog with no identities, so a closed-up piece resolves
+        to no named piece and its p2 is the sum over its parts."""
+        doc = _dim8_catalog_doc()
+        doc["identities"] = []
+        for piece in doc["pieces"]:
+            piece["attributes"] = {}
+        for name, p2 in p2_by_piece.items():
+            _piece_entry(doc, name)["attributes"]["p2"] = p2
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_demo_bsigma_sums_p2_over_parts(self, tmp_path):
+        # D8 capped by D8 is D8 + D8; capped by CP4_minus_D8 it is D8 + CP4_minus_D8
+        path = self._catalog_without_identities(tmp_path, {"D8": "1/2", "CP4_minus_D8": "7"})
+        result = run(["skk", "demo-bsigma", "--catalog", path])
+        assert (result.exit_code, result.report) == (
+            0, "capping choice D8 => exp(1); capping choice CP4_minus_D8 => exp(15/2)")
+        result = run(["skk", "demo-bsigma", "--catalog", path, "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.report)["values"] == {"D8": "exp(1)",
+                                                       "CP4_minus_D8": "exp(15/2)"}
+
+    def test_demo_bsigma_part_without_p2(self, tmp_path):
+        path = self._catalog_without_identities(tmp_path, {})
+        for extra in ([], ["--json"]):
+            result = run(["skk", "demo-bsigma", "--catalog", path] + extra)
+            assert (result.exit_code, result.report) == (
+                2, "error: piece 'D8' has no attribute 'p2'")
 
 
 class TestDeterminism:

@@ -86,8 +86,7 @@ def _double_without_reversal(monkeypatch):
 
 
 def _restriction_forgets_the_cup(monkeypatch):
-    monkeypatch.setattr(skk, "abs_psi", lambda T: skk.SKKInvariant(
-        2, base=T.cap.abs_value()))
+    monkeypatch.setattr(skk, "abs_psi", lambda T: skk.SKKInvariant(T.cap.abs_value()))
 
 
 def _capping_choice_is_ignored(monkeypatch):

@@ -18,7 +18,7 @@ def disk2():
 class TestGlue:
     def test_two_disks_sphere(self):
         glued = vb.glue(disk2(), disk2(), ((0, 0),))
-        assert glued.is_closed
+        assert not glued.boundary
         assert glued.chi == 2
 
     def test_two_d4_sphere(self):
@@ -96,7 +96,7 @@ class TestDouble:
         d4 = vb.piece(4, 1, boundary=("S3",), name="D4")
         doubled = vb.double(d4)
         assert (doubled.chi, doubled.sigma) == (2, 0)
-        assert doubled.is_closed
+        assert not doubled.boundary
 
     def test_closed_piece(self):
         cp2 = vb.piece(4, 3, sigma=1, name="CP2")
