@@ -42,7 +42,6 @@ _SCRIPTS = "scripts/ or the CI fixture step use it"
 _BOUND = "an over-bound error path"
 _GROUP = "the scalar and TQFT group law"
 _BUILDER = "a test builder; moving it into tests/ would not make the code smaller"
-_SMITH = "inner helper of _smith_loop, the tests' dense Smith reference"
 
 # (module, qualname) -> why the function stays although no request calls it
 KEPT = {
@@ -50,10 +49,6 @@ KEPT = {
     ("cobordism", "CobordismClass.total_chi"): "the tests' oracle for word Euler characteristics",
     ("exact_linalg", "IntMatrix.from_rows"): _BUILDER,
     ("exact_linalg", "IntMatrix.to_rows"): _BUILDER,
-    ("exact_linalg", "_smith_loop.<locals>.row_op"): _SMITH,
-    ("exact_linalg", "_smith_loop.<locals>.col_op"): _SMITH,
-    ("exact_linalg", "_smith_loop.<locals>.swap_rows"): _SMITH,
-    ("exact_linalg", "_smith_loop.<locals>.swap_cols"): _SMITH,
     ("exact_linalg", "rational_rank"): _TRACER,
     ("fixtures", "circle"): _SCRIPTS,
     ("fixtures", "projective_plane6"): _SCRIPTS,

@@ -17,17 +17,17 @@ simplicial layer hands over boundary matrices only after its own reduction
 (`simplicial.ChainComplex`) has removed the cells it can pair through a unit
 incidence, so what arrives here is the few cells left over; they are still
 mostly zeros with unit entries, and this step usually finishes the job.
-For invariant factors, whatever block is left has
-no unit entry and goes to the dense Smith loop; for kernels and independence
-over the rationals, elimination continues fraction-free. No `Fraction`,
-float or modular rank is involved.
+For invariant factors, the rows left without a unit entry are finished on
+the same sparse rows by integer row and column operations; for kernels and
+independence over the rationals, elimination continues fraction-free. No
+`Fraction`, float or modular rank is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class NonSymmetricMatrix(ValueError):
@@ -72,85 +72,6 @@ class SignatureTriple:
     @property
     def signature(self) -> int:
         return self.n_plus - self.n_minus
-
-
-# -- dense Smith loop ------------------------------------------------------------
-
-def _min_pivot(m, t, rows, cols):
-    """Position of the smallest nonzero |entry| in the trailing block, scan order row-major."""
-    best = None
-    best_abs = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            v = m[i][j]
-            if v != 0 and (best_abs is None or abs(v) < best_abs):
-                best, best_abs = (i, j), abs(v)
-    return best
-
-
-def _smith_loop(m, rows, cols) -> tuple[int, ...]:
-    """Diagonalize the dense rows `m` in place; returns the nonzero invariant factors.
-
-    Pivot choice is the smallest nonzero absolute value in the remaining
-    block, ties broken by row-major scan order, which makes the output
-    deterministic.
-    """
-
-    def row_op(dst, src, q):
-        m[dst] = [a - q * b for a, b in zip(m[dst], m[src])]
-
-    def col_op(dst, src, q):
-        for r in m:
-            r[dst] -= q * r[src]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-
-    t = 0
-    while t < min(rows, cols):
-        pos = _min_pivot(m, t, rows, cols)
-        if pos is None:
-            break
-        while True:
-            i, j = pos
-            if i != t:
-                swap_rows(t, i)
-            if j != t:
-                swap_cols(t, j)
-            pivot = m[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    row_op(i, t, m[i][t] // pivot)
-                    dirty = dirty or m[i][t] != 0
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    col_op(j, t, m[t][j] // pivot)
-                    dirty = dirty or m[t][j] != 0
-            if dirty:
-                pos = _min_pivot(m, t, rows, cols)
-                continue
-            # pivot must divide the whole trailing block for the chain property
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(t, offender, -1)  # pull the offending row up, then repeat
-            pos = _min_pivot(m, t, rows, cols)
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-        t += 1
-    return tuple(m[i][i] for i in range(t))
 
 
 # -- sparse elimination kernel ---------------------------------------------------
@@ -257,6 +178,26 @@ class _Elimination:
                     best, best_key = (r, c), key
         return best
 
+    def _subtract(self, i: int, scale: int, f: int, w: dict[int, int]) -> dict[int, int]:
+        """rows[i] <- scale * rows[i] - f * w, keeping `where` in step; returns the row.
+
+        A column that loses its last row keeps an empty set in `where`; the
+        caller drops it once no row can gain that column again.
+        """
+        row, where = self.rows[i], self.where
+        for k in _combine(row, scale, f, w):
+            if k in row:
+                where[k].add(i)
+            else:
+                where[k].discard(i)
+        return row
+
+    def _drop_empty(self, columns) -> None:
+        """Delete the `where` entries of those columns that no row uses."""
+        for k in columns:
+            if not self.where[k]:
+                del self.where[k]
+
     def _pivot(self, r: int, c: int) -> None:
         rows, where, tags = self.rows, self.where, self.tags
         prow = rows.pop(r)
@@ -264,14 +205,10 @@ class _Elimination:
         for k in prow:
             where[k].discard(r)
         p = prow[c]
-        for i in where.pop(c):
+        for i in [*where[c]]:
             row = rows[i]
             scale, f = _multipliers(row[c], p)
-            for k in _combine(row, scale, f, prow):
-                if k in row:
-                    where[k].add(i)
-                elif k != c:
-                    where[k].discard(i)
+            self._subtract(i, scale, f, prow)
             if tags is not None:
                 _combine(tags[i], scale, f, ptag)
             if scale != 1 and row:  # fraction-free step: divide out the content
@@ -286,9 +223,7 @@ class _Elimination:
                 del rows[i]
                 if tags is not None:
                     self.kernel.append(tags.pop(i))
-        for k in prow:
-            if k != c and not where[k]:
-                del where[k]
+        self._drop_empty(prow)
         self.pivots.append((c, p, prow))
 
     def eliminate_units(self) -> int:
@@ -306,10 +241,45 @@ class _Elimination:
             self._pivot(*pos)
             self.eliminate_units()
 
-    def remainder(self) -> tuple[list[list[int]], int]:
-        """The active block as dense rows, and its column count."""
-        cols = sorted(self.where)
-        return [[row.get(c, 0) for c in cols] for row in self.rows.values()], len(cols)
+    def invariant_factors(self) -> tuple[int, ...]:
+        """Nonzero invariant factors of the rows over the integers, each dividing the next.
+
+        Unit pivots give factors 1. On the rows they leave, a pivot p at
+        (r, c), first an entry of least absolute value, clears column c by
+        integer row operations on the rows whose entry there is at least |p|.
+        Once column c holds p alone, column operations reduce row r modulo p
+        and touch no other row. A smaller entry left in column c or row r
+        becomes the next pivot; a pivot alone in its row and column is
+        retired. diag(a, b) -> diag(gcd(a, b), lcm(a, b)) then turns the
+        retired pivots into a divisibility chain.
+        """
+        units = self.eliminate_units()
+        rows, where = self.rows, self.where
+        pos = self._least_pivot()
+        while pos is not None:
+            r, c = pos
+            prow = rows[r]
+            p = prow[c]
+            for i in [i for i in where[c] if i != r and abs(rows[i][c]) >= abs(p)]:
+                if not self._subtract(i, 1, rows[i][c] // p, prow):
+                    del rows[i]
+            if len(where[c]) > 1:
+                pos = (min(where[c] - {r}, key=lambda i: abs(rows[i][c])), c)
+                continue
+            column_ops = {k: x // p * p for k, x in prow.items() if k != c and abs(x) >= abs(p)}
+            self._subtract(r, 1, 1, column_ops)
+            self._drop_empty(column_ops)
+            if len(prow) > 1:
+                pos = (r, min(prow, key=lambda k: abs(prow[k])))
+            else:
+                self._pivot(r, c)
+                pos = self._least_pivot()
+        factors = [abs(p) for _, p, _ in self.pivots[units:]]
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                a, b = factors[i], factors[j]
+                factors[i], factors[j] = gcd(a, b), lcm(a, b)
+        return (1,) * units + tuple(factors)
 
     def reduce(self, v: dict[int, int]) -> dict[int, int]:
         """Reduce v in place modulo the rows of `pivots` (over the rationals)."""
@@ -326,13 +296,9 @@ class _Elimination:
 
 
 def smith_normal_form(A: IntMatrix) -> tuple[int, ...]:
-    """Nonzero invariant factors of A over the integers, each dividing the next:
-    one per unit pivot, then the dense Smith loop on the block the unit pivots
-    leave behind."""
-    elim = _Elimination(_sparse_rows(A))
-    units = elim.eliminate_units()
-    rest, cols = elim.remainder()
-    return (1,) * units + _smith_loop(rest, len(rest), cols)
+    """Nonzero invariant factors of A over the integers, each dividing the next,
+    by sparse elimination (`_Elimination.invariant_factors`)."""
+    return _Elimination(_sparse_rows(A)).invariant_factors()
 
 
 def rational_rank(A: IntMatrix) -> int:

@@ -357,6 +357,8 @@ def parse_script(text: str):
                         raise ScriptError("trailing tokens after 'nonsep'")
                     moves.append(CutSpec(component, NonSeparating()))
                 elif parts[2] == "sep":
+                    if len(parts) > 5:
+                        raise ScriptError("trailing tokens after 'sep <g1> <circles>'")
                     g1 = int(parts[3])
                     circles = frozenset() if parts[4] == "-" else frozenset(
                         int(x) for x in parts[4].split(",")

@@ -16,7 +16,6 @@ from skkinv import fixtures
 from skkinv.exact_linalg import (
     IntMatrix,
     NonSymmetricMatrix,
-    _smith_loop,
     independent_modulo,
     left_kernel,
     rational_rank,
@@ -93,6 +92,83 @@ def transpose(A):
                      tuple(element(A, i, j) for j in range(A.cols) for i in range(A.rows)))
 
 
+def _min_pivot(m, t, rows, cols):
+    """Position of the smallest nonzero |entry| in the trailing block, scan order row-major."""
+    best = None
+    best_abs = None
+    for i in range(t, rows):
+        for j in range(t, cols):
+            v = m[i][j]
+            if v != 0 and (best_abs is None or abs(v) < best_abs):
+                best, best_abs = (i, j), abs(v)
+    return best
+
+
+def _smith_loop(m, rows, cols) -> tuple[int, ...]:
+    """Diagonalize the dense rows `m` in place; returns the nonzero invariant factors.
+
+    Pivot choice is the smallest nonzero absolute value in the remaining
+    block, ties broken by row-major scan order, which makes the output
+    deterministic.
+    """
+
+    def row_op(dst, src, q):
+        m[dst] = [a - q * b for a, b in zip(m[dst], m[src])]
+
+    def col_op(dst, src, q):
+        for r in m:
+            r[dst] -= q * r[src]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+
+    def swap_cols(i, j):
+        for r in m:
+            r[i], r[j] = r[j], r[i]
+
+    t = 0
+    while t < min(rows, cols):
+        pos = _min_pivot(m, t, rows, cols)
+        if pos is None:
+            break
+        while True:
+            i, j = pos
+            if i != t:
+                swap_rows(t, i)
+            if j != t:
+                swap_cols(t, j)
+            pivot = m[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    row_op(i, t, m[i][t] // pivot)
+                    dirty = dirty or m[i][t] != 0
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    col_op(j, t, m[t][j] // pivot)
+                    dirty = dirty or m[t][j] != 0
+            if dirty:
+                pos = _min_pivot(m, t, rows, cols)
+                continue
+            # pivot must divide the whole trailing block for the chain property
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if m[i][j] % pivot != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, -1)  # pull the offending row up, then repeat
+            pos = _min_pivot(m, t, rows, cols)
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+        t += 1
+    return tuple(m[i][i] for i in range(t))
+
+
 def dense_smith(A):
     """Invariant factors from the dense Smith loop run on the whole matrix."""
     return _smith_loop(A.to_rows(), A.rows, A.cols)
@@ -142,8 +218,9 @@ def sparse_matrices(draw, max_dim=6, values=(1, -1, 2, -2, 3, -3)):
     return IntMatrix.from_rows(data) if rows else zeros(0, cols)
 
 
-# no entry is +1 or -1, so the whole matrix goes to the dense Smith loop
-no_unit_matrices = sparse_matrices(values=(2, -2, 3, -3, 4, 6))
+# no entry is +1 or -1, so no unit pivot is taken and the non-unit pivots
+# of `invariant_factors` start from the whole matrix
+no_unit_matrices = sparse_matrices(values=(2, -2, 3, -3, 4, 5, -5, 6, 7))
 
 sparse_or_no_unit = st.one_of(sparse_matrices(), no_unit_matrices)
 
@@ -180,6 +257,11 @@ class TestSmithNormalForm:
         rows = [[2, 4], [6, 8]]
         assert snf_oracle(rows) == (2, 4)  # gcd of entries 2, |det| = 8
         assert smith_normal_form(IntMatrix.from_rows(rows)) == (2, 4)
+        # the pivot moves from -3 to -2 in row 0, and the -1 below it is left
+        # alone by the row operations on column 1 because |-1| < 2
+        rows = [[-3, -5], [3, 4]]
+        assert snf_oracle(rows) == (1, 3)
+        assert smith_normal_form(IntMatrix.from_rows(rows)) == (1, 3)
 
     @given(int_matrices())
     @settings(max_examples=120, deadline=None)
@@ -210,7 +292,7 @@ class TestSmithNormalForm:
         assert smith_normal_form(A) == snf_oracle(A.to_rows())
 
     def test_no_unit_entries(self):
-        # the dense remainder is the whole matrix
+        # no unit pivot: the non-unit pivots start from the whole matrix
         rows = [[2, 0, 4], [0, 6, 0], [4, 0, 2]]
         assert smith_normal_form(IntMatrix.from_rows(rows)) == snf_oracle(rows) == (2, 6, 6)
 

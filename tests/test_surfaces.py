@@ -388,6 +388,7 @@ class TestScriptFormat:
         "cut x nonsep",
         "cut 0 sep",
         "cut 0 nonsep extra",
+        "cut 0 sep 0 - extra",
         "paste 0-1",
         "paste",
     ])
