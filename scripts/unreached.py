@@ -46,7 +46,6 @@ _BUILDER = "a test builder; moving it into tests/ would not make the code smalle
 # (module, qualname) -> why the function stays although no request calls it
 KEPT = {
     ("cli", "main"): "the console-script entry point",
-    ("cobordism", "CobordismClass.total_chi"): "the tests' oracle for word Euler characteristics",
     ("exact_linalg", "IntMatrix.from_rows"): _BUILDER,
     ("exact_linalg", "IntMatrix.to_rows"): _BUILDER,
     ("exact_linalg", "rational_rank"): _TRACER,
@@ -59,7 +58,7 @@ KEPT = {
     ("simplicial", "disjoint_union"): _BUILDER,
     ("simplicial", "complex_to_json"): _SCRIPTS,
     ("surfaces", "Component.boundary_count"): "Surface.as_multiset reads it",
-    ("surfaces", "Surface.as_multiset"): "a Theta-multiplicativity failure witness prints it",
+    ("surfaces", "Surface.as_multiset"): "the tests' oracle for surface normal forms",
     ("tqft", "RationalScalar.inverse"): _GROUP,
     ("tqft", "RationalScalar.abs_value"): _GROUP,
     ("tqft", "ExpScalar.inverse"): _GROUP,

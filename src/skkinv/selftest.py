@@ -167,12 +167,14 @@ def boundary_dependence(seed: int):
 
 @check
 def theta_multiplicativity(seed: int):
-    """exp(chi) is multiplicative in dimension 2; in dimension 1 it fails on
-    two arcs glued to a circle, with exactly that witness."""
-    dim2 = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(2), 2, seed=seed, budget=300)
+    """exp(chi) of a word's normal form is multiplicative under composition
+    of dimension-2 words, which glue along circles; on dimension-1 words,
+    which glue along points, it fails on two arcs glued to a circle, with
+    exactly that witness."""
+    dim2 = tqft.check_theta_defines_tqft(tqft.exp_chi_theta, 2, seed=seed, budget=300)
     if not dim2.passed:
         yield f"dimension 2 failed: {dim2.witness}"
-    dim1 = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(1), 1, seed=seed, budget=300)
+    dim1 = tqft.check_theta_defines_tqft(tqft.exp_chi_theta, 1, seed=seed, budget=300)
     if dim1.witness != "two arcs glued to a circle: exp(1) * exp(1) != exp(0)":
         yield f"dimension 1 should fail on the arc gluing, got: {dim1.witness}"
 

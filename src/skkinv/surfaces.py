@@ -99,10 +99,6 @@ def torus() -> Surface:
     return surface((1, 0))
 
 
-def disk() -> Surface:
-    return surface((0, 1))
-
-
 def genus_surface(g: int, b: int = 0) -> Surface:
     return surface((g, b))
 

@@ -53,7 +53,6 @@ from .cobordism import (
     tensor,
 )
 from .rationals import fraction_text
-from .surfaces import PasteSpec, chi as surface_chi, disjoint_union as surface_union, paste
 
 
 class VariantMismatch(InputError):
@@ -520,128 +519,39 @@ def _witness_str(s: GroupScalar) -> str:
     return str(s)
 
 
-@dataclass(frozen=True)
-class OneManifold:
-    """Disjoint union of arcs and circles."""
-
-    arcs: int
-    circles: int
-
-    def __post_init__(self):
-        if self.arcs < 0 or self.circles < 0:
-            raise ValueError("negative component counts")
-
-    @property
-    def chi(self) -> int:
-        return self.arcs
-
-
-def glue_one_manifolds(M: OneManifold, N: OneManifold, matching) -> OneManifold:
-    """Glue along matched endpoint pairs ((arc, end) of M to (arc, end) of N).
-
-    Arcs chain into paths or close into circles depending on the matching.
-    """
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    used = set()
-    for (ma, me), (na, ne) in matching:
-        if not (0 <= ma < M.arcs and 0 <= na < N.arcs and me in (0, 1) and ne in (0, 1)):
-            raise ValueError("matching references missing endpoints")
-        for key in (("m", ma, me), ("n", na, ne)):
-            if key in used:
-                raise ValueError(f"endpoint {key} matched twice")
-            used.add(key)
-        adj.setdefault(("m", ma), []).append(("n", na))
-        adj.setdefault(("n", na), []).append(("m", ma))
-
-    nodes = [("m", i) for i in range(M.arcs)] + [("n", i) for i in range(N.arcs)]
-    seen: set = set()
-    arcs = 0
-    circles = M.circles + N.circles
-    for node in nodes:
-        if node in seen:
-            continue
-        component = []
-        stack = [node]
-        seen.add(node)
-        while stack:
-            x = stack.pop()
-            component.append(x)
-            for y in adj.get(x, []):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        edges = sum(len(adj.get(x, [])) for x in component) // 2
-        if edges == len(component):
-            circles += 1           # cycle of arcs closes up
-        else:
-            arcs += 1              # chain of arcs stays an arc
-    return OneManifold(arcs, circles)
+# the birth-then-death composition of each dimension, checked first
+_BIRTH_DEATH = {1: ("acap", "acup", "two arcs glued to a circle"),
+                2: ("cap", "cup", "two disks glued to a sphere")}
 
 
 @check
 def check_theta_defines_tqft(theta, dim: int, seed: int = 0, budget: int = 300):
-    """Sample gluings and test Theta(M glued N) = Theta(M) * Theta(N).
+    """Test Theta(compose(M, N)) = Theta(M) * Theta(N) on words of `dim`.
 
-    The canonical disk-pair gluings are checked before the seeded random
-    ones, so a failing Theta in dimension 1 is always witnessed by two arcs
-    closing into a circle.
+    Theta is a function of cobordism words. The birth-then-death pair is
+    checked first, then `budget` seeded random composable pairs, so a Theta
+    that fails in dimension 1 on two arcs closing into a circle is always
+    witnessed by that gluing.
     """
-    rng = random.Random(seed)
-    if dim == 1:
-        arc = OneManifold(1, 0)
-        glued = glue_one_manifolds(arc, arc, [((0, 0), (0, 0)), ((0, 1), (0, 1))])
-        lhs = theta(arc) * theta(arc)
-        rhs = theta(glued)
-        if lhs != rhs:
-            yield (f"two arcs glued to a circle: {_witness_str(theta(arc))} *"
-                   f" {_witness_str(theta(arc))} != {_witness_str(rhs)}")
-        for _ in range(budget):
-            M = OneManifold(rng.randrange(0, 4), rng.randrange(0, 3))
-            N = OneManifold(rng.randrange(0, 4), rng.randrange(0, 3))
-            m_ends = [(a, e) for a in range(M.arcs) for e in (0, 1)]
-            n_ends = [(a, e) for a in range(N.arcs) for e in (0, 1)]
-            k = rng.randrange(0, min(len(m_ends), len(n_ends)) + 1)
-            rng.shuffle(m_ends)
-            rng.shuffle(n_ends)
-            matching = list(zip(m_ends[:k], n_ends[:k]))
-            glued = glue_one_manifolds(M, N, matching)
-            if theta(M) * theta(N) != theta(glued):
-                yield (f"arcs/circles {M} and {N} glued on {k} endpoint pairs:"
-                       f" {_witness_str(theta(M))} * {_witness_str(theta(N))}"
-                       f" != {_witness_str(theta(glued))}")
-    elif dim == 2:
-        from .surfaces import disk, random_surface
-
-        glued = paste(surface_union(disk(), disk()), PasteSpec(((0, 1),)))
-        lhs = theta(disk()) * theta(disk())
-        if lhs != theta(glued):
-            yield (f"two disks glued to a sphere: {theta(disk())} * {theta(disk())}"
-                   f" != {theta(glued)}")
-        for _ in range(budget):
-            M = random_surface(rng, max_genus=3, max_components=3, max_boundary=3)
-            N = random_surface(rng, max_genus=3, max_components=3, max_boundary=3)
-            union = surface_union(M, N)
-            m_circles = list(M.circle_ids())
-            n_circles = [c + M.next_circle for c in N.circle_ids()]
-            k = rng.randrange(0, min(len(m_circles), len(n_circles)) + 1)
-            rng.shuffle(m_circles)
-            rng.shuffle(n_circles)
-            pairs = tuple(zip(m_circles[:k], n_circles[:k]))
-            glued = paste(union, PasteSpec(pairs))
-            if theta(M) * theta(N) != theta(glued):
-                yield (f"{M.as_multiset()} and {N.as_multiset()} glued on {k} circles:"
-                       f" {theta(M)} * {theta(N)} != {theta(glued)}")
-    else:
+    if dim not in _BIRTH_DEATH:
         raise WrongDimension(f"theta checks exist for dimensions 1 and 2, not {dim}")
+    birth, death, label = _BIRTH_DEATH[dim]
+    M, N = parse_word(birth, dim), parse_word(death, dim)
+    rng = random.Random(seed)
+    for i in range(budget + 1):
+        if i:
+            M = random_word(rng, dim)
+            N = random_word(rng, dim, start_arity=M.out_arity)
+            label = f"compose({M.text()!r}, {N.text()!r})"
+        mv, nv, glued = theta(M), theta(N), theta(compose(M, N))
+        if mv * nv != glued:
+            yield (f"{label}: {_witness_str(mv)} * {_witness_str(nv)}"
+                   f" != {_witness_str(glued)}")
 
 
-def exp_chi_theta(dim: int):
-    """Theta = exp(Euler characteristic) on the models of the given dimension."""
-    if dim == 1:
-        return lambda m: exp_scalar(m.chi)
-    if dim == 2:
-        return lambda s: exp_scalar(surface_chi(s))
-    raise WrongDimension(f"no exp(chi) model in dimension {dim}")
+def exp_chi_theta(w: CobordismWord) -> ExpScalar:
+    """Theta = exp(Euler characteristic of the word's normal form)."""
+    return exp_scalar(normal_form(w).total_chi())
 
 
 def boundary_dependence_check(T, seed: int = 0, budget: int = 100) -> Report:

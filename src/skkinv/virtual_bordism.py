@@ -19,6 +19,7 @@ by name multiset, so orientation decorations are below its resolution.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -172,7 +173,10 @@ class Catalog:
             raise ValueError(f"catalogs have even dimension, got {self.dim}")
         if self.l < 1:
             raise ValueError("l must be a positive integer")
-        names = {p.name for p in self.pieces}
+        names = Counter(p.name for p in self.pieces)
+        twice = sorted(name for name, k in names.items() if k > 1)
+        if twice:
+            raise CatalogFormatError(f"piece names used more than once: {twice}")
         for label, pname in self.b_sigma:
             if pname not in names:
                 raise CatalogFormatError(f"b_sigma for {label!r} names unknown piece {pname!r}")
@@ -181,9 +185,14 @@ class Catalog:
                 raise CatalogFormatError(
                     f"boundary of {pname!r} is not {self.l} copies of {label!r}"
                 )
+        declared = set()
         for parts, pname in self.identities:
             if pname not in names:
                 raise CatalogFormatError(f"identity resolves to unknown piece {pname!r}")
+            key = tuple(sorted(parts))
+            if key in declared:
+                raise CatalogFormatError(f"two identities for the parts {list(key)}")
+            declared.add(key)
 
     def piece(self, name: str) -> VirtualPiece:
         for p in self.pieces:

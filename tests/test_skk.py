@@ -40,7 +40,7 @@ class TestSkkClass:
 
     def test_closedness_required(self):
         with pytest.raises(skk.NotClosedManifold):
-            skk.skk_class(sf.disk(), 2)
+            skk.skk_class(sf.surface((0, 1)), 2)
 
     @given(seeds)
     @settings(max_examples=50, deadline=None)

@@ -58,7 +58,7 @@ class TestPaste:
         assert result.as_multiset() == ((1, 0),)
 
     def test_two_disks_to_sphere(self):
-        union = sf.disjoint_union(sf.disk(), sf.disk())
+        union = sf.disjoint_union(sf.surface((0, 1)), sf.surface((0, 1)))
         result = sf.paste(union, sf.PasteSpec(((0, 1),)))
         assert result.as_multiset() == ((0, 0),)
 
@@ -174,7 +174,7 @@ class TestSkEquivalent:
 
     def test_requires_closed(self):
         with pytest.raises(sf.NotClosedSurface):
-            sf.sk_equivalent(sf.disk(), sf.sphere())
+            sf.sk_equivalent(sf.surface((0, 1)), sf.sphere())
 
 
 class TestRandomSequences:

@@ -534,46 +534,41 @@ class TestMappingCylinderRatio:
 
 class TestThetaChecks:
     def test_exp_chi_dim2_passes(self):
-        result = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(2), 2, seed=0, budget=150)
+        result = tqft.check_theta_defines_tqft(tqft.exp_chi_theta, 2, seed=0, budget=150)
         assert result.passed and result.witness is None
 
     def test_exp_chi_dim1_fails_on_arc_gluing(self):
-        result = tqft.check_theta_defines_tqft(tqft.exp_chi_theta(1), 1, seed=0, budget=150)
+        result = tqft.check_theta_defines_tqft(tqft.exp_chi_theta, 1, seed=0, budget=150)
         assert not result.passed
         assert result.witness == "two arcs glued to a circle: exp(1) * exp(1) != exp(0)"
 
     def test_constant_theta_passes_both(self):
-        one = lambda m: tqft.exp_scalar(0)
+        one = lambda w: tqft.exp_scalar(0)
         assert tqft.check_theta_defines_tqft(one, 2, seed=1, budget=80).passed
         assert tqft.check_theta_defines_tqft(one, 1, seed=1, budget=80).passed
 
     def test_component_count_theta_fails_dim2(self):
-        def comp_count(s):
-            return tqft.exp_scalar(len(s.components))
+        def comp_count(w):
+            return tqft.exp_scalar(len(cb.normal_form(w).components))
 
         result = tqft.check_theta_defines_tqft(comp_count, 2, seed=1, budget=200)
         assert not result.passed and result.witness
 
+    def test_dimension_3_is_refused(self):
+        with pytest.raises(cb.WrongDimension):
+            tqft.check_theta_defines_tqft(tqft.exp_chi_theta, 3, seed=0, budget=10)
 
-class TestOneManifoldGluing:
-    def test_two_arcs_to_circle(self):
-        arc = tqft.OneManifold(1, 0)
-        out = tqft.glue_one_manifolds(arc, arc, [((0, 0), (0, 0)), ((0, 1), (0, 1))])
-        assert out == tqft.OneManifold(0, 1)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_random_compositions_catch_what_the_birth_death_pair_misses(self, dim):
+        # components, closed ones twice: 1 + 1 on the birth and death pieces
+        # and 2 on what they glue to, but not additive in general
+        def components_closed_twice(w):
+            parts = cb.normal_form(w).components
+            return tqft.exp_scalar(len(parts) + sum(c.is_closed for c in parts))
 
-    def test_chain_stays_arc(self):
-        arc = tqft.OneManifold(1, 0)
-        out = tqft.glue_one_manifolds(arc, arc, [((0, 1), (0, 0))])
-        assert out == tqft.OneManifold(1, 0)
-
-    def test_circles_carried_through(self):
-        out = tqft.glue_one_manifolds(tqft.OneManifold(0, 2), tqft.OneManifold(1, 1), [])
-        assert out == tqft.OneManifold(1, 3)
-
-    def test_duplicate_endpoint_rejected(self):
-        arc = tqft.OneManifold(1, 0)
-        with pytest.raises(ValueError):
-            tqft.glue_one_manifolds(arc, arc, [((0, 0), (0, 0)), ((0, 0), (0, 1))])
+        result = tqft.check_theta_defines_tqft(components_closed_twice, dim, seed=0, budget=100)
+        assert not result.passed
+        assert result.witness.startswith("compose(")
 
 
 class TestKernelCharacterization:

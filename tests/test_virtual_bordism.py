@@ -274,6 +274,24 @@ class TestCatalogFormat:
         with pytest.raises(vb.CatalogFormatError):
             vb.catalog_from_json(doc)
 
+    def test_piece_name_used_twice_rejected(self):
+        # piece() would silently pick the first D8, which has no p2
+        doc = ('{"dim": 8, "l": 1, "pieces":'
+               ' [{"name": "D8", "chi": 1, "boundary": ["S7"]},'
+               ' {"name": "D8", "chi": 1, "boundary": ["S7"], "attributes": {"p2": 0}}],'
+               ' "b_sigma": {"S7": "D8"}}')
+        with pytest.raises(vb.CatalogFormatError, match="D8"):
+            vb.catalog_from_json(doc)
+
+    def test_identities_sharing_a_part_multiset_rejected(self):
+        doc = ('{"dim": 2, "l": 1, "pieces":'
+               ' [{"name": "D2", "chi": 1, "boundary": ["S1"]}, {"name": "S2", "chi": 2},'
+               ' {"name": "T2", "chi": 0}, {"name": "C", "chi": 0, "boundary": ["S1", "S1"]}],'
+               ' "identities": [{"pieces": ["D2", "C", "D2"], "equals": "S2"},'
+               ' {"pieces": ["D2", "D2", "C"], "equals": "T2"}]}')
+        with pytest.raises(vb.CatalogFormatError, match="two identities"):
+            vb.catalog_from_json(doc)
+
     def test_identity_chi_cross_checked(self):
         bad = vb.Catalog(
             dim=8, l=1,
