@@ -57,7 +57,6 @@ KEPT = {
     ("simplicial", "boundary_matrix"): _TRACER,
     ("simplicial", "disjoint_union"): _BUILDER,
     ("simplicial", "complex_to_json"): _SCRIPTS,
-    ("surfaces", "Component.boundary_count"): "Surface.as_multiset reads it",
     ("surfaces", "Surface.as_multiset"): "the tests' oracle for surface normal forms",
     ("tqft", "RationalScalar.inverse"): _GROUP,
     ("tqft", "RationalScalar.abs_value"): _GROUP,

@@ -1,5 +1,5 @@
-"""Exact rationals as text: the one reader for rationals that a request
-supplies, and a printer for rationals of any size."""
+"""Request input as exact numbers: the one reader for rationals given as text,
+the test for JSON integers, and a printer for rationals of any size."""
 
 from __future__ import annotations
 
@@ -16,6 +16,11 @@ _RATIONAL = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)\
 # default, at least 640). That limit is process-global, so it is left alone and
 # larger integers are split by a power of ten; 2000 bits is under 640 digits.
 _STR_BITS = 2000
+
+
+def is_json_int(x) -> bool:
+    """JSON integers only: `bool` is a subclass of `int` but true/false are not numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_rational(text: str) -> Fraction:

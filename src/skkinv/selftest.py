@@ -120,15 +120,15 @@ def tqft_axiom_grid(seed: int):
 
 @check
 def closed_value_law(seed: int):
-    """A closed word is worth (cap*cup)^(sum of 1 - genus), on 200 words at
-    every grid point and at (3/2, 5/7)."""
+    """A closed word is worth psi(T) = cap*cup to the power chi/2 = sum of
+    1 - genus, on 200 words at every grid point and at (3/2, 5/7)."""
     rng = random.Random(seed)
     words = [random_closed_word(rng) for _ in range(200)]
     exponents = [sum(1 - c.genus for c in normal_form(w).components) for w in words]
     for a, e in _GRID + ((Fraction(3, 2), Fraction(5, 7)),):
         T = InvertibleTQFT2(rational(a), rational(e))
         for w, exponent in zip(words, exponents):
-            if tqft.evaluate(T, w) != (T.cap * T.cup) ** exponent:
+            if tqft.evaluate(T, w) != skk.psi(T) ** exponent:
                 yield f"(a={a}, e={e}): word {w.text()!r}"
 
 

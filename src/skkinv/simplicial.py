@@ -25,6 +25,7 @@ from functools import cached_property
 
 from . import InputError
 from .exact_linalg import IntMatrix, smith_normal_form
+from .rationals import is_json_int
 
 
 class NotClosed(InputError):
@@ -397,11 +398,6 @@ def complex_to_json(K: SimplicialComplex) -> str:
     if K.orientations is not None:
         doc["orientations"] = list(K.orientations)
     return json.dumps(doc, indent=2)
-
-
-def is_json_int(x) -> bool:
-    """JSON integers only: `bool` is a subclass of `int` but true/false are not numbers."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # Bound on the faces `face_index` enumerates for a document, counted as

@@ -8,7 +8,7 @@ The class functions take the closed models that commands build: surfaces
 only.
 
 Restricting an invertible 2d TQFT to closed words gives the chi-type
-invariant (cap*cup)**(chi/2), an `SKKInvariant`. Over signed-exponential
+invariant (cap*cup)**(chi/2), held as its base cap*cup. Over signed-exponential
 scalars the absolute value of that restriction is hit by an explicit
 splitting, exp(r*chi) -> (cap = cup = exp(r)), with the sign-valued TQFTs
 forming the kernel. All of this is checked exactly on parameter grids by
@@ -138,27 +138,9 @@ def i_n_table(n: int) -> str:
 
 # -- invariants and the TQFT restriction ---------------------------------------------
 
-@dataclass(frozen=True)
-class SKKInvariant:
-    """The chi-type class function base**(chi/2) on closed manifolds."""
-
-    base: GroupScalar
-
-    def on_chi(self, chi: int) -> GroupScalar:
-        """The value on a closed manifold of Euler characteristic chi: an
-        integer power when chi is even. The root for odd chi is exact for
-        positive exponentials, so the invariant also evaluates on odd-chi
-        4-manifolds."""
-        half, odd = divmod(chi, 2)
-        return self.base ** (Fraction(chi, 2) if odd else half)
-
-    def product(self, other: "SKKInvariant") -> "SKKInvariant":
-        return SKKInvariant(self.base * other.base)
-
-
-def chi_invariant(r) -> SKKInvariant:
-    """exp(r * chi) as a positive-real-valued invariant."""
-    return SKKInvariant(exp_scalar(2 * Fraction(r)))
+def chi_invariant(r) -> ExpScalar:
+    """exp(r * chi) as a positive-real-valued invariant: its base exp(2r)."""
+    return exp_scalar(2 * Fraction(r))
 
 
 def attribute_invariant(key: str, catalog: Catalog):
@@ -178,46 +160,24 @@ def attribute_invariant(key: str, catalog: Catalog):
     return value
 
 
-def psi(T: InvertibleTQFT2) -> SKKInvariant:
-    """Restriction of a TQFT to closed manifolds: M -> (cap*cup)**(chi/2)."""
-    return SKKInvariant(T.cap * T.cup)
+def psi(T: InvertibleTQFT2) -> GroupScalar:
+    """Restriction of a TQFT to closed manifolds, (cap*cup)**(chi/2), as its base."""
+    return T.cap * T.cup
 
 
-def abs_psi(T: InvertibleTQFT2) -> SKKInvariant:
+def abs_psi(T: InvertibleTQFT2) -> ExpScalar:
     """Positive part of the restriction; defined over exponential scalars."""
     if T.variant != "exp":
         raise VariantMismatch("absolute restriction needs signed-exponential scalars")
-    return SKKInvariant(psi(T).base.abs_value())
+    return psi(T).abs_value()
 
 
 def kernel_membership(T: InvertibleTQFT2) -> bool:
     """True iff every closed value is a sign: |cap * cup| = 1."""
-    prod = psi(T).base
+    prod = psi(T)
     if isinstance(prod, ExpScalar):
         return prod.exponent == 0
     return abs(prod.value) == 1
-
-
-# Euler characteristics of sample closed surfaces separating the chi classes
-# (sphere, torus, genus 2 and 3, two spheres, torus plus genus 2), measured
-# once per process, each distinct value kept once; chi-type invariants are
-# compared through them.
-SAMPLE_CHIS = tuple(dict.fromkeys(sf.chi(M) for M in (
-    sf.sphere(),
-    sf.torus(),
-    sf.genus_surface(2),
-    sf.genus_surface(3),
-    sf.disjoint_union(sf.sphere(), sf.sphere()),
-    sf.disjoint_union(sf.torus(), sf.genus_surface(2)),
-)))
-
-
-def invariants_agree(xi1: SKKInvariant, xi2: SKKInvariant) -> bool:
-    return all(xi1.on_chi(c) == xi2.on_chi(c) for c in SAMPLE_CHIS)
-
-
-def invariant_is_trivial(xi: SKKInvariant) -> bool:
-    return all(xi.on_chi(c).is_one for c in SAMPLE_CHIS)
 
 
 # -- the splitting -----------------------------------------------------------------
@@ -280,7 +240,7 @@ def kernel_equals_sign_valued(grid):
         for e in grid:
             T = InvertibleTQFT2(a, e)
             in_kernel = kernel_membership(T)
-            trivial = invariant_is_trivial(abs_psi(T))
+            trivial = abs_psi(T).is_one
             if in_kernel != trivial:
                 yield (f"cap={a}, cup={e}: kernel membership {in_kernel}"
                        f" but trivial restriction {trivial}")
@@ -289,16 +249,16 @@ def kernel_equals_sign_valued(grid):
 @check
 def surjectivity_onto_chi_star(restricted):
     for r, got, xi in restricted:
-        if not invariants_agree(got, xi):
+        if got != xi:
             yield f"exp({r}*chi) is not hit: restriction disagrees on samples"
 
 
 @check
 def restriction_after_splitting_is_identity(restricted):
     for r, got, xi in restricted:
-        if not invariants_agree(got, xi):
+        if got != xi:
             yield (f"restriction after splitting of exp({r}*chi) gives"
-                   f" exp({Fraction(got.base.exponent, 2)}*chi), expected exp({r}*chi)")
+                   f" exp({Fraction(got.exponent, 2)}*chi), expected exp({r}*chi)")
 
 
 @check
@@ -307,8 +267,8 @@ def restriction_is_homomorphism(grid, rng):
         a1, e1, a2, e2 = (rng.choice(grid) for _ in range(4))
         T1, T2 = InvertibleTQFT2(a1, e1), InvertibleTQFT2(a2, e2)
         lhs = abs_psi(T1.product(T2))
-        rhs = abs_psi(T1).product(abs_psi(T2))
-        if not invariants_agree(lhs, rhs):
+        rhs = abs_psi(T1) * abs_psi(T2)
+        if lhs != rhs:
             yield f"product of cap={a1},cup={e1} and cap={a2},cup={e2}"
 
 

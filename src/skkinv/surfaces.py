@@ -3,8 +3,8 @@
 Surfaces are stored in classification normal form: a list of components,
 each a genus together with its labeled boundary circles. Cutting along a
 simple closed curve and regluing boundary circles are exact bookkeeping
-operations on this data; the Euler characteristic is preserved by both and
-the genus of a pasted component is recovered from it.
+operations on this data; a pasted component's genus is the cycle rank of its
+gluing graph, so that chi is preserved by both as a fact the checks test.
 
 Regluing data is a circle matching only. Orientation-preserving
 self-diffeomorphisms of a disjoint union of circles are isotopic to
@@ -49,10 +49,6 @@ class Component:
             raise ValueError("negative genus")
 
     @property
-    def boundary_count(self) -> int:
-        return len(self.circles)
-
-    @property
     def chi(self) -> int:
         return 2 - 2 * self.genus - len(self.circles)
 
@@ -75,7 +71,7 @@ class Surface:
 
     def as_multiset(self) -> tuple[tuple[int, int], ...]:
         """Sorted multiset of (genus, boundary circles); the normal form."""
-        return tuple(sorted((c.genus, c.boundary_count) for c in self.components))
+        return tuple(sorted((c.genus, len(c.circles)) for c in self.components))
 
     def circle_ids(self) -> tuple[int, ...]:
         return tuple(c for comp in self.components for c in comp.circles)
@@ -89,18 +85,6 @@ def surface(*components) -> Surface:
         comps.append(Component(g, tuple(range(nxt, nxt + b))))
         nxt += b
     return Surface(tuple(comps), nxt)
-
-
-def sphere() -> Surface:
-    return surface((0, 0))
-
-
-def torus() -> Surface:
-    return surface((1, 0))
-
-
-def genus_surface(g: int, b: int = 0) -> Surface:
-    return surface((g, b))
 
 
 @dataclass(frozen=True)
@@ -127,15 +111,6 @@ class PasteSpec:
 
 def chi(S: Surface) -> int:
     return sum(c.chi for c in S.components)
-
-
-def disjoint_union(S1: Surface, S2: Surface) -> Surface:
-    """Disjoint union; S2's circle identifiers are shifted to stay fresh."""
-    shift = S1.next_circle
-    comps = S1.components + tuple(
-        Component(c.genus, tuple(x + shift for x in c.circles)) for c in S2.components
-    )
-    return Surface(comps, shift + S2.next_circle)
 
 
 class _Piece:
@@ -240,19 +215,16 @@ class _Editor:
             clusters.setdefault(find(piece), []).append(piece)
         absorbed: set[_Piece] = set()
         for members in clusters.values():
-            total_chi = sum(2 - 2 * p.genus - len(p.circles) for p in members)
+            # m pieces of genera summing to G, joined by k pairs, glue to
+            # genus G + k - m + 1: the cycle rank of the gluing graph
+            genus, circles = 1 - len(members), 0
+            for p in members:
+                genus += p.genus
+                circles += len(p.circles)
             remaining = [c for p in members for c in p.circles if c not in used]
-            # A cluster of m pieces of genera summing to G, joined by k pairs,
-            # has total_chi = 2m - 2G - B for B circles and 2k of them glued,
-            # so genus2 = 2 - (B - 2k) - total_chi = 2(G + k - m + 1). The
-            # pairs connect the m pieces, so k >= m - 1: genus2 is even and
-            # at least 2G, and a matching cannot make it otherwise.
-            genus2 = 2 - len(remaining) - total_chi
-            if genus2 < 0 or genus2 % 2 != 0:
-                raise RuntimeError(f"paste computed {genus2} as twice the genus of a"
-                                   f" cluster of {len(members)} pieces")
             first = members[0]
-            first.genus, first.circles = genus2 // 2, remaining
+            first.genus = genus + (circles - len(remaining)) // 2
+            first.circles = remaining
             for p in members[1:]:
                 for c in p.circles:
                     owner[c] = first
@@ -278,9 +250,9 @@ def cut(S: Surface, spec: CutSpec) -> Surface:
 def paste(S: Surface, spec: PasteSpec) -> Surface:
     """Reglue matched boundary circle pairs (orientation-compatibly).
 
-    Components connected through the matching merge; each component's genus
-    is recovered from chi = 2 - 2g - b over its remaining boundary, which
-    leaves an unmatched component as it was.
+    Components connected through the matching merge; m pieces of genera
+    summing to G joined by k pairs glue to genus G + k - m + 1, the cycle
+    rank of the gluing graph. An unmatched component stays as it was.
     """
     editor = _Editor(S)
     editor.paste(spec)

@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import InputError
-from .rationals import parse_rational
-from .simplicial import is_json_int
+from .rationals import is_json_int, parse_rational
 
 
 class LabelMismatch(InputError):
@@ -177,6 +176,8 @@ class Catalog:
         twice = sorted(name for name, k in names.items() if k > 1)
         if twice:
             raise CatalogFormatError(f"piece names used more than once: {twice}")
+        object.__setattr__(self, "_by_name", {p.name: p for p in self.pieces})
+        object.__setattr__(self, "_by_parts", {})
         for label, pname in self.b_sigma:
             if pname not in names:
                 raise CatalogFormatError(f"b_sigma for {label!r} names unknown piece {pname!r}")
@@ -185,20 +186,19 @@ class Catalog:
                 raise CatalogFormatError(
                     f"boundary of {pname!r} is not {self.l} copies of {label!r}"
                 )
-        declared = set()
         for parts, pname in self.identities:
             if pname not in names:
                 raise CatalogFormatError(f"identity resolves to unknown piece {pname!r}")
             key = tuple(sorted(parts))
-            if key in declared:
+            if key in self._by_parts:
                 raise CatalogFormatError(f"two identities for the parts {list(key)}")
-            declared.add(key)
+            self._by_parts[key] = self._by_name[pname]
 
     def piece(self, name: str) -> VirtualPiece:
-        for p in self.pieces:
-            if p.name == name:
-                return p
-        raise CatalogFormatError(f"no catalog piece {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise CatalogFormatError(f"no catalog piece {name!r}") from None
 
     def capping_piece(self, label_name: str) -> VirtualPiece:
         for label, pname in self.b_sigma:
@@ -215,11 +215,7 @@ class Catalog:
 
     def resolve(self, parts: tuple[str, ...]) -> VirtualPiece | None:
         """Match a glued piece's part multiset against declared identities."""
-        key = tuple(sorted(parts))
-        for declared, name in self.identities:
-            if tuple(sorted(declared)) == key:
-                return self.piece(name)
-        return None
+        return self._by_parts.get(tuple(sorted(parts)))
 
 
 def close_up(M: VirtualPiece, in_labels, out_labels, catalog: Catalog) -> VirtualPiece:

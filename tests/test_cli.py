@@ -599,6 +599,13 @@ def test_word_and_surface_layers_load_no_linear_algebra():
         "print(json.dumps([sorted(by_tqft), sorted(loaded)]))\n"
     )
     assert json.loads(_fresh_python(code)) == [[], []]
+    catalog_only = (
+        "import json, sys\n"
+        "import skkinv.virtual_bordism\n"
+        "print(json.dumps(sorted({'skkinv.simplicial', 'skkinv.exact_linalg'}"
+        " & set(sys.modules))))\n"
+    )
+    assert json.loads(_fresh_python(catalog_only)) == []
 
 
 class TestShippedFixtureFiles:

@@ -42,6 +42,21 @@ def _nonseparating_cut_keeps_its_genus(monkeypatch):
     monkeypatch.setattr(sf._Editor, "cut", cut)
 
 
+def _glued_genus_one_too_high(monkeypatch):
+    # the one paste step behind `paste`, `apply_script` and `trace_script`;
+    # the pieces a matching touches that survive it are the glued components
+    real = sf._Editor.paste
+
+    def paste(editor, spec):
+        touched = {editor.owner.get(c) for pair in spec.pairs for c in pair}
+        real(editor, spec)
+        for piece in editor.pieces:
+            if piece in touched:
+                piece.genus += 1
+
+    monkeypatch.setattr(sf._Editor, "paste", paste)
+
+
 def _class_counts_components(monkeypatch):
     real = skk.skk_class
     monkeypatch.setattr(skk, "skk_class", lambda M, dim: skk.SKKClass(
@@ -59,6 +74,10 @@ def _kernel_reads_only_the_sign(monkeypatch):
 
 def _kernel_asks_for_one(monkeypatch):
     monkeypatch.setattr(skk, "kernel_membership", lambda T: (T.cap * T.cup).is_one)
+
+
+def _restriction_squares_the_cap(monkeypatch):
+    monkeypatch.setattr(skk, "psi", lambda T: T.cap * T.cap)
 
 
 def _restriction_keeps_the_sign(monkeypatch):
@@ -83,7 +102,7 @@ def _double_without_reversal(monkeypatch):
 
 
 def _restriction_forgets_the_cup(monkeypatch):
-    monkeypatch.setattr(skk, "abs_psi", lambda T: skk.SKKInvariant(T.cap.abs_value()))
+    monkeypatch.setattr(skk, "abs_psi", lambda T: T.cap.abs_value())
 
 
 def _capping_choice_is_ignored(monkeypatch):
@@ -137,6 +156,17 @@ def test_planted_fault_fails_the_check(monkeypatch, name):
                          ids=lambda plant: plant.__name__.strip("_"))
 @pytest.mark.parametrize("name", ["kernel_theorem", "split_sequence"])
 def test_sign_fault_fails_the_check(monkeypatch, name, plant):
+    _assert_fault_fails_the_check(monkeypatch, name, plant, (0,))
+
+
+# Faults in the model behind a check, each caught by a check that the
+# fault table above plants differently.
+@pytest.mark.parametrize("name, plant", [
+    ("closed_value_law", _restriction_squares_the_cap),
+    ("cutpaste_chi_invariance", _glued_genus_one_too_high),
+    ("skk_error_term", _glued_genus_one_too_high),
+], ids=lambda x: x if isinstance(x, str) else x.__name__.strip("_"))
+def test_model_fault_fails_the_check(monkeypatch, name, plant):
     _assert_fault_fails_the_check(monkeypatch, name, plant, (0,))
 
 

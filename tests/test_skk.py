@@ -16,10 +16,10 @@ seeds = st.integers(min_value=0, max_value=2 ** 31)
 
 class TestSkkClass:
     def test_torus(self):
-        assert skk.skk_class(sf.torus(), 2).value == 0
+        assert skk.skk_class(sf.surface((1, 0)), 2).value == 0
 
     def test_two_spheres(self):
-        two = sf.disjoint_union(sf.sphere(), sf.sphere())
+        two = sf.surface((0, 0), (0, 0))
         assert skk.skk_class(two, 2).value == 2
 
     def test_cp2(self):
@@ -48,7 +48,7 @@ class TestSkkClass:
         rng = random.Random(seed)
         a = sf.random_surface(rng, max_boundary=0)
         b = sf.random_surface(rng, max_boundary=0)
-        union = sf.disjoint_union(a, b)
+        union = sf.surface(*a.as_multiset(), *b.as_multiset())
         assert skk.skk_class(union, 2).value == (
             skk.skk_class(a, 2).value + skk.skk_class(b, 2).value)
 
@@ -81,11 +81,11 @@ class TestSkClass:
         assert skk.sk_class(fixtures.cp2_9(), 4) == (1, 1)
 
     def test_sphere_dim2(self):
-        assert skk.sk_class(sf.sphere(), 2) == 1
+        assert skk.sk_class(sf.surface((0, 0)), 2) == 1
 
     def test_constant_on_sk_equivalent(self):
-        left = sf.torus()
-        right = sf.disjoint_union(sf.sphere(), sf.genus_surface(2))
+        left = sf.surface((1, 0))
+        right = sf.surface((0, 0), (2, 0))
         assert skk.sk_class(left, 2) == skk.sk_class(right, 2)
 
 
@@ -101,71 +101,70 @@ class TestTables:
                        "0", "Z", "Z/2", "Z", "0", "Z"]
 
 
-def value_on(inv, M):
-    return inv.on_chi(skk.chi_of(M))
+def value_on(base, M):
+    """The chi-type invariant with this base on an even-chi closed model."""
+    chi = skk.chi_of(M)
+    assert chi % 2 == 0
+    return base ** (chi // 2)
 
 
 class TestPsi:
     def test_sphere_value(self):
         inv = skk.psi(InvertibleTQFT2(rational(2), rational(3)))
-        assert value_on(inv, sf.sphere()) == rational(6)
+        assert value_on(inv, sf.surface((0, 0))) == rational(6)
 
     def test_kernel_gives_trivial_invariant(self):
         inv = skk.psi(InvertibleTQFT2(rational(2), rational(Fraction(1, 2))))
-        assert skk.invariant_is_trivial(inv)
+        assert inv.is_one
 
     def test_homomorphism(self):
         T1 = InvertibleTQFT2(rational(2), rational(3))
         T2 = InvertibleTQFT2(rational(5), rational(Fraction(1, 7)))
-        lhs = skk.psi(T1.product(T2))
-        rhs = skk.psi(T1).product(skk.psi(T2))
-        assert skk.invariants_agree(lhs, rhs)
+        assert skk.psi(T1.product(T2)) == skk.psi(T1) * skk.psi(T2)
 
     def test_matches_word_evaluation(self):
         from skkinv.tqft import evaluate
 
         T = InvertibleTQFT2(rational(3), rational(5))
-        inv = skk.psi(T)
         for g in range(4):
             word = cb.parse_word("cap ; " + "copants ; pants ; " * g + "cup")
-            surface = sf.genus_surface(g)
-            assert evaluate(T, word) == value_on(inv, surface)
+            assert skk.psi(T) ** (1 - g) == evaluate(T, word)
 
     def test_constant_on_sk_equivalent_fixtures(self):
         T = InvertibleTQFT2(rational(2), rational(7))
         inv = skk.psi(T)
-        left = sf.torus()
-        right = sf.disjoint_union(sf.sphere(), sf.genus_surface(2))
+        left = sf.surface((1, 0))
+        right = sf.surface((0, 0), (2, 0))
         assert value_on(inv, left) == value_on(inv, right)
 
 
 class TestChiInvariantDim4:
     def test_odd_chi_is_fine_for_exponentials(self):
-        assert value_on(skk.chi_invariant(1), fixtures.cp2_9()) == exp_scalar(3)
+        """cp2_9 has chi 3: exp(chi) there is the base exp(2) to the power 3/2."""
+        assert skk.chi_of(fixtures.cp2_9()) == 3
+        assert skk.chi_invariant(1) ** Fraction(3, 2) == exp_scalar(3)
 
 
 class TestAbsPsi:
     def test_drops_sign(self):
         T = InvertibleTQFT2(exp_scalar(1, sign=-1), exp_scalar(0))
         inv = skk.abs_psi(T)
-        assert value_on(inv, sf.sphere()) == exp_scalar(1)
+        assert value_on(inv, sf.surface((0, 0))) == exp_scalar(1)
 
     def test_sign_valued_becomes_trivial(self):
         T = InvertibleTQFT2(exp_scalar(0, sign=-1), exp_scalar(0))
-        assert skk.invariant_is_trivial(skk.abs_psi(T))
+        assert skk.abs_psi(T).is_one
 
     def test_positive_unchanged(self):
         T = InvertibleTQFT2(exp_scalar(1), exp_scalar(0))
         inv = skk.abs_psi(T)
         for g in range(4):
-            assert value_on(inv, sf.genus_surface(g)) == exp_scalar(1 - g)
+            assert value_on(inv, sf.surface((g, 0))) == exp_scalar(1 - g)
 
     def test_respects_products(self):
         T1 = InvertibleTQFT2(exp_scalar(2, sign=-1), exp_scalar(-1))
         T2 = InvertibleTQFT2(exp_scalar(Fraction(1, 2)), exp_scalar(3, sign=-1))
-        lhs = skk.abs_psi(T1.product(T2))
-        rhs = skk.abs_psi(T1).product(skk.abs_psi(T2))
-        assert skk.invariants_agree(lhs, rhs)
+        assert skk.abs_psi(T1.product(T2)) == skk.abs_psi(T1) * skk.abs_psi(T2)
 
     @given(st.fractions(min_value=-20, max_value=20, max_denominator=12),
            st.fractions(min_value=-20, max_value=20, max_denominator=12),
@@ -174,7 +173,7 @@ class TestAbsPsi:
     def test_restriction_is_exp_of_half_the_exponent_sum(self, p, q, sign):
         """|Psi(exp(p), +-exp(q))| is the chi-type invariant exp((p + q) / 2 * chi)."""
         T = InvertibleTQFT2(exp_scalar(p, sign), exp_scalar(q))
-        assert skk.invariants_agree(skk.abs_psi(T), skk.chi_invariant((p + q) / 2))
+        assert skk.abs_psi(T) == skk.chi_invariant((p + q) / 2)
 
     @given(st.integers(-40, 40), st.integers(-40, 40))
     @settings(max_examples=80, deadline=None)
@@ -183,17 +182,8 @@ class TestAbsPsi:
         assume((p + q) % 2)
         half = exp_scalar(Fraction(p + q, 2))
         xi = skk.abs_psi(InvertibleTQFT2(exp_scalar(p), exp_scalar(q)))
-        split = skk.splitting_S(Fraction(xi.base.exponent, 2))
+        split = skk.splitting_S(Fraction(xi.exponent, 2))
         assert split == InvertibleTQFT2(half, half)
-
-    @given(st.fractions(min_value=-6, max_value=6, max_denominator=6),
-           st.sampled_from((1, -1)), st.integers(-12, 12))
-    @settings(max_examples=80, deadline=None)
-    def test_integer_powers_match_half_chi_roots(self, r, sign, chi):
-        """Even chi takes an integer power, odd chi the root; both equal base**(chi/2)."""
-        assume(sign == 1 or chi % 2 == 0)  # a negative scalar has no real square root
-        xi = skk.SKKInvariant(exp_scalar(r, sign))
-        assert xi.on_chi(chi) == exp_scalar(r, sign) ** Fraction(chi, 2)
 
     def test_requires_exp_variant(self):
         from skkinv.tqft import VariantMismatch

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from skkinv import cobordism as cb
 from skkinv import tqft
@@ -88,6 +88,19 @@ class TestScalars:
         assert neg ** Fraction(1, 3) == tqft.exp_scalar(1, sign=-1)
         with pytest.raises(tqft.FractionalExponent):
             neg ** Fraction(1, 2)
+
+    @given(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+           st.sampled_from((1, -1)), st.integers(-12, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_integer_powers_match_half_chi_roots(self, r, sign, chi):
+        """base**(chi/2): for even chi the integer power equals the Fraction
+        power, and for odd chi the root of a positive base squares to base**chi."""
+        assume(sign == 1 or chi % 2 == 0)  # a negative scalar has no real square root
+        base = tqft.exp_scalar(r, sign)
+        half = base ** Fraction(chi, 2)
+        if chi % 2 == 0:
+            assert half == base ** (chi // 2)
+        assert half * half == base ** chi
 
     def test_rational_fractional_power_rejected(self):
         with pytest.raises(tqft.FractionalExponent):

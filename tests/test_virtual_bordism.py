@@ -239,10 +239,9 @@ class TestSurfaceCrossValidation:
         s1, s2 = sf.surface((g1, b)), sf.surface((g2, b))
         p1 = vb.piece(2, sf.chi(s1), boundary=("S1",) * b)
         p2 = vb.piece(2, sf.chi(s2), boundary=("S1",) * b)
-        union = sf.disjoint_union(s1, s2)
-        ids1 = s1.circle_ids()
-        ids2 = tuple(c + s1.next_circle for c in s2.circle_ids())
-        pasted = sf.paste(union, sf.PasteSpec(tuple(zip(ids1, ids2))))
+        union = sf.surface((g1, b), (g2, b))
+        ids = union.circle_ids()
+        pasted = sf.paste(union, sf.PasteSpec(tuple(zip(ids[:b], ids[b:]))))
         glued = vb.glue(p1, p2, tuple((i, i) for i in range(b)))
         assert glued.chi == sf.chi(pasted)
 
