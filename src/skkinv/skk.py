@@ -250,7 +250,8 @@ def kernel_equals_sign_valued(grid):
 def surjectivity_onto_chi_star(restricted):
     for r, got, xi in restricted:
         if got != xi:
-            yield f"exp({r}*chi) is not hit: restriction disagrees on samples"
+            yield (f"exp({r}*chi) is not hit: the split TQFT restricts to base {got},"
+                   f" expected {xi}")
 
 
 @check

@@ -1,13 +1,10 @@
-"""Symbolic calculus of manifold pieces with labeled boundaries.
+"""Symbolic manifold pieces with labeled boundaries, closed up by catalogs.
 
 A piece carries only invariant-level data: dimension, Euler characteristic,
 signature, a multiset of named boundary labels, and optional exact-rational
 attributes for closed catalog entries (Pontryagin numbers in the
 dimension-8 demo catalog). Pieces have even dimension, so their boundary
-labels are odd-dimensional and of Euler characteristic zero: gluing adds
-Euler characteristics and adds signatures; signature additivity under
-gluing and its negation under orientation reversal are axioms of the
-calculus, not derived facts.
+labels are odd-dimensional and of Euler characteristic zero.
 
 Catalogs declare named pieces, a boundary-capping assignment (for each
 label, a piece whose boundary is l copies of the label), and construction
@@ -28,7 +25,7 @@ from .rationals import is_json_int, parse_rational
 
 
 class LabelMismatch(InputError):
-    """Matched boundary labels disagree."""
+    """An in/out split of boundary labels does not cover a piece's boundary."""
 
 
 class DimensionMismatch(ValueError):
@@ -53,9 +50,6 @@ class BoundaryLabel:
     def __post_init__(self):
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-
-    def reversed(self) -> "BoundaryLabel":
-        return BoundaryLabel(self.name, -self.orientation)
 
 
 @dataclass(frozen=True)
@@ -97,64 +91,6 @@ def piece(dim, chi, sigma=0, boundary=(), name="", attributes=()) -> VirtualPiec
               for b in boundary]
     attrs = tuple(sorted((k, Fraction(v)) for k, v in dict(attributes).items()))
     return VirtualPiece(dim, chi, sigma, tuple(labels), attrs, name)
-
-
-def reverse(P: VirtualPiece) -> VirtualPiece:
-    """Orientation reversal: chi fixed, sigma negated, labels reversed."""
-    return replace(P, sigma=-P.sigma, boundary=tuple(lbl.reversed() for lbl in P.boundary))
-
-
-def glue(P: VirtualPiece, Q: VirtualPiece, matching) -> VirtualPiece:
-    """Glue along matched boundary label pairs (index into P, index into Q).
-
-    chi and sigma add (the matched labels are odd-dimensional, of chi 0).
-    An empty matching is the disjoint union.
-    """
-    if P.dim != Q.dim:
-        raise DimensionMismatch(f"dimensions {P.dim} and {Q.dim} differ")
-    used_p: set[int] = set()
-    used_q: set[int] = set()
-    for i, j in matching:
-        if i in used_p or j in used_q:
-            raise LabelMismatch("boundary label matched twice")
-        if not (0 <= i < len(P.boundary) and 0 <= j < len(Q.boundary)):
-            raise LabelMismatch("matching references a missing boundary label")
-        lp, lq = P.boundary[i], Q.boundary[j]
-        if lp.name != lq.name:
-            raise LabelMismatch(f"cannot match label {lp.name!r} with {lq.name!r}")
-        used_p.add(i)
-        used_q.add(j)
-    boundary = tuple(l for k, l in enumerate(P.boundary) if k not in used_p)
-    boundary += tuple(l for k, l in enumerate(Q.boundary) if k not in used_q)
-    return VirtualPiece(
-        dim=P.dim,
-        chi=P.chi + Q.chi,
-        sigma=P.sigma + Q.sigma,
-        boundary=boundary,
-        parts=tuple(sorted(P.parts + Q.parts)),
-    )
-
-
-def match_all_by_name(P: VirtualPiece, Q: VirtualPiece):
-    """Full matching of both boundaries, pairing labels with equal names."""
-    by_name: dict[str, list[int]] = {}
-    for j, lbl in enumerate(Q.boundary):
-        by_name.setdefault(lbl.name, []).append(j)
-    matching = []
-    for i, lbl in enumerate(P.boundary):
-        if not by_name.get(lbl.name):
-            raise LabelMismatch(f"no partner for boundary label {lbl.name!r}")
-        matching.append((i, by_name[lbl.name].pop()))
-    if any(v for v in by_name.values()):
-        raise LabelMismatch("boundaries do not match up")
-    return tuple(matching)
-
-
-def double(P: VirtualPiece) -> VirtualPiece:
-    """Glue P to its reversal along the identity of the whole boundary."""
-    matching = tuple((i, i) for i in range(len(P.boundary)))
-    # reversal flips label orientation but not the name, so name-matching applies
-    return glue(P, reverse(P), matching)
 
 
 @dataclass(frozen=True)
@@ -260,24 +196,6 @@ def close_up(M: VirtualPiece, in_labels, out_labels, catalog: Catalog) -> Virtua
             )
         return resolved
     return VirtualPiece(M.dim, chi, sigma, (), (), "", tuple(sorted(parts)))
-
-
-def lemma_relation_check(X1: VirtualPiece, X2: VirtualPiece, X3: VirtualPiece,
-                         invariant: str = "chi") -> bool:
-    """Two-way gluing relation for three pieces with matching boundaries.
-
-    Compares the invariant total of (X1 glued to reversed X2) plus (X2 glued
-    to X3) against (X1 glued to X3) plus the double of X2; the boundaries of
-    the three pieces must share one label multiset.
-    """
-    if invariant not in ("chi", "sigma"):
-        raise ValueError(f"unknown invariant {invariant!r}")
-    lhs1 = glue(X1, reverse(X2), match_all_by_name(X1, reverse(X2)))
-    lhs2 = glue(X2, X3, match_all_by_name(X2, X3))
-    rhs1 = glue(X1, X3, match_all_by_name(X1, X3))
-    rhs2 = double(X2)
-    pick = (lambda p: p.chi) if invariant == "chi" else (lambda p: p.sigma)
-    return pick(lhs1) + pick(lhs2) == pick(rhs1) + pick(rhs2)
 
 
 # -- shipped catalogs ------------------------------------------------------------

@@ -96,11 +96,6 @@ def _circles_count_as_arcs(monkeypatch):
                         lambda nf: len(nf.components) if nf.dim == 1 else real(nf))
 
 
-def _double_without_reversal(monkeypatch):
-    monkeypatch.setattr(vb, "double", lambda P: vb.glue(
-        P, P, tuple((i, i) for i in range(len(P.boundary)))))
-
-
 def _restriction_forgets_the_cup(monkeypatch):
     monkeypatch.setattr(skk, "abs_psi", lambda T: T.cap.abs_value())
 
@@ -125,7 +120,7 @@ FAULTS = {
     "kernel_theorem": (_kernel_reads_only_the_sign, (0,)),
     "boundary_dependence": (_sampled_words_get_an_extra_outgoing_circle, (0,)),
     "theta_multiplicativity": (_circles_count_as_arcs, (0,)),
-    "lemma_relation": (_double_without_reversal, (0,)),
+    "lemma_relation": (_glued_genus_one_too_high, (0,)),
     "split_sequence": (_restriction_forgets_the_cup, (0,)),
     "bsigma_demo": (_capping_choice_is_ignored, ()),
     "negative_controls": (_corruption_is_honest, (0,)),
