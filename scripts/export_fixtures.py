@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Write the complex fixtures, a sample cut/paste script, and the default
-catalogs as files under fixtures/ for command-line use."""
+"""Write the complex fixtures and a sample cut/paste script as files under
+fixtures/ for command-line use. fixtures/catalog_dim8.json is a static file,
+checked against `dim8_catalog()` by the tests."""
 
 import sys
 from pathlib import Path
@@ -10,7 +11,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from skkinv import fixtures
 from skkinv.simplicial import complex_to_json
-from skkinv.virtual_bordism import DEFAULT_CATALOGS, catalog_to_json
 
 SAMPLE_SCRIPT = """\
 # cut the torus open along a non-separating curve, then close it again
@@ -27,9 +27,6 @@ def main():
         print(f"wrote fixtures/{name}.json")
     (out / "torus_roundtrip.cutpaste").write_text(SAMPLE_SCRIPT)
     print("wrote fixtures/torus_roundtrip.cutpaste")
-    for dim, factory in DEFAULT_CATALOGS.items():
-        (out / f"catalog_dim{dim}.json").write_text(catalog_to_json(factory()) + "\n")
-        print(f"wrote fixtures/catalog_dim{dim}.json")
 
 
 if __name__ == "__main__":

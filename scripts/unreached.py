@@ -64,9 +64,6 @@ KEPT = {
     ("tqft", "InvertibleTQFT2.inverse"): _GROUP,
     ("tqft", "_least_power_bits"): _BOUND,
     ("tqft", "_refuse_size"): _BOUND,
-    ("virtual_bordism", "dim2_catalog"): _SCRIPTS,
-    ("virtual_bordism", "dim4_catalog"): _SCRIPTS,
-    ("virtual_bordism", "catalog_to_json"): _SCRIPTS,
 }
 
 

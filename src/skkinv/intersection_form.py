@@ -18,14 +18,7 @@ from .exact_linalg import (
     left_kernel,
     symmetric_signature,
 )
-from .simplicial import (
-    ChainComplex,
-    NotClosed,
-    SimplicialComplex,
-    check_orientation,
-    orient,
-    validate_closed,
-)
+from .simplicial import ChainComplex, SimplicialComplex, oriented
 
 
 class WrongDimension(InputError):
@@ -63,20 +56,11 @@ def _h2_representatives(K: SimplicialComplex) -> list[tuple[int, ...]]:
     return [chain.cocycle(2, z) for z in independent_modulo(chain.boundary(2), cocycles)]
 
 
-def _require_oriented_4(K: SimplicialComplex) -> SimplicialComplex:
-    if K.dim != 4:
-        raise WrongDimension(f"expected dimension 4, got {K.dim}")
-    if not validate_closed(K):
-        raise NotClosed("intersection form requires a closed complex")
-    if K.orientations is None:
-        return orient(K)  # raises NotOrientable when impossible
-    check_orientation(K)  # supplied signs must form a fundamental cycle
-    return K
-
-
 def intersection_matrix(K: SimplicialComplex) -> IntersectionMatrix:
     """Cup-product pairing of H^2 evaluated on the fundamental cycle."""
-    K = _require_oriented_4(K)
+    if K.dim != 4:
+        raise WrongDimension(f"expected dimension 4, got {K.dim}")
+    K = oriented(K)
     reps = _h2_representatives(K)
     tri_index = K.face_index.position[2]
     terms = [(sign, tri_index[facet[:3]], tri_index[facet[2:]])

@@ -189,6 +189,20 @@ def check_orientation(K: SimplicialComplex) -> None:
         raise NotOrientable(f"orientation signs do not cancel on the face {list(bad)}")
 
 
+def oriented(K: SimplicialComplex) -> SimplicialComplex:
+    """K with facet signs forming a fundamental cycle: found by `orient` when
+    K carries none, checked by `check_orientation` when it does.
+
+    Raises NotClosed or NotOrientable.
+    """
+    if K.orientations is None:
+        return orient(K)
+    if not validate_closed(K):
+        raise NotClosed("orientation requires a closed complex")
+    check_orientation(K)
+    return K
+
+
 def euler_characteristic(K: SimplicialComplex) -> int:
     """Alternating sum of simplex counts over the facet closure."""
     return sum((-1) ** k * len(cells) for k, cells in enumerate(K.face_index.cells))

@@ -27,7 +27,13 @@ from fractions import Fraction
 
 from . import InputError, surfaces as sf
 from .intersection_form import signature as complex_signature
-from .simplicial import SimplicialComplex, euler_characteristic, homology, validate_closed
+from .simplicial import (
+    SimplicialComplex,
+    euler_characteristic,
+    homology,
+    oriented,
+    validate_closed,
+)
 from .tqft import (
     ExpScalar,
     GroupScalar,
@@ -105,6 +111,8 @@ def skk_class(M, dim: int) -> SKKClass:
         chi = chi_of(M)
         if chi % 2:
             raise OddParity(f"closed surface with odd chi {chi}")
+        if isinstance(M, SimplicialComplex):
+            oriented(M)  # raises NotOrientable: the classes are of oriented surfaces
         return SKKClass(2, chi // 2)
     if dim == 4:
         _require_closed(M)

@@ -9,8 +9,10 @@ labels are odd-dimensional and of Euler characteristic zero.
 Catalogs declare named pieces, a boundary-capping assignment (for each
 label, a piece whose boundary is l copies of the label), and construction
 identities that let a glued piece resolve to a named closed manifold. No
-recognition beyond declared identities is attempted; identity matching is
-by name multiset, so orientation decorations are below its resolution.
+recognition beyond declared identities is attempted. Identities match by
+part-name multiset and cappings by label name, so no construction reads a
+label's orientation: the catalog format accepts a leading '-' on a label
+and drops it.
 """
 
 from __future__ import annotations
@@ -41,25 +43,13 @@ class CatalogFormatError(InputError):
 
 
 @dataclass(frozen=True)
-class BoundaryLabel:
-    """Named closed (n-1)-manifold type with an orientation sign."""
-
-    name: str
-    orientation: int = 1
-
-    def __post_init__(self):
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-
-
-@dataclass(frozen=True)
 class VirtualPiece:
     """Invariant-level record of a compact oriented manifold piece."""
 
     dim: int
     chi: int
     sigma: int = 0
-    boundary: tuple[BoundaryLabel, ...] = ()
+    boundary: tuple[str, ...] = ()
     attributes: tuple[tuple[str, Fraction], ...] = ()
     name: str = ""
     parts: tuple[str, ...] = ()
@@ -85,12 +75,11 @@ class VirtualPiece:
 
 
 def piece(dim, chi, sigma=0, boundary=(), name="", attributes=()) -> VirtualPiece:
-    """Convenience constructor; boundary entries are label names, a leading
-    '-' marking reversed orientation."""
-    labels = [BoundaryLabel(b[1:], orientation=-1) if b.startswith("-") else BoundaryLabel(b)
-              for b in boundary]
+    """Convenience constructor; boundary entries are label names, and a
+    leading '-' on one is dropped."""
+    labels = tuple(b.removeprefix("-") for b in boundary)
     attrs = tuple(sorted((k, Fraction(v)) for k, v in dict(attributes).items()))
-    return VirtualPiece(dim, chi, sigma, tuple(labels), attrs, name)
+    return VirtualPiece(dim, chi, sigma, labels, attrs, name)
 
 
 @dataclass(frozen=True)
@@ -118,7 +107,7 @@ class Catalog:
             if pname not in names:
                 raise CatalogFormatError(f"b_sigma for {label!r} names unknown piece {pname!r}")
             B = self.piece(pname)
-            if len(B.boundary) != self.l or any(lbl.name != label for lbl in B.boundary):
+            if len(B.boundary) != self.l or any(lbl != label for lbl in B.boundary):
                 raise CatalogFormatError(
                     f"boundary of {pname!r} is not {self.l} copies of {label!r}"
                 )
@@ -169,7 +158,7 @@ def close_up(M: VirtualPiece, in_labels, out_labels, catalog: Catalog) -> Virtua
         raise DimensionMismatch(f"piece dimension {M.dim} vs catalog {catalog.dim}")
     in_names, out_names = list(in_labels), list(out_labels)
     declared = sorted(in_names + out_names)
-    actual = sorted(lbl.name for lbl in M.boundary)
+    actual = sorted(M.boundary)
     if declared != actual:
         raise LabelMismatch(f"in/out split {declared} does not cover boundary {actual}")
 
@@ -198,45 +187,7 @@ def close_up(M: VirtualPiece, in_labels, out_labels, catalog: Catalog) -> Virtua
     return VirtualPiece(M.dim, chi, sigma, (), (), "", tuple(sorted(parts)))
 
 
-# -- shipped catalogs ------------------------------------------------------------
-
-def dim2_catalog() -> Catalog:
-    """Disk-capped dimension-2 catalog (the circle bounds, l = 1)."""
-    disk = piece(2, 1, boundary=("S1",), name="D2")
-    cyl = piece(2, 0, boundary=("S1", "S1"), name="cylinder")
-    pants = piece(2, -1, boundary=("S1", "S1", "S1"), name="pants")
-    sphere = piece(2, 2, name="S2")
-    torus = piece(2, 0, name="T2")
-    return Catalog(
-        dim=2,
-        l=1,
-        pieces=(disk, cyl, pants, sphere, torus),
-        b_sigma=(("S1", "D2"),),
-        identities=(
-            (("D2", "D2"), "S2"),
-            (("D2", "D2", "cylinder"), "S2"),
-        ),
-    )
-
-
-def dim4_catalog() -> Catalog:
-    """Dimension-4 catalog: disks, spheres, and the projective plane of
-    signature one; the 3-sphere bounds the 4-disk (l = 1)."""
-    d4 = piece(4, 1, boundary=("S3",), name="D4")
-    s4 = piece(4, 2, name="S4")
-    cp2 = piece(4, 3, sigma=1, name="CP2")
-    cp2_minus = piece(4, 2, sigma=1, boundary=("S3",), name="CP2_minus_D4")
-    return Catalog(
-        dim=4,
-        l=1,
-        pieces=(d4, s4, cp2, cp2_minus),
-        b_sigma=(("S3", "D4"),),
-        identities=(
-            (("D4", "D4"), "S4"),
-            (("CP2_minus_D4", "D4"), "CP2"),
-        ),
-    )
-
+# -- the demo catalog ------------------------------------------------------------
 
 def dim8_catalog() -> Catalog:
     """Dimension-8 demo catalog with Pontryagin-number attributes.
@@ -261,38 +212,10 @@ def dim8_catalog() -> Catalog:
     )
 
 
-DEFAULT_CATALOGS = {2: dim2_catalog, 4: dim4_catalog, 8: dim8_catalog}
-
-
 # -- catalog file format ----------------------------------------------------------
 
 _CATALOG_FIELDS = {"dim", "l", "pieces", "b_sigma", "identities"}
 _PIECE_FIELDS = {"name", "chi", "sigma", "boundary", "attributes"}
-
-
-def catalog_to_json(catalog: Catalog) -> str:
-    doc = {
-        "dim": catalog.dim,
-        "l": catalog.l,
-        "pieces": [
-            {
-                "name": p.name,
-                "chi": p.chi,
-                "sigma": p.sigma,
-                "boundary": [
-                    lbl.name if lbl.orientation == 1 else "-" + lbl.name
-                    for lbl in p.boundary
-                ],
-                "attributes": {k: str(v) for k, v in p.attributes},
-            }
-            for p in catalog.pieces
-        ],
-        "b_sigma": dict(catalog.b_sigma),
-        "identities": [
-            {"pieces": list(parts), "equals": name} for parts, name in catalog.identities
-        ],
-    }
-    return json.dumps(doc, indent=2)
 
 
 def _is_names(x) -> bool:

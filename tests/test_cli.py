@@ -29,6 +29,7 @@ from skkinv.simplicial import SimplicialComplex, complex_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES_DIR = ROOT / "fixtures"
+TESTS_DIR = ROOT / "tests"
 
 
 @pytest.fixture
@@ -386,6 +387,29 @@ class TestSkkCommands:
         assert result.exit_code == 0
         assert "(3, 1)" in result.report
 
+    def test_class_refuses_klein_bottle(self, tmp_path):
+        """The 4x4 grid, vertex 4i+j, with (4, j) glued to (0, -j mod 4): a
+        closed surface of chi 0, as a torus has, but not orientable."""
+        from skkinv.simplicial import NotOrientable, homology
+        from skkinv.skk import skk_class
+
+        def vertex(i, j):
+            return 4 * (i % 4) + (-j if i == 4 else j) % 4
+
+        facets = []
+        for i, j in itertools.product(range(4), repeat=2):
+            a, b = vertex(i, j), vertex(i + 1, j + 1)
+            facets += [(a, vertex(i + 1, j), b), (a, vertex(i, j + 1), b)]
+        K = SimplicialComplex.from_facets(2, facets)
+        assert homology(K).torsion[1] == (2,)
+        with pytest.raises(NotOrientable):
+            skk_class(K, 2)
+        path = tmp_path / "klein.json"
+        path.write_text(complex_to_json(K))
+        result = run(["skk", "class", str(path)])
+        assert (result.exit_code, result.report) == (
+            2, "error: orientation traversal hit a contradiction")
+
     def test_class_needs_input(self):
         result = run(["skk", "class"])
         assert result.exit_code == 2
@@ -441,13 +465,26 @@ class TestSkkCommands:
         assert "exp(10)" in result.report
 
     def test_demo_bsigma_custom_catalog(self, tmp_path):
-        from skkinv.virtual_bordism import catalog_to_json, dim8_catalog
-
         path = tmp_path / "catalog.json"
-        path.write_text(catalog_to_json(dim8_catalog()))
+        path.write_text((FIXTURES_DIR / "catalog_dim8.json").read_text())
         result = run(["skk", "demo-bsigma", "--catalog", str(path)])
         assert result.exit_code == 0
         assert "exp(10)" in result.report
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_demo_bsigma_ignores_label_orientation(self, tmp_path, json_flag):
+        """No construction reads orientation, so a reversed S7 on D8 gives
+        the same report."""
+        doc = _dim8_catalog_doc()
+        reports = []
+        for label in ("S7", "-S7"):
+            _piece_entry(doc, "D8")["boundary"] = [label]
+            path = tmp_path / "catalog.json"
+            path.write_text(json.dumps(doc))
+            result = run(["skk", "demo-bsigma", "--catalog", str(path), *json_flag])
+            assert result.exit_code == 0
+            reports.append(result.report)
+        assert reports[0] == reports[1]
 
     @staticmethod
     def _catalog_without_identities(tmp_path, p2_by_piece):
@@ -630,11 +667,10 @@ class TestShippedFixtureFiles:
             assert complex_from_json(path.read_text()) == factory()
 
     def test_catalog_files_match_defaults(self):
-        from skkinv.virtual_bordism import DEFAULT_CATALOGS, catalog_from_json
+        from skkinv.virtual_bordism import catalog_from_json, dim8_catalog
 
-        for dim, factory in DEFAULT_CATALOGS.items():
-            path = FIXTURES_DIR / f"catalog_dim{dim}.json"
-            assert catalog_from_json(path.read_text()) == factory()
+        path = FIXTURES_DIR / "catalog_dim8.json"
+        assert catalog_from_json(path.read_text()) == dim8_catalog()
 
     def test_cp2_invariants_via_shipped_file(self):
         result = run(["invariants", str(FIXTURES_DIR / "cp2_9.json")])
@@ -801,8 +837,11 @@ _COMPLEX_COMMANDS = (
     ["homology"], ["homology", "--coefficients", "rationals"],
     ["homology", "--coefficients", "mod2"], ["invariants"], ["skk", "class"],
 )
-_COMPLEX_FIXTURES = ("circle", "sphere2", "torus7", "projective_plane6", "sphere3",
-                     "sphere4", "cp2_9")
+_COMPLEX_FIXTURES = tuple(FIXTURES_DIR / f"{name}.json" for name in (
+    "circle", "sphere2", "torus7", "projective_plane6", "sphere3", "sphere4", "cp2_9"))
+# the dim-2 and dim-4 catalogs are seeds only: demo-bsigma rejects them (no D8)
+_CATALOG_SEEDS = (FIXTURES_DIR / "catalog_dim8.json", TESTS_DIR / "catalog_dim4.json",
+                  TESTS_DIR / "catalog_dim2.json")
 _JSON_KEYS = ("dim", "l", "facets", "orientations", "pieces", "b_sigma", "identities",
               "name", "chi", "sigma", "boundary", "attributes", "equals", "p2", "S7")
 _json_leaves = st.one_of(
@@ -828,9 +867,9 @@ def _paths(node, prefix=()):
 
 
 @st.composite
-def _mutated_documents(draw, name):
-    """A shipped fixture document with up to three nodes replaced, deleted or added."""
-    doc = json.loads((FIXTURES_DIR / f"{name}.json").read_text())
+def _mutated_documents(draw, seed):
+    """A seed JSON document with up to three nodes replaced, deleted or added."""
+    doc = json.loads(seed.read_text())
     for _ in range(draw(st.integers(0, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
         action = draw(st.sampled_from(("replace", "delete", "add")))
@@ -902,8 +941,7 @@ class TestNoTraceback:
         path.write_text(text)
         self._check(data.draw(st.sampled_from(_COMPLEX_COMMANDS)) + [str(path)])
 
-    @given(st.sampled_from(("catalog_dim8", "catalog_dim4", "catalog_dim2"))
-           .flatmap(_mutated_documents))
+    @given(st.sampled_from(_CATALOG_SEEDS).flatmap(_mutated_documents))
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_catalog_documents(self, workdir, text):
         path = workdir / "catalog.json"

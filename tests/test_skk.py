@@ -224,7 +224,9 @@ class TestSplitting:
         T = skk.splitting_S(1)
         tube = cb.parse_word("copants ; pants")
         assert evaluate(T, tube) == exp_scalar(-2)
-        catalog = vb.dim2_catalog()
+        disk = vb.piece(2, 1, boundary=("S1",), name="D2")
+        catalog = vb.Catalog(dim=2, l=1, pieces=(disk,), b_sigma=(("S1", "D2"),),
+                             identities=())
         tube_piece = vb.piece(2, -2, boundary=("S1", "S1"))
         closed = vb.close_up(tube_piece, ("S1",), ("S1",), catalog)
         assert exp_scalar(closed.chi) != exp_scalar(-2)
