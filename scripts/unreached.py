@@ -39,7 +39,6 @@ called: set = set()
 
 _TRACER = "bench/tracer.py resolves it by getattr"
 _SCRIPTS = "scripts/ or the CI fixture step use it"
-_BOUND = "an over-bound error path"
 _GROUP = "the scalar and TQFT group law"
 _BUILDER = "a test builder; moving it into tests/ would not make the code smaller"
 
@@ -62,8 +61,6 @@ KEPT = {
     ("tqft", "RationalScalar.abs_value"): _GROUP,
     ("tqft", "ExpScalar.inverse"): _GROUP,
     ("tqft", "InvertibleTQFT2.inverse"): _GROUP,
-    ("tqft", "_least_power_bits"): _BOUND,
-    ("tqft", "_refuse_size"): _BOUND,
 }
 
 

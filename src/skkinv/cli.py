@@ -247,10 +247,10 @@ def _cmd_skk_class(args) -> CommandResult:
             raise InputError("give a complex file or --surface")
         M = complex_from_json(_read(args.file))
         dim = M.dim
-    cls = skk.skk_class(M, dim)
-    value = list(cls.value) if isinstance(cls.value, tuple) else cls.value
-    text = f"dim {dim} class: {cls.value}"
-    doc = {"schema": SCHEMA, "command": "skk class", "dim": dim, "value": value}
+    value = skk.skk_class(M)
+    text = f"dim {dim} class: {value}"
+    doc = {"schema": SCHEMA, "command": "skk class", "dim": dim,
+           "value": list(value) if isinstance(value, tuple) else value}
     return CommandResult(0, text, doc)
 
 

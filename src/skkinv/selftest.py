@@ -35,12 +35,12 @@ def homology_fixtures():
 
 @check
 def sk_classification():
-    s4 = skk.sk_class(fixtures.sphere4(), 4)
+    s4 = skk.sk_class(fixtures.sphere4())
     if s4 != (1, 0):
         yield f"sphere4 -> {s4}"
     cp2 = fixtures.cp2_9()
     got = (simplicial.euler_characteristic(cp2), intersection_form.signature(cp2),
-           skk.sk_class(cp2, 4))
+           skk.sk_class(cp2))
     if got != (3, 1, (1, 1)):
         yield f"cp2 (chi, sigma, class) -> {got}, expected (3, 1, (1, 1))"
 
@@ -100,7 +100,7 @@ def skk_error_term(seed: int):
         def reglue_class(S, pairing):
             ids = S.circle_ids()
             glued = sf.paste(S, sf.PasteSpec(tuple((ids[a], ids[b]) for a, b in pairing)))
-            return skk.skk_class(glued, 2).value
+            return skk.skk_class(glued)
 
         diff_x = reglue_class(X, f) - reglue_class(X, g)
         diff_y = reglue_class(Y, f) - reglue_class(Y, g)

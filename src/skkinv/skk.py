@@ -1,11 +1,11 @@
 """SKK classes, classification tables, and the invertible-TQFT connection.
 
-Classes of closed manifolds are represented by complete invariant tuples:
+Classes of closed manifolds are represented by complete invariants:
 circle-count parity in dimension 1, half the Euler characteristic in
 dimension 2, and the (Euler characteristic, signature) pair in dimension 4.
-The class functions take the closed models that commands build: surfaces
-(`surfaces.Surface`) and simplicial complexes; dimension 1 takes complexes
-only.
+The class functions take only the closed model that a command builds and
+read its dimension from it: a surface (`surfaces.Surface`) is of dimension
+2, a simplicial complex of its own `dim`; dimension 1 takes complexes only.
 
 Restricting an invertible 2d TQFT to closed words gives the chi-type
 invariant (cap*cup)**(chi/2), held as its base cap*cup. Over signed-exponential
@@ -22,7 +22,6 @@ demonstrated by `b_sigma_dependence_demo`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import InputError, surfaces as sf
@@ -58,79 +57,46 @@ class NotClosedManifold(InputError):
     """Class functions are defined on closed manifolds."""
 
 
-# -- closed-manifold measurements ------------------------------------------------
-
-def chi_of(M) -> int:
-    """Euler characteristic of any closed model object."""
-    if isinstance(M, sf.Surface):
-        return sf.chi(M)
-    if isinstance(M, SimplicialComplex):
-        return euler_characteristic(M)
-    raise TypeError(f"no Euler characteristic for {type(M).__name__}")
-
-
-def sigma_of(M) -> int:
-    """Signature of a closed dimension-4 model object."""
-    if isinstance(M, SimplicialComplex):
-        return complex_signature(M)
-    raise TypeError(f"no signature for {type(M).__name__}")
-
-
-def _require_closed(M):
-    if isinstance(M, sf.Surface) and not M.is_closed:
-        raise NotClosedManifold("surface has boundary circles")
-    if isinstance(M, SimplicialComplex) and not validate_closed(M):
-        raise NotClosedManifold("complex is not closed")
-
-
-def circle_count(M) -> int:
-    """Connected-component count of a closed 1-manifold complex."""
-    if isinstance(M, SimplicialComplex):
-        if M.dim != 1:
-            raise UnsupportedDimension("expected a dimension-1 complex")
-        return homology(M, "rationals").betti[0]
-    raise TypeError(f"no circle count for {type(M).__name__}")
-
-
 # -- classes and tables ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SKKClass:
-    """Complete class data: parity (dim 1), chi/2 (dim 2), (chi, sigma) (dim 4)."""
-
-    dim: int
-    value: int | tuple[int, int]
-
-
-def skk_class(M, dim: int) -> SKKClass:
-    if dim == 1:
-        _require_closed(M)
-        return SKKClass(1, circle_count(M) % 2)
-    if dim == 2:
-        _require_closed(M)
-        chi = chi_of(M)
-        if chi % 2:
-            raise OddParity(f"closed surface with odd chi {chi}")
-        if isinstance(M, SimplicialComplex):
+def skk_class(M):
+    """Complete class of a closed model, read in the model's own dimension:
+    circle-count parity (dim 1), chi/2 (dim 2), or (chi, sigma) (dim 4).
+    A `surfaces.Surface` is of dimension 2, a complex of dimension `M.dim`."""
+    if isinstance(M, sf.Surface):
+        if not M.is_closed:
+            raise NotClosedManifold("surface has boundary circles")
+        chi = sf.chi(M)
+    else:
+        if M.dim not in (1, 2, 4):
+            raise UnsupportedDimension(f"no class representation in dimension {M.dim}")
+        if not validate_closed(M):
+            raise NotClosedManifold("complex is not closed")
+        if M.dim == 1:
+            return homology(M, "rationals").betti[0] % 2
+        chi = euler_characteristic(M)
+        if M.dim == 4:
+            # chi = b2 = sigma (mod 2) on every closed oriented 4-manifold
+            sigma = complex_signature(M)
+            if (chi - sigma) % 2:
+                raise OddParity(f"chi - sigma = {chi - sigma} is odd")
+            return chi, sigma
+        if chi % 2 == 0:  # an odd chi is refused below, before orientability
             oriented(M)  # raises NotOrientable: the classes are of oriented surfaces
-        return SKKClass(2, chi // 2)
-    if dim == 4:
-        _require_closed(M)
-        return SKKClass(4, (chi_of(M), sigma_of(M)))
-    raise UnsupportedDimension(f"no class representation in dimension {dim}")
+    if chi % 2:
+        raise OddParity(f"closed surface with odd chi {chi}")
+    return chi // 2
 
 
-def sk_class(M, dim: int):
+def sk_class(M):
     """Complete cut-and-paste class: chi/2 (dim 2) or ((chi-sigma)/2, sigma) (dim 4)."""
-    if dim == 2:
-        return skk_class(M, 2).value
-    if dim == 4:
-        _require_closed(M)
-        chi, sigma = chi_of(M), sigma_of(M)
-        if (chi - sigma) % 2:
-            raise OddParity(f"chi - sigma = {chi - sigma} is odd")
-        return ((chi - sigma) // 2, sigma)
-    raise UnsupportedDimension(f"no cut-and-paste class in dimension {dim}")
+    if isinstance(M, SimplicialComplex) and M.dim not in (2, 4):
+        raise UnsupportedDimension(f"no cut-and-paste class in dimension {M.dim}")
+    value = skk_class(M)
+    if isinstance(value, tuple):
+        chi, sigma = value
+        return (chi - sigma) // 2, sigma
+    return value
 
 
 def i_n_table(n: int) -> str:

@@ -343,17 +343,12 @@ def _value(bases, totals) -> GroupScalar:
     """The product of base ** k over `bases` and their exponent `totals`."""
     # rational powers and their product stay Fractions until the answer
     value = None
-    most = 0  # bits of the powers, at most
     for base, k in zip(bases, totals):
         if not k:
             continue
         if type(base) is RationalScalar:
             q = base.value
-            bits = abs(k) * (q.numerator.bit_length() + q.denominator.bit_length())
-            if bits > MAX_SCALAR_BITS:
-                _refuse_size("a power in the answer would have at least",
-                             _least_power_bits(q, k))
-            most += bits
+            _refuse_size("a power in the answer would have at least", _least_power_bits(q, k))
             power = q ** k
         else:
             power = base ** k
@@ -361,8 +356,7 @@ def _value(bases, totals) -> GroupScalar:
     if value is None:
         return bases[0].one()
     if type(value) is Fraction:
-        if most > MAX_SCALAR_BITS:
-            _refuse_size("the answer has", _bits(value))
+        _refuse_size("the answer has", _bits(value))
         return _rational_of(value)
     return value
 

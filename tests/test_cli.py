@@ -403,12 +403,28 @@ class TestSkkCommands:
         K = SimplicialComplex.from_facets(2, facets)
         assert homology(K).torsion[1] == (2,)
         with pytest.raises(NotOrientable):
-            skk_class(K, 2)
+            skk_class(K)
         path = tmp_path / "klein.json"
         path.write_text(complex_to_json(K))
         result = run(["skk", "class", str(path)])
         assert (result.exit_code, result.report) == (
             2, "error: orientation traversal hit a contradiction")
+
+    def test_class_refuses_wedge_of_cp2_and_sphere4(self, tmp_path):
+        """CP2 and S4 wedged at a vertex: closed and oriented, Betti numbers
+        (1, 0, 1, 0, 2), chi 4 and sigma 1. No closed oriented 4-manifold
+        has odd chi - sigma."""
+        from skkinv.simplicial import disjoint_union, homology, orient
+
+        union = disjoint_union(fixtures.cp2_9(), orient(fixtures.sphere4()))
+        wedge = SimplicialComplex.from_facets(
+            4, [tuple(0 if v == 9 else v for v in f) for f in union.facets], union.orientations)
+        assert homology(wedge).betti == (1, 0, 1, 0, 2)
+        path = tmp_path / "wedge.json"
+        path.write_text(complex_to_json(wedge))
+        for json_flag in ([], ["--json"]):
+            result = run(["skk", "class", str(path), *json_flag])
+            assert (result.exit_code, result.report) == (2, "error: chi - sigma = 3 is odd")
 
     def test_class_needs_input(self):
         result = run(["skk", "class"])

@@ -40,7 +40,8 @@ ARGV = (
     + [["homology", _FIX + f"{name}.json"] for name in ("sphere2", "sphere4")]
     + [["invariants", _FIX + f"{name}.json"] for name in _COMPLEXES]
     + [["skk", "class", _FIX + f"{name}.json"]
-       for name in ("circle", "sphere2", "torus7", "sphere4", "cp2_9")]
+       for name in ("circle", "sphere2", "torus7", "sphere4", "cp2_9",
+                    "sphere3", "projective_plane6", "simplex16")]
     + [["skk", "class", "--surface", expr]
        for expr in ("g1b0 + g2b0", "g2b0", "g0b3", "G3B0+g0b0")]
     + [["cutpaste", _FIX + "torus_roundtrip.cutpaste", "--start", "g1b0"],

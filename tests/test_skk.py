@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from skkinv import fixtures, skk, surfaces as sf, virtual_bordism as vb
 from skkinv import cobordism as cb
-from skkinv.simplicial import disjoint_union
+from skkinv.simplicial import disjoint_union, euler_characteristic
 from skkinv.tqft import InvertibleTQFT2, exp_scalar, rational
 
 seeds = st.integers(min_value=0, max_value=2 ** 31)
@@ -16,31 +16,31 @@ seeds = st.integers(min_value=0, max_value=2 ** 31)
 
 class TestSkkClass:
     def test_torus(self):
-        assert skk.skk_class(sf.surface((1, 0)), 2).value == 0
+        assert skk.skk_class(sf.surface((1, 0))) == 0
 
     def test_two_spheres(self):
         two = sf.surface((0, 0), (0, 0))
-        assert skk.skk_class(two, 2).value == 2
+        assert skk.skk_class(two) == 2
 
     def test_cp2(self):
-        assert skk.skk_class(fixtures.cp2_9(), 4).value == (3, 1)
+        assert skk.skk_class(fixtures.cp2_9()) == (3, 1)
 
     def test_dim1_circles(self):
         two = disjoint_union(fixtures.circle(3), fixtures.circle(4))
-        assert skk.skk_class(fixtures.circle(), 1).value == 1
-        assert skk.skk_class(two, 1).value == 0
-        assert skk.skk_class(disjoint_union(two, fixtures.circle(5)), 1).value == 1
+        assert skk.skk_class(fixtures.circle()) == 1
+        assert skk.skk_class(two) == 0
+        assert skk.skk_class(disjoint_union(two, fixtures.circle(5))) == 1
 
     def test_simplicial_input(self):
-        assert skk.skk_class(fixtures.torus7(), 2).value == 0
+        assert skk.skk_class(fixtures.torus7()) == 0
 
     def test_unsupported_dimension(self):
         with pytest.raises(skk.UnsupportedDimension):
-            skk.skk_class(fixtures.sphere3(), 3)
+            skk.skk_class(fixtures.sphere3())
 
     def test_closedness_required(self):
         with pytest.raises(skk.NotClosedManifold):
-            skk.skk_class(sf.surface((0, 1)), 2)
+            skk.skk_class(sf.surface((0, 1)))
 
     @given(seeds)
     @settings(max_examples=50, deadline=None)
@@ -49,14 +49,12 @@ class TestSkkClass:
         a = sf.random_surface(rng, max_boundary=0)
         b = sf.random_surface(rng, max_boundary=0)
         union = sf.surface(*a.as_multiset(), *b.as_multiset())
-        assert skk.skk_class(union, 2).value == (
-            skk.skk_class(a, 2).value + skk.skk_class(b, 2).value)
+        assert skk.skk_class(union) == skk.skk_class(a) + skk.skk_class(b)
 
     def test_dim4_additivity(self):
         cp2 = fixtures.cp2_9()
         union = disjoint_union(cp2, cp2.reversed_orientation())
-        cls = skk.skk_class(union, 4)
-        assert cls.value == (6, 0)
+        assert skk.skk_class(union) == (6, 0)
 
     def test_dim1_additivity_mod_two(self):
         def circles(n):
@@ -67,26 +65,29 @@ class TestSkkClass:
 
         for a in range(1, 4):
             for b in range(1, 4):
-                total = skk.skk_class(disjoint_union(circles(a), circles(b)), 1)
-                assert total.value == (skk.skk_class(circles(a), 1).value
-                                       + skk.skk_class(circles(b), 1).value) % 2
-                assert total.value == (a + b) % 2
+                total = skk.skk_class(disjoint_union(circles(a), circles(b)))
+                assert total == (skk.skk_class(circles(a)) + skk.skk_class(circles(b))) % 2
+                assert total == (a + b) % 2
 
 
 class TestSkClass:
     def test_sphere4(self):
-        assert skk.sk_class(fixtures.sphere4(), 4) == (1, 0)
+        assert skk.sk_class(fixtures.sphere4()) == (1, 0)
 
     def test_cp2(self):
-        assert skk.sk_class(fixtures.cp2_9(), 4) == (1, 1)
+        assert skk.sk_class(fixtures.cp2_9()) == (1, 1)
 
     def test_sphere_dim2(self):
-        assert skk.sk_class(sf.surface((0, 0)), 2) == 1
+        assert skk.sk_class(sf.surface((0, 0))) == 1
 
     def test_constant_on_sk_equivalent(self):
         left = sf.surface((1, 0))
         right = sf.surface((0, 0), (2, 0))
-        assert skk.sk_class(left, 2) == skk.sk_class(right, 2)
+        assert skk.sk_class(left) == skk.sk_class(right)
+
+    def test_no_class_in_dimension_one(self):
+        with pytest.raises(skk.UnsupportedDimension, match="no cut-and-paste class in dimension 1"):
+            skk.sk_class(fixtures.circle())
 
 
 class TestTables:
@@ -102,8 +103,8 @@ class TestTables:
 
 
 def value_on(base, M):
-    """The chi-type invariant with this base on an even-chi closed model."""
-    chi = skk.chi_of(M)
+    """The chi-type invariant with this base on an even-chi closed surface."""
+    chi = sf.chi(M)
     assert chi % 2 == 0
     return base ** (chi // 2)
 
@@ -141,7 +142,7 @@ class TestPsi:
 class TestChiInvariantDim4:
     def test_odd_chi_is_fine_for_exponentials(self):
         """cp2_9 has chi 3: exp(chi) there is the base exp(2) to the power 3/2."""
-        assert skk.chi_of(fixtures.cp2_9()) == 3
+        assert euler_characteristic(fixtures.cp2_9()) == 3
         assert skk.chi_invariant(1) ** Fraction(3, 2) == exp_scalar(3)
 
 
@@ -319,6 +320,6 @@ class TestErrorTermProperty:
         def cls(S, pairing):
             ids = S.circle_ids()
             glued = sf.paste(S, sf.PasteSpec(tuple((ids[a], ids[b]) for a, b in pairing)))
-            return skk.skk_class(glued, 2).value
+            return skk.skk_class(glued)
 
         assert cls(X, f) - cls(X, g) == cls(Y, f) - cls(Y, g)
