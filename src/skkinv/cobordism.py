@@ -288,10 +288,10 @@ def normal_form(M: CobordismWord) -> CobordismClass:
 
 # -- seeded samplers -----------------------------------------------------------
 
-_GENS_BY_IN = {
-    2: {0: ("cap",), 1: ("id", "cup", "copants"), 2: ("swap", "pants")},
-    1: {0: ("acap",), 1: ("pid",), 2: ("acup",)},
-}
+# dimension -> in-arity -> the generators of that in-arity, in GENERATORS order
+_GENS_BY_IN = {dim: {n: tuple(g for g, (n_in, _) in table.items() if n_in == n)
+                     for n in (0, 1, 2)}
+               for dim, table in ARITIES.items()}
 
 
 def random_word(rng, dim: int = 2, start_arity: int | None = None) -> CobordismWord:
@@ -337,23 +337,6 @@ def random_word_with_arities(rng, in_arity: int, out_arity: int) -> CobordismWor
         layers.append(("copants",) + ("id",) * (cur - 1) if cur >= 1 else ("cap",))
         cur += 1
     return CobordismWord(2, tuple(layers))
-
-
-def random_closed_word(rng, dim: int = 2) -> CobordismWord:
-    """Seeded random word from nothing to nothing."""
-    w = random_word(rng, dim=dim, start_arity=0)
-    merge = "pants" if dim == 2 else "acup"
-    idg = "id" if dim == 2 else "pid"
-    layers = list(w.layers)
-    cur = w.out_arity
-    while cur > 1:
-        layers.append((merge,) + (idg,) * (cur - 2))
-        cur -= 1 if dim == 2 else 2
-    if cur == 1:
-        if dim == 1:
-            raise InternalInvariantViolation("odd point count cannot close in dimension 1")
-        layers.append(("cup",))
-    return CobordismWord(dim, tuple(layers))
 
 
 def equivalent_rewrite(rng, M: CobordismWord) -> CobordismWord:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import fixtures, intersection_form, simplicial, skk, surfaces as sf, tqft
 from . import virtual_bordism as vb
-from .cobordism import normal_form, parse_word, random_closed_word
+from .cobordism import normal_form, parse_word, random_word_with_arities
 from .tqft import InvertibleTQFT2, Report, check, exp_scalar, rational
 
 _VALUES = (Fraction(2), Fraction(1, 2), Fraction(3), Fraction(-1), Fraction(5, 3))
@@ -123,7 +123,7 @@ def closed_value_law(seed: int):
     """A closed word is worth psi(T) = cap*cup to the power chi/2 = sum of
     1 - genus, on 200 words at every grid point and at (3/2, 5/7)."""
     rng = random.Random(seed)
-    words = [random_closed_word(rng) for _ in range(200)]
+    words = [random_word_with_arities(rng, 0, 0) for _ in range(200)]
     exponents = [sum(1 - c.genus for c in normal_form(w).components) for w in words]
     for a, e in _GRID + ((Fraction(3, 2), Fraction(5, 7)),):
         T = InvertibleTQFT2(rational(a), rational(e))
@@ -139,7 +139,7 @@ def kernel_theorem(seed: int):
     rng = random.Random(seed)
     T = InvertibleTQFT2(rational(2), rational(Fraction(1, 2)))
     for _ in range(100):
-        w = random_closed_word(rng)
+        w = random_word_with_arities(rng, 0, 0)
         if not tqft.evaluate(T, w).is_one:
             yield f"closed word {w.text()!r}"
     cap_value = tqft.evaluate(T, parse_word("cap"))
@@ -235,8 +235,6 @@ def negative_controls(seed: int):
     identity = skk.verify_split_sequence(seed=seed, splitting=skk.corrupted_splitting).checks[2]
     if identity.passed or identity.name != "restriction_after_splitting_is_identity":
         yield f"corrupted splitting: check {identity.name} passed={identity.passed}"
-    if not tqft.trivial_tqft().is_trivial:
-        yield "trivial TQFT misreported"
 
 
 def run_selftest(seed: int = 0) -> Report:

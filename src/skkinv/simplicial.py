@@ -11,8 +11,8 @@ normal form runs only on the cells left over. Integral, rational and mod-2
 homology all read the same invariant factors.
 
 Only closedness, orientability and the consistency of supplied orientation
-signs are ever verified; inputs are trusted to be manifold triangulations
-beyond that.
+signs are verified here (`skk` also refuses wedges); inputs are trusted to
+be manifold triangulations beyond that, even a single pinched surface.
 """
 
 from __future__ import annotations

@@ -28,7 +28,9 @@ answer may have at most `MAX_SCALAR_BITS` bits, no power is taken whose
 least size, read from its exponent, exceeds that, and `verify_axioms` runs
 at most `MAX_BUDGET` words per check, and fewer as rational bases or
 fractional exponents grow, so that the budget times their bits stays within
-`MAX_BUDGET_BITS`.
+`MAX_BUDGET_BITS`. Functoriality, monoidality and Theta multiplicativity
+run one loop over seeded word pairs, and the closed words of the kernel
+check are drawn by `random_word_with_arities(rng, 0, 0)`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .cobordism import (
     identity_word,
     normal_form,
     parse_word,
-    random_closed_word,
     random_word,
     random_word_with_arities,
     tensor,
@@ -268,10 +269,6 @@ class InvertibleTQFT2:
     def inverse(self) -> "InvertibleTQFT2":
         return InvertibleTQFT2(self.cap.inverse(), self.cup.inverse())
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.cap.is_one and self.cup.is_one
-
 
 @dataclass(frozen=True)
 class CorruptedTQFT2(InvertibleTQFT2):
@@ -283,11 +280,6 @@ class CorruptedTQFT2(InvertibleTQFT2):
 
 def corrupted_tqft(T: InvertibleTQFT2) -> CorruptedTQFT2:
     return CorruptedTQFT2(T.cap, T.cup)
-
-
-def trivial_tqft(variant: str = "rational") -> InvertibleTQFT2:
-    one = rational(1) if variant == "rational" else exp_scalar(0)
-    return InvertibleTQFT2(one, one)
 
 
 def _bits(q: Fraction) -> int:
@@ -421,10 +413,11 @@ def _canonical_words():
 def verify_axioms(T, seed: int = 0, budget: int = 200) -> Report:
     """Check the functor laws on seeded random words.
 
-    Covers equivalence-invariance (equal normal forms give equal values),
-    functoriality under composition, the cylinder law, monoidality, and the
-    empty-word law. Violations are reported with witnesses, not raised. The
-    five checks share one table of values by exponent totals.
+    Covers equivalence-invariance (the canonical pairs, and a word and its
+    rewrites by `equivalent_rewrite`, which keep its class, give equal
+    values), functoriality under composition, the cylinder law, monoidality,
+    and the empty-word law. Violations are reported with witnesses, not
+    raised. The five checks share one table of values by exponent totals.
     """
     if budget < 0:
         raise InputError(f"word budget must be non-negative, got {budget}")
@@ -453,33 +446,34 @@ def equivalence_invariance(T, rng, budget: int, values: dict):
         R = M
         for _ in range(rng.randrange(1, 4)):
             R = equivalent_rewrite(rng, R)
-        if normal_form(M) != normal_form(R):
-            continue
         mv, rv = evaluate(T, M, values), evaluate(T, R, values)
         if mv != rv:
             yield f"{M.text()!r} -> {mv} but rewrite {R.text()!r} -> {rv}"
 
 
-def _glued_values_multiply(T, rng, budget: int, values: dict, glue):
-    """Witnesses of glue(M, N) -> value(M) * value(N) failing on random
-    pairs; for `compose` the second word starts where the first ends."""
+def _glued_values_multiply(value, rng, budget: int, glue, dim: int = 2):
+    """Witnesses of value(glue(M, N)) = value(M) * value(N) failing on
+    `budget` random pairs of words of `dim`; for `compose` the second word
+    starts where the first ends."""
     for _ in range(budget):
-        M = random_word(rng)
-        N = random_word(rng, start_arity=M.out_arity if glue is compose else None)
-        lhs = evaluate(T, glue(M, N), values)
-        rhs = evaluate(T, M, values) * evaluate(T, N, values)
+        M = random_word(rng, dim)
+        N = random_word(rng, dim, start_arity=M.out_arity if glue is compose else None)
+        lhs = value(glue(M, N))
+        rhs = value(M) * value(N)
         if lhs != rhs:
             yield f"{glue.__name__}({M.text()!r}, {N.text()!r}): {lhs} != {rhs}"
 
 
 @check
 def functoriality(T, rng, budget: int, values: dict):
-    yield from _glued_values_multiply(T, rng, budget, values, compose)
+    yield from _glued_values_multiply(functools.partial(evaluate, T, values=values), rng,
+                                      budget, compose)
 
 
 @check
 def monoidality(T, rng, budget: int, values: dict):
-    yield from _glued_values_multiply(T, rng, budget, values, tensor)
+    yield from _glued_values_multiply(functools.partial(evaluate, T, values=values), rng,
+                                      budget, tensor)
 
 
 @check
@@ -531,16 +525,10 @@ def check_theta_defines_tqft(theta, dim: int, seed: int = 0, budget: int = 300):
         raise WrongDimension(f"theta checks exist for dimensions 1 and 2, not {dim}")
     birth, death, label = _BIRTH_DEATH[dim]
     M, N = parse_word(birth, dim), parse_word(death, dim)
-    rng = random.Random(seed)
-    for i in range(budget + 1):
-        if i:
-            M = random_word(rng, dim)
-            N = random_word(rng, dim, start_arity=M.out_arity)
-            label = f"compose({M.text()!r}, {N.text()!r})"
-        mv, nv, glued = theta(M), theta(N), theta(compose(M, N))
-        if mv * nv != glued:
-            yield (f"{label}: {_witness_str(mv)} * {_witness_str(nv)}"
-                   f" != {_witness_str(glued)}")
+    mv, nv, glued = theta(M), theta(N), theta(compose(M, N))
+    if mv * nv != glued:
+        yield f"{label}: {_witness_str(mv)} * {_witness_str(nv)} != {_witness_str(glued)}"
+    yield from _glued_values_multiply(theta, random.Random(seed), budget, compose, dim)
 
 
 def exp_chi_theta(w: CobordismWord) -> ExpScalar:
@@ -560,7 +548,7 @@ def boundary_dependence_check(T, seed: int = 0, budget: int = 100) -> Report:
     rng = random.Random(seed)
     values = {}
     for _ in range(max(10, budget // 10)):
-        w = random_closed_word(rng)
+        w = random_word_with_arities(rng, 0, 0)
         v = evaluate(T, w, values)
         if not v.is_one:
             raise NotInKernel(f"closed word {w.text()!r} evaluates to {v}")

@@ -426,6 +426,32 @@ class TestSkkCommands:
             result = run(["skk", "class", str(path), *json_flag])
             assert (result.exit_code, result.report) == (2, "error: chi - sigma = 3 is odd")
 
+    @pytest.mark.parametrize("name, betti", [("torus7", (1, 6, 3)),
+                                             ("sphere4", (1, 0, 0, 0, 3))])
+    def test_class_refuses_wedge_of_three_copies(self, tmp_path, name, betti):
+        """Three copies wedged at one vertex are closed and oriented, and
+        their chi - sigma is even, so no parity test refuses them; but their
+        facets, joined through codimension-1 faces, form three pieces in one
+        component."""
+        from skkinv.simplicial import disjoint_union, homology, orient
+        from skkinv.skk import NotClosedManifold, skk_class
+
+        K = orient(fixtures.FIXTURES[name]())
+        union = disjoint_union(disjoint_union(K, K), K)
+        n = len(K.vertices())
+        wedge = SimplicialComplex.from_facets(
+            K.dim, [tuple(0 if v % n == 0 else v for v in f) for f in union.facets],
+            union.orientations)
+        assert homology(wedge).betti == betti
+        with pytest.raises(NotClosedManifold):
+            skk_class(wedge)
+        path = tmp_path / "wedge.json"
+        path.write_text(complex_to_json(wedge))
+        for json_flag in ([], ["--json"]):
+            result = run(["skk", "class", str(path), *json_flag])
+            assert (result.exit_code, result.report) == (
+                2, "error: complex is a wedge: two of its pieces meet at a vertex")
+
     def test_class_needs_input(self):
         result = run(["skk", "class"])
         assert result.exit_code == 2

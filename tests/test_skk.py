@@ -234,7 +234,7 @@ class TestSplitting:
 
     def test_trivial_descriptor(self):
         T = skk.splitting_S(0)
-        assert T.is_trivial
+        assert T.cap.is_one and T.cup.is_one
 
 
 class TestVerifySplitSequence:
@@ -265,7 +265,8 @@ class TestVerifySplitSequence:
         assert "." not in witness
 
     def test_trivial_invariant_splits_to_trivial(self):
-        assert skk.splitting_S(0).is_trivial
+        T = skk.splitting_S(0)
+        assert T.cap.is_one and T.cup.is_one
 
 
 class TestBSigmaDemo:

@@ -178,7 +178,7 @@ class TestEvaluate:
         T = rational_tqft(2, Fraction(1, 2))
         rng = random.Random(3)
         for _ in range(50):
-            w = cb.random_closed_word(rng)
+            w = cb.random_word_with_arities(rng, 0, 0)
             assert tqft.evaluate(T, w).is_one
         assert tqft.evaluate(T, cb.parse_word("cap")) == tqft.rational(2)
 
@@ -195,7 +195,7 @@ class TestEvaluate:
                                                             tqft.exp_scalar(e))):
             if corrupt:
                 T = tqft.corrupted_tqft(T)
-            for w in (cb.random_word(rng), cb.random_closed_word(rng)):
+            for w in (cb.random_word(rng), cb.random_word_with_arities(rng, 0, 0)):
                 assert tqft.evaluate(T, w) == layer_by_layer_value(T, w)
 
     @given(st.data(), st.booleans())
@@ -261,7 +261,7 @@ class TestEvaluate:
         """Every closed word evaluates to (a*e)**(chi/2)."""
         T = rational_tqft(a, e)
         rng = random.Random(seed)
-        w = cb.random_closed_word(rng)
+        w = cb.random_word_with_arities(rng, 0, 0)
         nf = cb.normal_form(w)
         exponent = sum(1 - c.genus for c in nf.components)
         assert exponent * 2 == nf.total_chi()
@@ -294,7 +294,7 @@ class TestRationalEvaluate:
         if corrupt:
             T = tqft.corrupted_tqft(T)
         rng = random.Random(seed)
-        w = cb.random_closed_word(rng) if seed % 2 else cb.random_word(rng)
+        w = cb.random_word_with_arities(rng, 0, 0) if seed % 2 else cb.random_word(rng)
         value = tqft.evaluate(T, w)
         assert type(value) is tqft.RationalScalar and type(value.value) is Fraction
         assert value == evaluate_through_scalars(T, w)
@@ -356,7 +356,7 @@ def verifier_words(rng):
         R = M
         for _ in range(rng.randrange(1, 4)):
             R = cb.equivalent_rewrite(rng, R)
-        words += [M, cb.compose(M, N), cb.tensor(M, N), R, cb.random_closed_word(rng)]
+        words += [M, cb.compose(M, N), cb.tensor(M, N), R, cb.random_word_with_arities(rng, 0, 0)]
     long = words[0]
     while sum(len(layer) for layer in long.layers) < 1000:
         long = cb.tensor(long, rng.choice(words))
@@ -444,7 +444,8 @@ class TestGroupStructure:
 
     def test_inverse(self):
         T = rational_tqft(2, 3)
-        assert T.product(T.inverse()).is_trivial
+        identity = T.product(T.inverse())
+        assert identity.cap.is_one and identity.cup.is_one
 
     @given(seeds, small_rationals, small_rationals, small_rationals, small_rationals)
     @settings(max_examples=40, deadline=None)
@@ -468,7 +469,7 @@ class TestVerifyAxioms:
             assert report.all_passed, report.summary()
 
     def test_trivial_tqft_passes(self):
-        report = tqft.verify_axioms(tqft.trivial_tqft(), seed=2, budget=60)
+        report = tqft.verify_axioms(rational_tqft(1, 1), seed=2, budget=60)
         assert report.all_passed
 
     def test_corrupted_fails_with_witness(self):
@@ -492,6 +493,21 @@ class TestVerifyAxioms:
         for seed in (0, 1):
             tqft.verify_axioms(rational_tqft(2, 3), seed=seed, budget=5)
         assert sorted(texts) == sorted(t for pair in tqft._CANONICAL_EQUIVALENT_PAIRS for t in pair)
+
+    def test_computes_no_normal_form(self, monkeypatch):
+        computed = []
+        monkeypatch.setattr(tqft, "normal_form", lambda w: computed.append(w) or cb.normal_form(w))
+        tqft.verify_axioms(rational_tqft(2, 3), seed=0, budget=50)
+        assert computed == []
+
+    def test_rewrite_that_changes_the_class_fails_with_a_witness(self, monkeypatch):
+        """A rewrite that tensors a sphere onto the word multiplies its value
+        by cap * cup = 6; the check reports the word and its rewrite."""
+        sphere = cb.parse_word("cap ; cup")
+        monkeypatch.setattr(tqft, "equivalent_rewrite", lambda rng, M: cb.tensor(M, sphere))
+        result = tqft.verify_axioms(rational_tqft(2, 3), seed=0, budget=20).checks[0]
+        assert result.name == "equivalence_invariance" and not result.passed
+        assert " but rewrite " in result.witness and "cap ; cup" in result.witness
 
 
 class TestTwoParameterForm:
@@ -589,7 +605,7 @@ class TestKernelCharacterization:
         """Closed words all map to 1 exactly when a*e = 1, over the grid of
         rationals with numerator and denominator up to 5."""
         rng = random.Random(17)
-        closed_words = [cb.random_closed_word(rng) for _ in range(30)]
+        closed_words = [cb.random_word_with_arities(rng, 0, 0) for _ in range(30)]
         nontrivial = [w for w in closed_words if cb.normal_form(w).total_chi() != 0]
         assert nontrivial, "sampler produced only chi = 0 words"
         values = [Fraction(n, d) * s
@@ -615,7 +631,7 @@ class TestBoundaryDependence:
         assert tqft.evaluate(T, cb.parse_word("cap | cap ; pants")) == tqft.rational(2)
 
     def test_trivial_tqft(self):
-        report = tqft.boundary_dependence_check(tqft.trivial_tqft(), seed=1, budget=40)
+        report = tqft.boundary_dependence_check(rational_tqft(1, 1), seed=1, budget=40)
         assert report.all_passed
 
     def test_non_kernel_rejected(self):
@@ -642,11 +658,15 @@ class TestBoundaryDependence:
                                                       closed_form_pair):
         """One pair breaks only boundary-only dependence (its second word gets
         an extra outgoing circle), another only the closed form (both words
-        get one); each check reports its own pair, whichever comes first."""
+        get one); each check reports its own pair, whichever comes first.
+        The closed words of the kernel precheck pass through unrecorded; no
+        pair of seed 0 has arities 0->0."""
         real = tqft.random_word_with_arities
         drawn = []
 
         def sampler(rng, in_arity, out_arity):
+            if in_arity == out_arity == 0:
+                return real(rng, 0, 0)
             pair, second = divmod(len(drawn), 2)
             extra = pair == closed_form_pair or (pair == dependence_pair and second == 1)
             word = real(rng, in_arity, out_arity + int(extra))
