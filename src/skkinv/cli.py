@@ -5,6 +5,8 @@ fault: a usage error, or an `skkinv.InputError`, reported as "error: ...".
 Any other exception is a bug in skkinv and ends in a traceback.
 Scalars print exactly, as rationals or exp(p/q) strings; machine-readable
 reports carry a schema version and are emitted with --json.
+Each layer is imported by the first request that needs it: importing this
+module loads none, and a request pays only for the layers its command uses.
 """
 
 from __future__ import annotations
@@ -14,29 +16,9 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
-from . import InputError, skk, surfaces as sf, virtual_bordism as vb
-from .cobordism import normal_form, parse_word
-from .intersection_form import signature
-from .rationals import parse_rational
-from .simplicial import (
-    OddEulerCharacteristic,
-    complex_from_json,
-    euler_characteristic,
-    homology,
-    kervaire_semicharacteristic,
-    validate_closed,
-)
-from .tqft import (
-    InvertibleTQFT2,
-    corrupted_tqft,
-    evaluate,
-    exp_scalar,
-    rational,
-    verify_axioms,
-)
+from . import InputError
 
 SCHEMA = 1
 
@@ -68,11 +50,7 @@ TRACE_COMPONENT_WEIGHT = 16
 MAX_TRACE_WEIGHT = 1 << 21
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    exit_code: int
-    report: str
-    json_report: dict | None = None
+CommandResult = namedtuple("CommandResult", "exit_code report json_report", defaults=(None,))
 
 
 def _read(path: str) -> str:
@@ -83,16 +61,17 @@ def _read(path: str) -> str:
         raise InputError(str(exc)) from exc
 
 
-def fraction(text: str) -> Fraction:
-    """Argument type for exact rationals: a bad one is a usage error."""
+def fraction(text: str):
+    """Argument type for exact rationals (`Fraction`): a bad one is a usage error."""
+    from .rationals import parse_rational
     try:
         return parse_rational(text)
     except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def surface_expr(text: str) -> sf.Surface:
-    """Argument type for surfaces: g<genus>b<boundary> terms joined by '+'."""
+def surface_expr(text: str):
+    """Argument type for `surfaces.Surface`: g<genus>b<boundary> terms joined by '+'."""
     if text.count("+") + 1 > MAX_SURFACE_COMPONENTS:
         raise argparse.ArgumentTypeError(
             f"a surface expression may have at most {MAX_SURFACE_COMPONENTS} terms")
@@ -106,10 +85,12 @@ def surface_expr(text: str) -> sf.Surface:
     if sum(b for _, b in comps) > MAX_SURFACE_CIRCLES:
         raise argparse.ArgumentTypeError(
             f"a surface expression may have at most {MAX_SURFACE_CIRCLES} boundary circles")
-    return sf.surface(*comps)
+    from .surfaces import surface
+    return surface(*comps)
 
 
-def _scalar_pair(args) -> InvertibleTQFT2:
+def _scalar_pair(args):
+    from .tqft import InvertibleTQFT2, exp_scalar, rational
     has_rat = args.cap is not None or args.cup is not None
     has_exp = args.cap_exp is not None or args.cup_exp is not None
     if has_rat and has_exp:
@@ -136,6 +117,7 @@ def _checks_result(report, command: str, **fields) -> CommandResult:
 
 
 def _cmd_homology(args) -> CommandResult:
+    from .simplicial import complex_from_json, homology
     K = complex_from_json(_read(args.file))
     profile = homology(K, args.coefficients)
     lines = [f"dim {K.dim}, {len(K.facets)} facets"]
@@ -154,6 +136,8 @@ def _cmd_homology(args) -> CommandResult:
 
 
 def _cmd_invariants(args) -> CommandResult:
+    from .simplicial import (OddEulerCharacteristic, complex_from_json, euler_characteristic,
+                             kervaire_semicharacteristic, validate_closed)
     K = complex_from_json(_read(args.file))
     chi = euler_characteristic(K)
     closed = validate_closed(K)
@@ -170,6 +154,7 @@ def _cmd_invariants(args) -> CommandResult:
             lines.append("kervaire_semicharacteristic undefined (odd chi)")
             doc["kervaire_semicharacteristic"] = None
         if K.dim == 4:
+            from .intersection_form import signature
             sigma = signature(K)
             lines.append(f"sigma = {sigma}")
             doc["sigma"] = sigma
@@ -177,6 +162,7 @@ def _cmd_invariants(args) -> CommandResult:
 
 
 def _cmd_cutpaste(args) -> CommandResult:
+    from . import surfaces as sf
     moves = sf.parse_script(_read(args.script))
     trace, weight = [], 0
     # the start surface, then the surface after each move
@@ -200,6 +186,7 @@ def _cmd_cutpaste(args) -> CommandResult:
 
 
 def _cmd_cob_normal_form(args) -> CommandResult:
+    from .cobordism import normal_form, parse_word
     w = parse_word(args.word, dim=args.dim)
     nf = normal_form(w)
     lines = [f"word: {w.text()} ({w.in_arity} -> {w.out_arity})"]
@@ -219,6 +206,8 @@ def _cmd_cob_normal_form(args) -> CommandResult:
 
 
 def _cmd_cob_eval(args) -> CommandResult:
+    from .cobordism import parse_word
+    from .tqft import evaluate
     T = _scalar_pair(args)
     w = parse_word(args.word, dim=2)
     value = evaluate(T, w)
@@ -228,6 +217,7 @@ def _cmd_cob_eval(args) -> CommandResult:
 
 
 def _cmd_tqft_verify(args) -> CommandResult:
+    from .tqft import corrupted_tqft, verify_axioms
     T = _scalar_pair(args)
     if args.corrupt:
         T = corrupted_tqft(T)
@@ -237,6 +227,8 @@ def _cmd_tqft_verify(args) -> CommandResult:
 
 
 def _cmd_skk_class(args) -> CommandResult:
+    from . import skk
+    from .simplicial import complex_from_json
     if args.surface is not None and args.file is not None:
         raise InputError("give a complex file or --surface, not both")
     if args.surface is not None:
@@ -255,6 +247,7 @@ def _cmd_skk_class(args) -> CommandResult:
 
 
 def _cmd_skk_verify_sequence(args) -> CommandResult:
+    from . import skk
     grid = skk.default_grid(args.grid)
     splitting = skk.corrupted_splitting if args.corrupt_splitting else skk.splitting_S
     report = skk.verify_split_sequence(grid=grid, seed=args.seed, splitting=splitting)
@@ -264,6 +257,7 @@ def _cmd_skk_verify_sequence(args) -> CommandResult:
 
 
 def _cmd_skk_demo_bsigma(args) -> CommandResult:
+    from . import skk, virtual_bordism as vb
     catalog = vb.catalog_from_json(_read(args.catalog)) if args.catalog else vb.dim8_catalog()
     disk_value, cp_value = skk.b_sigma_dependence_demo(catalog)
     text = (f"capping choice D8 => {disk_value}; "
@@ -274,8 +268,7 @@ def _cmd_skk_demo_bsigma(args) -> CommandResult:
 
 
 def _cmd_selftest(args) -> CommandResult:
-    from .selftest import run_selftest  # the suites and fixtures load only for this command
-
+    from .selftest import run_selftest
     report = run_selftest(seed=args.seed)
     return _checks_result(report, "selftest", seed=args.seed)
 

@@ -648,15 +648,22 @@ class TestParserReuse:
         assert _build_parser() is parser
 
     def test_import_builds_nothing_and_selftest_loads_on_demand(self):
+        # what the import adds, so that a site which preloads a module passes
         code = (
             "import json, sys\n"
+            "before = set(sys.modules)\n"
             "import skkinv.cli as cli\n"
+            "added = set(sys.modules) - before\n"
             "facts = {'parsers': cli._build_parser.cache_info().currsize,\n"
-            "         'loaded': sorted({'skkinv.selftest', 'skkinv.fixtures'} & set(sys.modules))}\n"
+            "         'loaded': sorted({'skkinv.selftest', 'skkinv.fixtures'} & set(sys.modules)),\n"
+            "         'package': sorted(m for m in added if m.split('.')[0] == 'skkinv'),\n"
+            "         'heavy': sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & added)}\n"
             "facts['selftest_exit'] = cli.run(['selftest', '--seed', '0']).exit_code\n"
             "print(json.dumps(facts))\n"
         )
-        assert json.loads(_fresh_python(code)) == {"parsers": 0, "loaded": [], "selftest_exit": 0}
+        assert json.loads(_fresh_python(code)) == {
+            "parsers": 0, "loaded": [], "package": ["skkinv", "skkinv.cli"], "heavy": [],
+            "selftest_exit": 0}
 
 
 def _fresh_python(code):
@@ -665,6 +672,23 @@ def _fresh_python(code):
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["cob", "eval", "cap ; cup", "--cap", "2", "--cup", "3"],
+     ["simplicial", "exact_linalg", "intersection_form", "surfaces", "skk", "virtual_bordism"]),
+    (["homology", str(FIXTURES_DIR / "torus7.json")],
+     ["cobordism", "tqft", "surfaces", "skk", "virtual_bordism"]),
+], ids=["cob-eval", "homology"])
+def test_command_loads_only_its_layers(argv, unused):
+    code = (
+        "import json, sys\n"
+        "import skkinv.cli as cli\n"
+        f"exit_code = cli.run({argv!r}).exit_code\n"
+        f"unused = {{'skkinv.' + name for name in {unused!r}}}\n"
+        "print(json.dumps([exit_code, sorted(unused & set(sys.modules))]))\n"
+    )
+    assert json.loads(_fresh_python(code)) == [0, []]
 
 
 def test_word_and_surface_layers_load_no_linear_algebra():
@@ -863,12 +887,12 @@ class TestInputErrors:
         assert run(["homology", str(path)]).exit_code == 2
 
     def test_internal_fault_is_not_an_input_error(self, monkeypatch):
-        import skkinv.cli
+        import skkinv.simplicial
 
         def broken(*args, **kwargs):
             raise ValueError("shape mismatch in matrix product")
 
-        monkeypatch.setattr(skkinv.cli, "homology", broken)
+        monkeypatch.setattr(skkinv.simplicial, "homology", broken)
         with pytest.raises(ValueError, match="shape mismatch"):
             run(["homology", str(FIXTURES_DIR / "torus7.json")])
 

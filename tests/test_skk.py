@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from skkinv import fixtures, skk, surfaces as sf, virtual_bordism as vb
 from skkinv import cobordism as cb
 from skkinv.simplicial import disjoint_union, euler_characteristic
-from skkinv.tqft import InvertibleTQFT2, exp_scalar, rational
+from skkinv.tqft import InvertibleTQFT2, evaluate, exp_scalar, rational
 
 seeds = st.integers(min_value=0, max_value=2 ** 31)
 
@@ -264,9 +264,13 @@ class TestVerifySplitSequence:
                            " exp(-3/2*chi), expected exp(-3*chi)")
         assert "." not in witness
 
-    def test_trivial_invariant_splits_to_trivial(self):
-        T = skk.splitting_S(0)
-        assert T.cap.is_one and T.cup.is_one
+    def test_splitting_evaluates_closed_words_to_exp_r_chi(self):
+        rng = random.Random(0)
+        words = [cb.random_word_with_arities(rng, 0, 0) for _ in range(30)]
+        for r in (0, 1, Fraction(-3, 2)):
+            T = skk.splitting_S(r)
+            for w in words:
+                assert evaluate(T, w) == exp_scalar(Fraction(r) * cb.normal_form(w).total_chi())
 
 
 class TestBSigmaDemo:
