@@ -1,10 +1,15 @@
 """Simplicial-complex models of closed oriented manifolds.
 
 A complex is stored as its list of top-dimensional facets (sorted vertex
-tuples) with optional orientation signs. Its facet closure is enumerated
-once, into a face index, and everything else reads that index: the Euler
-characteristic, the Kervaire semicharacteristic, closedness and orientation,
-and the chain complex. Homology reduces that chain complex first: cells
+tuples) with optional orientation signs; each facet is sorted once and the
+list is checked once. Its facet closure is enumerated once, into a face
+index, and everything else reads that index: the Euler characteristic, the
+Kervaire semicharacteristic, closedness and orientation, and the chain
+complex. The face index takes its top level from the facets themselves and
+its codimension-1 level from the ridges (the facets around each
+codimension-1 face), so only the lower levels are enumerated. An oriented
+copy of a complex shares its checked facets and its face index, and only
+its signs are checked. Homology reduces that chain complex first: cells
 joined by a +1/-1 incidence are removed in pairs (coreductions and
 collapses), which keeps integral homology, torsion included, and Smith
 normal form runs only on the cells left over. Integral, rational and mod-2
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,45 +73,49 @@ class SimplicialComplex:
     orientations: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        seen = set()
-        for f in self.facets:
-            if len(f) != self.dim + 1 or len(set(f)) != self.dim + 1:
-                raise ValueError(f"facet {f} does not have {self.dim + 1} distinct vertices")
-            if tuple(sorted(f)) != f:
-                raise ValueError(f"facet {f} is not sorted")
-            if f in seen:
-                raise ValueError(f"duplicate facet {f}")
-            seen.add(f)
-        if tuple(sorted(self.facets)) != self.facets:
-            raise ValueError("facet list is not sorted; use from_facets")
+        facets, n = self.facets, self.dim + 1
+        # each facet is n distinct sorted vertices and the list strictly increases
+        if not (type(facets) is tuple and set(map(len, facets)) <= {n}
+                and tuple(map(tuple, map(sorted, map(set, facets)))) == facets
+                and all(map(operator.lt, facets, facets[1:]))):
+            raise ValueError(_facet_fault(self.dim, facets))
         if self.orientations is not None:
-            if len(self.orientations) != len(self.facets):
-                raise ValueError("orientation count does not match facet count")
-            if any(s not in (1, -1) for s in self.orientations):
-                raise ValueError("orientation signs must be +1 or -1")
+            _check_signs(self.orientations, len(facets))
 
     @classmethod
     def from_facets(cls, dim, facets, orientations=None) -> "SimplicialComplex":
         """Normalize: sort vertices within facets and sort the facet list,
         carrying orientation signs along with their facets."""
-        norm = [tuple(sorted(int(v) for v in f)) for f in facets]
+        norm = [tuple(sorted(map(int, f))) for f in facets]
         if orientations is None:
             return cls(dim, tuple(sorted(norm)), None)
-        paired = sorted(zip(norm, (int(s) for s in orientations)))
+        signs = [int(s) for s in orientations]
+        if len(signs) != len(norm):
+            raise ValueError("orientation count does not match facet count")
+        paired = sorted(zip(norm, signs))
         return cls(dim, tuple(f for f, _ in paired), tuple(s for _, s in paired))
 
     @cached_property
     def face_index(self) -> FaceIndex:
-        """The facet closure, enumerated on first use and kept with the complex."""
-        closure = [set() for _ in range(self.dim + 1)]
+        """The facet closure, enumerated on first use and kept with the complex.
+
+        The top level is the facet list itself and level dim - 1 the ridges;
+        each lower level is one set of vertex combinations of the facets.
+        """
+        d, facets = self.dim, self.facets
         ridges: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for i, f in enumerate(self.facets):
-            for k, cells in enumerate(closure):
-                cells.update(itertools.combinations(f, k + 1))
-            for omit in range(self.dim + 1):
-                ridges.setdefault(f[:omit] + f[omit + 1:], []).append((i, omit))
-        cells = tuple(tuple(sorted(c)) for c in closure)
-        return FaceIndex(cells, tuple({c: i for i, c in enumerate(cs)} for cs in cells), ridges)
+        omitted = range(d, -1, -1)  # combinations drop the last vertex first
+        for i, f in enumerate(facets):
+            for omit, r in zip(omitted, itertools.combinations(f, d)):
+                ridges.setdefault(r, []).append((i, omit))
+        cells = [tuple(sorted(set(itertools.chain.from_iterable(
+                     map(itertools.combinations, facets, itertools.repeat(k + 1))))))
+                 for k in range(d - 1)]
+        if d:
+            cells.append(tuple(sorted(ridges)))
+        cells.append(facets)
+        return FaceIndex(tuple(cells), tuple(dict(zip(cs, range(len(cs)))) for cs in cells),
+                         ridges)
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted({v for f in self.facets for v in f}))
@@ -122,10 +132,35 @@ class SimplicialComplex:
         return self._with_orientations(tuple(-s for s in self.orientations))
 
     def _with_orientations(self, orientations: tuple[int, ...]) -> "SimplicialComplex":
-        """The same facets with other signs; the face index is shared, not enumerated again."""
-        other = SimplicialComplex(self.dim, self.facets, orientations)
-        vars(other)["face_index"] = self.face_index
+        """The same facets with other signs. The facets, already checked, and
+        the face index are shared; only the signs are checked."""
+        _check_signs(orientations, len(self.facets))
+        other = object.__new__(SimplicialComplex)
+        vars(other).update(dim=self.dim, facets=self.facets, orientations=orientations,
+                           face_index=self.face_index)
         return other
+
+
+def _facet_fault(dim: int, facets) -> str:
+    """What is wrong with a facet list that failed the checks: the first facet
+    at fault, else the order of the list."""
+    seen = set()
+    for f in facets:
+        if len(f) != dim + 1 or len(set(f)) != dim + 1:
+            return f"facet {f} does not have {dim + 1} distinct vertices"
+        if tuple(sorted(f)) != f:
+            return f"facet {f} is not sorted"
+        if f in seen:
+            return f"duplicate facet {f}"
+        seen.add(f)
+    return "facet list is not sorted; use from_facets"
+
+
+def _check_signs(signs, count: int) -> None:
+    if len(signs) != count:
+        raise ValueError("orientation count does not match facet count")
+    if not all(map((1, -1).__contains__, signs)):
+        raise ValueError("orientation signs must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -138,7 +173,7 @@ class HomologyProfile:
 
 def validate_closed(K: SimplicialComplex) -> bool:
     """True iff every (dim-1)-face lies in exactly two facets."""
-    return all(len(entries) == 2 for entries in K.face_index.ridges.values())
+    return set(map(len, K.face_index.ridges.values())) <= {2}
 
 
 def orient(K: SimplicialComplex) -> SimplicialComplex:
@@ -150,7 +185,14 @@ def orient(K: SimplicialComplex) -> SimplicialComplex:
     """
     if not validate_closed(K):
         raise NotClosed("orientation requires a closed complex")
-    ridges = K.face_index.ridges
+    # facet adjacency across each ridge, with the sign factor between the two
+    # facets: compatible orientations induce opposite signs on the shared face,
+    # so they differ when the omitted positions have an even sum
+    neighbours = [[] for _ in K.facets]
+    for (i, oi), (j, oj) in K.face_index.ridges.values():
+        factor = 1 if (oi + oj) % 2 else -1
+        neighbours[i].append((j, factor))
+        neighbours[j].append((i, factor))
     signs = [0] * len(K.facets)
     for start in range(len(K.facets)):
         if signs[start]:
@@ -159,12 +201,8 @@ def orient(K: SimplicialComplex) -> SimplicialComplex:
         stack = [start]
         while stack:
             i = stack.pop()
-            fi = K.facets[i]
-            for omit in range(K.dim + 1):
-                a, b = ridges[fi[:omit] + fi[omit + 1:]]
-                j, omit_j = b if a[0] == i else a
-                # compatible orientations induce opposite signs on the shared face
-                want = -signs[i] * (-1) ** omit * (-1) ** omit_j
+            for j, factor in neighbours[i]:
+                want = signs[i] * factor
                 if signs[j] == 0:
                     signs[j] = want
                     stack.append(j)
@@ -182,11 +220,12 @@ def check_orientation(K: SimplicialComplex) -> None:
     """
     if K.orientations is None:
         raise ValueError("complex carries no orientation to check")
-    signs = K.orientations
-    bad = next((face for face, entries in K.face_index.ridges.items()
-                if sum(-signs[i] if omit % 2 else signs[i] for i, omit in entries)), None)
-    if bad is not None:
-        raise NotOrientable(f"orientation signs do not cancel on the face {list(bad)}")
+    signs, ridges = K.orientations, K.face_index.ridges
+    bad = [face for face, entries in ridges.items()
+           if sum(-signs[i] if omit % 2 else signs[i] for i, omit in entries)]
+    if bad:  # name the face met first, reading the facets in order and each from its front
+        face = min(bad, key=lambda face: ridges[face][0])
+        raise NotOrientable(f"orientation signs do not cancel on the face {list(face)}")
 
 
 def oriented(K: SimplicialComplex) -> SimplicialComplex:
@@ -439,9 +478,9 @@ def complex_from_json(text: str) -> SimplicialComplex:
     if not is_json_int(dim) or dim < 0:
         raise ComplexFormatError("'dim' must be a non-negative integer")
     facets = doc["facets"]
-    if not isinstance(facets, list) or not all(
-        isinstance(f, list) and all(is_json_int(v) for v in f) for f in facets
-    ):
+    # `json.loads` makes integer literals exact ints, and true/false bools
+    if not (isinstance(facets, list) and all(isinstance(f, list) for f in facets)
+            and set(map(type, itertools.chain.from_iterable(facets))) <= {int}):
         raise ComplexFormatError("'facets' must be an array of integer arrays")
     if not facets:
         # a facet-less complex would still cost a face index of `dim` + 1 levels
@@ -451,7 +490,7 @@ def complex_from_json(text: str) -> SimplicialComplex:
             f"the facet closure would enumerate more than {MAX_CLOSURE} faces")
     ori = doc.get("orientations")
     if ori is not None:
-        if not isinstance(ori, list) or not all(is_json_int(s) and s in (1, -1) for s in ori):
+        if not (isinstance(ori, list) and set(map(type, ori)) <= {int} and set(ori) <= {1, -1}):
             raise ComplexFormatError("'orientations' must be an array of +1/-1")
     try:
         return SimplicialComplex.from_facets(dim, facets, ori)

@@ -87,23 +87,38 @@ class TestInvariantsCommand:
         assert "orientation" in result.report
 
     def test_unoriented_cp2_enumerates_the_closure_once(self, tmp_path, monkeypatch):
-        # only the closure enumeration asks for a facet as a face of itself
+        # chi, closedness, orientation and the intersection form all read one face index
+        import skkinv.simplicial
+
         K = fixtures.cp2_9()
         path = tmp_path / "cp2_unoriented.json"
         path.write_text(complex_to_json(SimplicialComplex(4, K.facets)))
-        whole_facets = []
-        real = itertools.combinations
+        built = []
+        real = skkinv.simplicial.FaceIndex
 
-        def counting(cells, r):
-            if r == len(cells):
-                whole_facets.append(cells)
-            return real(cells, r)
+        def counting(*args):
+            built.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(itertools, "combinations", counting)
+        monkeypatch.setattr(skkinv.simplicial, "FaceIndex", counting)
         result = run(["invariants", str(path)])
         assert result.exit_code == 0
         assert "sigma = 1" in result.report or "sigma = -1" in result.report
-        assert sorted(whole_facets) == list(K.facets)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("command", [["homology"], ["invariants"], ["skk", "class"]])
+    @pytest.mark.parametrize("signs", [[1], [1, -1, 1, -1, 1]])
+    def test_orientation_count_mismatch_is_input_error(self, tmp_path, command, json_flag,
+                                                        signs):
+        # the four facets of the boundary of the 3-simplex with one sign, or five
+        path = tmp_path / "sphere2_signs.json"
+        path.write_text(json.dumps({"dim": 2, "facets": [list(f) for f in
+                                                          fixtures.sphere2().facets],
+                                    "orientations": signs}))
+        result = run(command + [str(path)] + json_flag)
+        assert (result.exit_code, result.report) == (
+            2, "error: orientation count does not match facet count")
 
     def test_boolean_dimension_is_input_error(self, tmp_path):
         path = tmp_path / "bool_dim.json"

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -83,9 +84,11 @@ def relabelled(K, seed):
 
 
 def _variants():
-    """Every fixture, a relabelling of each, and each with its first facet removed."""
+    """Every fixture and two points, a relabelling of each, and each with its
+    first facet removed."""
     out = {}
-    for name, make in fixtures.FIXTURES.items():
+    points = {"points2": lambda: SimplicialComplex.from_facets(0, [(0,), (1,)])}
+    for name, make in {**fixtures.FIXTURES, **points}.items():
         K = make()
         out[name] = K
         out[f"{name}~relabelled"] = relabelled(K, 1)
@@ -110,6 +113,14 @@ class TestFaceIndex:
         assert euler_characteristic(K) == sum((-1) ** k * len(c) for k, c in enumerate(cells))
         for k in range(1, K.dim + 1):
             assert boundary_matrix(K, k).to_rows() == boundary_oracle(K, k)
+        index = K.face_index
+        assert index.position == tuple({c: i for i, c in enumerate(cs)} for cs in cells)
+        # each codimension-1 face: (facet index, omitted vertex position), in facet order
+        ridges = {}
+        for i, f in enumerate(K.facets):
+            for omit in range(len(f)):
+                ridges.setdefault(f[:omit] + f[omit + 1:], []).append((i, omit))
+        assert index.ridges == ridges
 
     @pytest.mark.parametrize("name", [n for n in COMPLEXES if n not in ORIENTABLE])
     def test_orient_rejects(self, name):
@@ -471,6 +482,9 @@ class TestComplexFormat:
         '{"dim": 1, "facets": [[0,1]], "orientations": [true]}',        # boolean sign
         '{"dim": -1, "facets": []}',                                    # negative dimension
         '{"dim": 1.0, "facets": [[0,1]]}',                              # non-integer dimension
+        '{"dim": 1, "facets": [[0,1.0]]}',                              # non-integer vertices
+        '{"dim": 1, "facets": [[0,"1"]]}',
+        '{"dim": 1, "facets": [[0,[1]]]}',
     ])
     def test_booleans_and_negative_dimension_rejected(self, text):
         with pytest.raises(ComplexFormatError):
@@ -500,3 +514,42 @@ class TestComplexFormat:
     def test_duplicate_facets_rejected(self):
         with pytest.raises(ComplexFormatError):
             complex_from_json('{"dim": 2, "facets": [[0,1,2],[2,1,0]]}')
+
+    @pytest.mark.parametrize("signs", [[1], [1, -1], [1, -1, 1, -1, 1]])
+    def test_orientation_count_mismatch_rejected(self, signs):
+        # the four facets of the boundary of the 3-simplex; no facet or sign is dropped
+        doc = {"dim": 2, "facets": [list(f) for f in fixtures.sphere2().facets],
+               "orientations": signs}
+        with pytest.raises(ComplexFormatError,
+                           match="^orientation count does not match facet count$"):
+            complex_from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match="^orientation count does not match facet count$"):
+            SimplicialComplex.from_facets(2, doc["facets"], signs)
+
+
+class TestConstructionRefusals:
+    @pytest.mark.parametrize("dim, facets, signs, message", [
+        (2, ((0, 1),), None, "facet (0, 1) does not have 3 distinct vertices"),
+        (2, ((0, 1, 2, 3),), None, "facet (0, 1, 2, 3) does not have 3 distinct vertices"),
+        (2, ((0, 0, 1),), None, "facet (0, 0, 1) does not have 3 distinct vertices"),
+        (2, ((0, 2, 1),), None, "facet (0, 2, 1) is not sorted"),
+        (2, ((0, 1, 2), (0, 1, 2)), None, "duplicate facet (0, 1, 2)"),
+        (2, ((0, 1, 3), (0, 1, 2)), None, "facet list is not sorted; use from_facets"),
+        # the first facet at fault decides, and a facet fault before a list fault
+        (2, ((0, 1, 3), (0, 1, 2), (4, 4, 5)), None,
+         "facet (4, 4, 5) does not have 3 distinct vertices"),
+        (2, ((0, 1, 2), (0, 1, 3)), (1,), "orientation count does not match facet count"),
+        (2, ((0, 1, 2),), (1, -1), "orientation count does not match facet count"),
+        (2, ((0, 1, 2),), (2,), "orientation signs must be +1 or -1"),
+        (2, ((0, 1, 2),), (0,), "orientation signs must be +1 or -1"),
+    ])
+    def test_message(self, dim, facets, signs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimplicialComplex(dim, facets, signs)
+
+    def test_oriented_copy_checks_its_signs(self):
+        K = fixtures.torus7()
+        with pytest.raises(ValueError, match="^orientation signs must be \\+1 or -1$"):
+            K._with_orientations((2,) * len(K.facets))
+        with pytest.raises(ValueError, match="^orientation count does not match facet count$"):
+            K._with_orientations((1,))
