@@ -14,9 +14,12 @@ sparse rows (`{column: entry}` dicts) with an index from each column to the
 rows that use it, and entries equal to +1 or -1 are eliminated first, in
 order of least Markowitz cost (row count - 1) * (column count - 1). The
 simplicial layer hands over boundary matrices only after its own reduction
-(`simplicial.ChainComplex`) has removed the cells it can pair through a unit
-incidence, so what arrives here is the few cells left over; they are still
-mostly zeros with unit entries, and this step usually finishes the job.
+(`simplicial.ChainComplex`) has removed one vertex per component, one facet
+per closed orientable piece and the cells it can pair through a unit
+incidence. On closed orientable manifolds what arrives here is empty or a
+minimal set, such as the two edges of a torus or the one triangle of CP^2;
+on other input it is the few cells left over, still mostly zeros with unit
+entries, and this step usually finishes the job.
 For invariant factors, the rows left without a unit entry are finished on
 the same sparse rows by integer row and column operations; for kernels and
 independence over the rationals, elimination continues fraction-free. No

@@ -40,18 +40,18 @@ class IntersectionMatrix:
         return len(self.pairing)
 
 
-def _h2_representatives(K: SimplicialComplex) -> list[tuple[int, ...]]:
-    """Integer cocycle representatives of a rational basis of H^2.
+def _h2_representatives(chain: ChainComplex) -> list[tuple[int, ...]]:
+    """Integer cocycle representatives of a rational basis of H^2 of a
+    complex of dimension at least 3, read from its reduced chain complex.
 
-    The chain complex is reduced first (`ChainComplex`), which keeps its
-    cohomology. On the surviving cells, a 2-cochain is a cocycle when it
-    annihilates the boundaries of the 3-cells, so the cocycles are the left
-    kernel of the degree-3 boundary matrix; kernel vectors are kept when
-    independent modulo the coboundaries, the rows of the degree-2 boundary
-    matrix. Each one is then extended over the removed cells. The kernel
-    order is deterministic, which makes the choice reproducible.
+    The reduction keeps cohomology in degree 2. On the surviving cells, a
+    2-cochain is a cocycle when it annihilates the boundaries of the 3-cells,
+    so the cocycles are the left kernel of the degree-3 boundary matrix;
+    kernel vectors are kept when independent modulo the coboundaries, the
+    rows of the degree-2 boundary matrix. Each one is then extended over the
+    removed cells. The kernel order is deterministic, which makes the choice
+    reproducible.
     """
-    chain = ChainComplex(K)
     cocycles = left_kernel(chain.boundary(3))    # C_3 -> C_2, rows are 2-cells
     return [chain.cocycle(2, z) for z in independent_modulo(chain.boundary(2), cocycles)]
 
@@ -61,10 +61,12 @@ def intersection_matrix(K: SimplicialComplex) -> IntersectionMatrix:
     if K.dim != 4:
         raise WrongDimension(f"expected dimension 4, got {K.dim}")
     K = oriented(K)
-    reps = _h2_representatives(K)
-    tri_index = K.face_index.position[2]
-    terms = [(sign, tri_index[facet[:3]], tri_index[facet[2:]])
-             for sign, facet in zip(K.orientations, K.facets)]
+    chain = ChainComplex(K)
+    reps = _h2_representatives(chain)
+    # the front face of a facet drops its last two vertices, the back face its first two
+    tets, tris = chain.faces[4], chain.faces[3]
+    terms = [(sign, tris[tets[i][4]][3], tris[tets[i][0]][0])
+             for i, sign in enumerate(K.orientations)]
 
     def pair(alpha, beta) -> int:
         total = 0

@@ -7,13 +7,24 @@ index, and everything else reads that index: the Euler characteristic, the
 Kervaire semicharacteristic, closedness and orientation, and the chain
 complex. The face index takes its top level from the facets themselves and
 its codimension-1 level from the ridges (the facets around each
-codimension-1 face), so only the lower levels are enumerated. An oriented
-copy of a complex shares its checked facets and its face index, and only
-its signs are checked. Homology reduces that chain complex first: cells
-joined by a +1/-1 incidence are removed in pairs (coreductions and
-collapses), which keeps integral homology, torsion included, and Smith
-normal form runs only on the cells left over. Integral, rational and mod-2
-homology all read the same invariant factors.
+codimension-1 face), so only the lower levels are enumerated. The pieces of
+a closed complex (its facets joined through ridges, with the orientation
+sign of each facet) are walked once, and orientation, the wedge check of
+`skk` and the chain complex all read that walk. An oriented copy of a
+complex shares its checked facets, its face index and its pieces, and only
+its signs are checked.
+
+Homology reduces the chain complex first. One vertex goes per connected
+component, and on a closed complex one facet per orientable piece: the
+piece's fundamental cycle z = sum of e_s s makes the boundary of its facet
+s0 equal to -e_0 times the boundary of z - e_0 s0, a boundary already, so
+the facet carries one copy of Z in top homology and every other group,
+torsion included, is unchanged. Then cells joined by a +1/-1 incidence are
+removed in pairs (coreductions and collapses), which also keeps integral
+homology, and Smith normal form runs only on the cells left over; on a
+closed orientable manifold such as `torus7` or `cp2_9` that is a minimal
+set (2 edges; one triangle). Integral, rational and mod-2 homology all read
+the same invariant factors.
 
 Only closedness, orientability and the consistency of supplied orientation
 signs are verified here (`skk` also refuses wedges); inputs are trusted to
@@ -58,10 +69,21 @@ class ComplexFormatError(InputError):
 class FaceIndex:
     """The facet closure of a complex, enumerated once."""
 
-    cells: tuple[tuple[tuple[int, ...], ...], ...]    # cells[k]: the k-simplices, sorted
-    position: tuple[dict[tuple[int, ...], int], ...]  # position[k][c]: index of c in cells[k]
+    cells: tuple[tuple[tuple[int, ...], ...], ...]  # cells[k]: the k-simplices, sorted
     # each codimension-1 face -> (facet index, omitted vertex position) per facet containing it
     ridges: dict[tuple[int, ...], list[tuple[int, int]]]
+
+
+@dataclass(frozen=True)
+class Pieces:
+    """The pieces of a closed complex, walked once: the classes of facets
+    joined through codimension-1 faces, each walked depth-first from its
+    first facet, which gets the sign +1."""
+
+    piece: tuple[int, ...]        # piece[i]: the piece of facet i, numbered by first facet
+    signs: tuple[int, ...]        # signs[i]: facet i's sign from the walk of its piece
+    first: tuple[int, ...]        # first[p]: the first facet of piece p
+    orientable: tuple[bool, ...]  # orientable[p]: the walk of piece p met no contradiction
 
 
 @dataclass(frozen=True)
@@ -114,8 +136,47 @@ class SimplicialComplex:
         if d:
             cells.append(tuple(sorted(ridges)))
         cells.append(facets)
-        return FaceIndex(tuple(cells), tuple(dict(zip(cs, range(len(cs)))) for cs in cells),
-                         ridges)
+        return FaceIndex(tuple(cells), ridges)
+
+    @cached_property
+    def pieces(self) -> Pieces:
+        """The pieces of the complex, which must be closed, walked on first
+        use and kept with the complex.
+
+        Two facets on a codimension-1 face are neighbours. Compatible
+        orientations induce opposite signs on the shared face, so a facet's
+        sign is its neighbour's times -1 when the omitted positions have an
+        even sum, and a sign met twice with both values makes its piece
+        non-orientable.
+        """
+        neighbours = [[] for _ in self.facets]
+        for (i, oi), (j, oj) in self.face_index.ridges.values():
+            factor = 1 if (oi + oj) % 2 else -1
+            neighbours[i].append((j, factor))
+            neighbours[j].append((i, factor))
+        signs = [0] * len(self.facets)
+        piece = [0] * len(self.facets)
+        first, orientable = [], []
+        for start in range(len(self.facets)):
+            if signs[start]:
+                continue
+            p, ok = len(first), True
+            first.append(start)
+            signs[start] = 1
+            piece[start] = p
+            stack = [start]
+            while stack:
+                i = stack.pop()
+                for j, factor in neighbours[i]:
+                    want = signs[i] * factor
+                    if signs[j] == 0:
+                        signs[j] = want
+                        piece[j] = p
+                        stack.append(j)
+                    elif signs[j] != want:
+                        ok = False
+            orientable.append(ok)
+        return Pieces(tuple(piece), tuple(signs), tuple(first), tuple(orientable))
 
     def vertices(self) -> tuple[int, ...]:
         return tuple(sorted({v for f in self.facets for v in f}))
@@ -133,11 +194,11 @@ class SimplicialComplex:
 
     def _with_orientations(self, orientations: tuple[int, ...]) -> "SimplicialComplex":
         """The same facets with other signs. The facets, already checked, and
-        the face index are shared; only the signs are checked."""
+        the face index and pieces built so far are shared; only the signs are
+        checked."""
         _check_signs(orientations, len(self.facets))
         other = object.__new__(SimplicialComplex)
-        vars(other).update(dim=self.dim, facets=self.facets, orientations=orientations,
-                           face_index=self.face_index)
+        vars(other).update(vars(self), orientations=orientations)
         return other
 
 
@@ -179,36 +240,16 @@ def validate_closed(K: SimplicialComplex) -> bool:
 def orient(K: SimplicialComplex) -> SimplicialComplex:
     """Assign facet signs making the signed boundary vanish.
 
-    Raises NotClosed when the input is not closed and NotOrientable when no
-    sign assignment exists (checked by traversal of the facet adjacency
-    graph; contradictions along a cycle witness non-orientability).
+    The signs are those of the walk of each piece (`SimplicialComplex.pieces`):
+    the first facet of each piece gets +1. Raises NotClosed when the input is
+    not closed and NotOrientable when a piece's walk met a contradiction.
     """
     if not validate_closed(K):
         raise NotClosed("orientation requires a closed complex")
-    # facet adjacency across each ridge, with the sign factor between the two
-    # facets: compatible orientations induce opposite signs on the shared face,
-    # so they differ when the omitted positions have an even sum
-    neighbours = [[] for _ in K.facets]
-    for (i, oi), (j, oj) in K.face_index.ridges.values():
-        factor = 1 if (oi + oj) % 2 else -1
-        neighbours[i].append((j, factor))
-        neighbours[j].append((i, factor))
-    signs = [0] * len(K.facets)
-    for start in range(len(K.facets)):
-        if signs[start]:
-            continue
-        signs[start] = 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j, factor in neighbours[i]:
-                want = signs[i] * factor
-                if signs[j] == 0:
-                    signs[j] = want
-                    stack.append(j)
-                elif signs[j] != want:
-                    raise NotOrientable("orientation traversal hit a contradiction")
-    return K._with_orientations(tuple(signs))
+    pieces = K.pieces
+    if not all(pieces.orientable):
+        raise NotOrientable("orientation traversal hit a contradiction")
+    return K._with_orientations(pieces.signs)
 
 
 def check_orientation(K: SimplicialComplex) -> None:
@@ -253,7 +294,7 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> IntMatrix:
     cols = len(kcells)
     entries = [0] * (len(k1cells) * cols)
     if 0 < k <= K.dim:
-        row = K.face_index.position[k - 1]
+        row = dict(zip(k1cells, range(len(k1cells))))
         for j, c in enumerate(kcells):
             for i in range(len(c)):
                 entries[row[c[:i] + c[i + 1:]] * cols + j] += -1 if i % 2 else 1
@@ -271,11 +312,18 @@ class ChainComplex:
 
     - first one vertex per connected component goes, each standing for one
       copy of Z in H_0; `components` counts them;
+    - on a closed complex of dimension n >= 1, one facet of each orientable
+      piece goes, the first, each standing for one copy of Z in H_n;
+      `fundamental` counts them. Its boundary is a boundary of the rest of
+      the piece's fundamental cycle, so no other group changes. Non-orientable
+      pieces such as RP^2 keep all their facets, and in dimension 0 the empty
+      face joins no points;
     - then coreduction pairs (a cell whose only remaining face is its
       partner) and collapse pairs (a cell whose only remaining coface is its
-      partner) go, in FIFO order from the removed vertices (Mrozek, Batko
-      2009), then in one sweep over all cells. Counts only fall, so a cell
-      that becomes free later is queued when it does, and no pair is left.
+      partner) go, in FIFO order from the removed vertices and facets
+      (Mrozek, Batko 2009), then in one sweep over all cells. Counts only
+      fall, so a cell that becomes free later is queued when it does, and no
+      pair is left.
 
     `pairs` lists (k, a, b) in removal order, for the k-cell at position a and
     the (k+1)-cell at position b; `survivors[k]` are the positions of the
@@ -283,11 +331,12 @@ class ChainComplex:
     """
 
     def __init__(self, K: SimplicialComplex):
-        cells, position = K.face_index.cells, K.face_index.position
+        cells, ridges = K.face_index.cells, K.face_index.ridges
         n = K.dim
         self.faces = [[()] * len(cells[0])]
         for k in range(1, n + 1):
-            face = position[k - 1].__getitem__  # combinations drop the last vertex first
+            # combinations drop the last vertex first
+            face = dict(zip(cells[k - 1], range(len(cells[k - 1])))).__getitem__
             self.faces.append([tuple(map(face, itertools.combinations(c, k)))[::-1]
                                for c in cells[k]])
         cofaces = [[[] for _ in cs] for cs in cells]
@@ -348,6 +397,13 @@ class ChainComplex:
                                 stack.append(w)
                 self.components += 1
                 remove(0, v)
+        self.fundamental = 0
+        if n and set(map(len, ridges.values())) <= {2}:  # closed
+            pieces = K.pieces
+            for first, orientable in zip(pieces.first, pieces.orientable):
+                if orientable:
+                    self.fundamental += 1
+                    remove(n, first)
         drain()
         for k, flags in enumerate(alive):
             for i, flag in enumerate(flags):
@@ -371,7 +427,8 @@ class ChainComplex:
         return IntMatrix(len(rows), width, tuple(entries))
 
     def cocycle(self, k: int, values) -> tuple[int, ...]:
-        """Extend a cocycle on the surviving k-cells, k >= 1, to one on all k-cells.
+        """Extend a cocycle on the surviving k-cells, 1 <= k < dim, to one on
+        all k-cells. (In degree dim the removed facets' classes are missing.)
 
         The pairs are undone in reverse order. A removed (k+1)-cell b takes the
         value 0, and its partner a in degree k the value that makes the cochain
@@ -393,11 +450,12 @@ class ChainComplex:
 def homology(K: SimplicialComplex, coefficients: str = "integers") -> HomologyProfile:
     """Homology profile over 'integers', 'rationals', or 'mod2' coefficients.
 
-    The chain complex is reduced first (`ChainComplex`), then one Smith normal
-    form per boundary map of what survives serves all three coefficient
-    systems: its invariant factors count the rank over Q, the odd ones the rank
-    over Z/2, and those > 1 of the degree-(k+1) map are the torsion of H_k over
-    the integers.
+    The chain complex is reduced first (`ChainComplex`), and its removed
+    vertices and facets add to H_0 and H_dim; then one Smith normal form per
+    boundary map of what survives serves all three coefficient systems: its
+    invariant factors count the rank over Q, the odd ones the rank over Z/2,
+    and those > 1 of the degree-(k+1) map are the torsion of H_k over the
+    integers.
     """
     if coefficients not in ("integers", "rationals", "mod2"):
         raise ValueError(f"unknown coefficient system {coefficients!r}")
@@ -413,6 +471,7 @@ def homology(K: SimplicialComplex, coefficients: str = "integers") -> HomologyPr
             torsion[k - 1] = tuple(d for d in diag if d > 1)
     betti = [dims[k] - ranks[k] - ranks[k + 1] for k in range(n + 1)]
     betti[0] += chain.components
+    betti[n] += chain.fundamental
     return HomologyProfile(tuple(betti), tuple(torsion))
 
 

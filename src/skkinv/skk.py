@@ -91,15 +91,8 @@ def skk_class(M):
 
 def _refuse_wedge(M) -> None:
     """Refuse two pieces (facets joined through codimension-1 faces) meeting at a vertex."""
-    piece = [[i] for i in range(len(M.facets))]  # the facets of each facet's piece
-    for (a, _), (b, _) in M.face_index.ridges.values():  # two facets each, as M is closed
-        pa, pb = piece[a], piece[b]
-        if pa is not pb:  # merge the smaller piece into the larger
-            small, big = (pa, pb) if len(pa) < len(pb) else (pb, pa)
-            big += small
-            for i in small:
-                piece[i] = big
-    if len({(p[0], v) for p, f in zip(piece, M.facets) for v in f}) > len(M.face_index.cells[0]):
+    piece = M.pieces.piece  # M is closed
+    if len({(p, v) for p, f in zip(piece, M.facets) for v in f}) > len(M.face_index.cells[0]):
         raise NotClosedManifold("complex is a wedge: two of its pieces meet at a vertex")
 
 

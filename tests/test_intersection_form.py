@@ -13,6 +13,7 @@ from skkinv.intersection_form import (
     signature,
 )
 from skkinv.simplicial import (
+    ChainComplex,
     NotClosed,
     NotOrientable,
     SimplicialComplex,
@@ -79,7 +80,7 @@ class TestIntersectionMatrix:
         K = fixtures.cp2_9()
         mixed = relabelled(disjoint_union(K, K.reversed_orientation()), 3)
         for M, rank in ((K, 1), (mixed, 2), (orient(fixtures.sphere4()), 0)):
-            reps = _h2_representatives(M)
+            reps = _h2_representatives(ChainComplex(M))
             assert len(reps) == rank
             assert all(len(r) == len(M.simplices(2)) for r in reps)
             if reps:

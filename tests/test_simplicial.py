@@ -100,6 +100,38 @@ COMPLEXES = _variants()
 ORIENTABLE = [n for n in COMPLEXES if "punctured" not in n and "projective" not in n]
 
 
+def wedge(K1, K2):
+    """K1 and K2 joined at one vertex: K2's first vertex, shifted as in
+    `disjoint_union`, renamed to K1's first vertex."""
+    glued = max(K1.vertices()) + 1 + K2.vertices()[0]
+    facets = [[K1.vertices()[0] if v == glued else v for v in f]
+              for f in disjoint_union(K1, K2).facets]
+    return SimplicialComplex.from_facets(K1.dim, facets)
+
+
+def _closed_sums():
+    """Closed complexes made of relabelled fixtures by disjoint unions and
+    vertex wedges, each with its number of orientable pieces."""
+    T, S2, RP2, S4, CP2 = (relabelled(make(), seed) for seed, make in enumerate(
+        (fixtures.torus7, fixtures.sphere2, fixtures.projective_plane6,
+         fixtures.sphere4, fixtures.cp2_9)))
+    T2 = relabelled(T, 7)
+    return {
+        "torus+torus": (disjoint_union(T, T2), 2),
+        "torus+rp2": (disjoint_union(T, RP2), 1),
+        "rp2+sphere2+torus": (disjoint_union(disjoint_union(RP2, S2), T), 2),
+        "torus^torus": (wedge(T, T2), 2),
+        "torus^sphere2^rp2": (wedge(wedge(T, S2), RP2), 2),
+        "rp2^rp2": (wedge(RP2, relabelled(RP2, 9)), 0),
+        "cp2+sphere4": (disjoint_union(CP2, S4), 2),
+        "cp2^sphere4": (wedge(CP2, S4), 2),
+        "sphere4^sphere4+sphere4": (disjoint_union(wedge(S4, S4), S4), 3),
+    }
+
+
+CLOSED_SUMS = _closed_sums()
+
+
 class TestFaceIndex:
     @pytest.mark.parametrize("name", list(COMPLEXES))
     def test_against_brute_force(self, name):
@@ -113,8 +145,13 @@ class TestFaceIndex:
         assert euler_characteristic(K) == sum((-1) ** k * len(c) for k, c in enumerate(cells))
         for k in range(1, K.dim + 1):
             assert boundary_matrix(K, k).to_rows() == boundary_oracle(K, k)
+        # faces[k][i][j]: the position in cells[k - 1] of cells[k][i] without its vertex j
+        faces = ChainComplex(K).faces
+        assert faces[0] == [()] * len(cells[0])
+        for k in range(1, K.dim + 1):
+            assert faces[k] == [tuple(cells[k - 1].index(c[:j] + c[j + 1:]) for j in range(k + 1))
+                                for c in cells[k]]
         index = K.face_index
-        assert index.position == tuple({c: i for i, c in enumerate(cs)} for cs in cells)
         # each codimension-1 face: (facet index, omitted vertex position), in facet order
         ridges = {}
         for i, f in enumerate(K.facets):
@@ -168,8 +205,33 @@ class TestOrient:
         K = fixtures.torus7()
         oriented = orient(K)
         assert oriented.face_index is K.face_index
+        assert oriented.pieces is K.pieces
         assert oriented.reversed_orientation().face_index is K.face_index
+        assert oriented.reversed_orientation().pieces is K.pieces
         assert oriented == SimplicialComplex(K.dim, K.facets, oriented.orientations)
+
+    @pytest.mark.parametrize("name", list(CLOSED_SUMS))
+    def test_pieces_against_brute_force(self, name):
+        K, orientable = CLOSED_SUMS[name]
+        # facets sharing a codimension-1 face, merged until nothing changes
+        label = list(range(len(K.facets)))
+        for _ in K.facets:
+            for i, j in itertools.combinations(range(len(K.facets)), 2):
+                if len(set(K.facets[i]) & set(K.facets[j])) == K.dim:
+                    label[i] = label[j] = min(label[i], label[j])
+        first = sorted(set(label))
+        pieces = K.pieces
+        assert pieces.first == tuple(first)
+        assert pieces.piece == tuple(first.index(x) for x in label)
+        assert all(pieces.signs[i] == 1 for i in first)
+        assert sum(pieces.orientable) == orientable
+        if all(pieces.orientable):
+            # a piece's orientation is unique once its first facet has +1
+            check_orientation(orient(K))
+            assert orient(K).orientations == pieces.signs
+        else:
+            with pytest.raises(NotOrientable):
+                orient(K)
 
     @pytest.mark.parametrize("complex_name", ORIENTABLE)
     def test_signed_boundary_vanishes(self, complex_name):
@@ -347,6 +409,10 @@ class TestReduction:
     @settings(max_examples=60, deadline=None)
     @given(random_complexes())
     def test_cocycles_extend_to_the_full_complex(self, K):
+        self.assert_cocycles_extend(K)
+
+    @staticmethod
+    def assert_cocycles_extend(K):
         # a rational basis of H^k of the reduced complex, extended over the
         # removed cells, is a rational basis of H^k of K
         chain = ChainComplex(K)
@@ -381,7 +447,7 @@ class TestReduction:
             removed = [(k, a) for k, a, _ in chain.pairs] + [(k + 1, b) for k, _, b in chain.pairs]
             survivors = [(k, i) for k, cells in enumerate(chain.survivors) for i in cells]
             assert len(set(removed)) == len(removed) == 2 * len(chain.pairs)
-            assert chain.components + len(removed) + len(survivors) == sum(
+            assert chain.components + chain.fundamental + len(removed) + len(survivors) == sum(
                 len(c) for c in K.face_index.cells)
 
     def test_cone_reduces_to_nothing(self):
@@ -391,10 +457,36 @@ class TestReduction:
             assert chain.components == 1
             assert all(cells == [] for cells in chain.survivors)
 
-    def test_closed_sphere_keeps_only_its_top_cell(self):
+    def test_closed_sphere_reduces_to_nothing(self):
         for d in (2, 3, 4):
             chain = ChainComplex(fixtures.simplex_boundary(d + 1))
-            assert [len(cells) for cells in chain.survivors] == [0] * d + [1]
+            assert (chain.components, chain.fundamental) == (1, 1)
+            assert [len(cells) for cells in chain.survivors] == [0] * (d + 1)
+
+    @pytest.mark.parametrize("name", list(CLOSED_SUMS))
+    def test_closed_sums_match_full_matrices(self, name):
+        # one facet goes from each orientable piece, none from the others
+        K, orientable = CLOSED_SUMS[name]
+        assert validate_closed(K)
+        assert ChainComplex(K).fundamental == orientable
+        self.assert_matches_reference(K)
+        self.assert_cocycles_extend(K)
+
+    @pytest.mark.parametrize("name,survivors", [
+        ("torus7", [0, 2, 0]),
+        ("cp2_9", [0, 0, 1, 0, 0]),
+        ("projective_plane6", [0, 5, 5]),
+    ])
+    def test_closed_fixtures_reduce_to_few_cells(self, name, survivors):
+        chain = ChainComplex(fixtures.FIXTURES[name]())
+        assert [len(cells) for cells in chain.survivors] == survivors
+        assert chain.fundamental == (name != "projective_plane6")
+
+    def test_points_keep_their_vertices(self):
+        # in dimension 0 the empty face is not a codimension-1 face to walk through
+        chain = ChainComplex(COMPLEXES["points2"])
+        assert (chain.components, chain.fundamental, chain.survivors) == (2, 0, [[]])
+        assert homology(COMPLEXES["points2"]).betti == (2,)
 
     def test_suspension_moves_torsion_up(self):
         profile = homology(suspension(fixtures.projective_plane6()))
