@@ -1,34 +1,22 @@
 """Simplicial-complex models of closed oriented manifolds.
 
 A complex is stored as its list of top-dimensional facets (sorted vertex
-tuples) with optional orientation signs; each facet is sorted once and the
-list is checked once. Its facet closure is enumerated once, into a face
-index, and everything else reads that index: the Euler characteristic, the
-Kervaire semicharacteristic, closedness and orientation, and the chain
-complex. The face index takes its top level from the facets themselves and
-its codimension-1 level from the ridges (the facets around each
-codimension-1 face), so only the lower levels are enumerated. The pieces of
-a closed complex (its facets joined through ridges, with the orientation
-sign of each facet) are walked once, and orientation, the wedge check of
-`skk` and the chain complex all read that walk. An oriented copy of a
-complex shares its checked facets, its face index and its pieces, and only
-its signs are checked.
+tuples) with optional orientation signs, sorted and checked once. Its facet
+closure is enumerated once, into a face index (`FaceIndex`) that alone holds
+the closure and, from the chain complex's first read on, its incidences; chi,
+closedness and the chain complex read that index. The pieces of a closed
+complex (its facets joined through codimension-1 faces, with each facet's
+orientation sign) are walked once; orienting, checking supplied signs, the
+wedge check of `skk` and the chain complex read that walk. An oriented or
+reversed copy of a complex shares its checked facets, its face index and its
+pieces; only its signs are checked.
 
-Homology reduces the chain complex first. One vertex goes per connected
-component, and on a closed complex one facet per orientable piece: the
-piece's fundamental cycle z = sum of e_s s makes the boundary of its facet
-s0 equal to -e_0 times the boundary of z - e_0 s0, a boundary already, so
-the facet carries one copy of Z in top homology and every other group,
-torsion included, is unchanged. Then cells joined by a +1/-1 incidence are
-removed in pairs (coreductions and collapses), which also keeps integral
-homology, and Smith normal form runs only on the cells left over; on a
-closed orientable manifold such as `torus7` or `cp2_9` that is a minimal
-set (2 edges; one triangle). Integral, rational and mod-2 homology all read
-the same invariant factors.
-
-Only closedness, orientability and the consistency of supplied orientation
-signs are verified here (`skk` also refuses wedges); inputs are trusted to
-be manifold triangulations beyond that, even a single pinched surface.
+Homology reduces the chain complex first (`ChainComplex`) and runs Smith
+normal form only on the cells left over; integral, rational and mod-2
+homology all read the same invariant factors. Only closedness, orientability
+and the consistency of supplied signs are verified here (`skk` also refuses
+wedges); inputs are trusted to be manifold triangulations beyond that, even a
+single pinched surface.
 """
 
 from __future__ import annotations
@@ -67,18 +55,53 @@ class ComplexFormatError(InputError):
 
 @dataclass(frozen=True)
 class FaceIndex:
-    """The facet closure of a complex, enumerated once."""
+    """The facet closure of a complex, enumerated once, and its incidences.
+    The levels and ridges are built with the index (`face_index`); `faces`
+    and `cofaces` are read off them when the chain complex first asks, and
+    kept here, so every signed copy of the complex shares them, a request for
+    chi alone never builds them, and nothing mutates them."""
 
     cells: tuple[tuple[tuple[int, ...], ...], ...]  # cells[k]: the k-simplices, sorted
     # each codimension-1 face -> (facet index, omitted vertex position) per facet containing it
     ridges: dict[tuple[int, ...], list[tuple[int, int]]]
+    closed: bool  # every codimension-1 face lies in exactly two facets
+
+    @cached_property
+    def faces(self) -> list[list[tuple[int, ...]]]:
+        """faces[k][i][j]: the position in level k - 1 of cell i of level k
+        without its vertex j. The top level is read off the ridges; each level
+        below looks its faces up in one position map of the level under it."""
+        cells, n = self.cells, len(self.cells) - 1
+        faces = [[()] * len(cells[0])]
+        for k in range(1, n):
+            face = dict(zip(cells[k - 1], range(len(cells[k - 1])))).__getitem__
+            # combinations drop the last vertex first
+            faces.append([tuple(map(face, itertools.combinations(c, k)))[::-1]
+                          for c in cells[k]])
+        if n:
+            top = [[0] * (n + 1) for _ in cells[n]]
+            for p, ridge in enumerate(cells[n - 1]):
+                for i, omit in self.ridges[ridge]:
+                    top[i][omit] = p
+            faces.append(list(map(tuple, top)))
+        return faces
+
+    @cached_property
+    def cofaces(self) -> list[list[list[int]]]:
+        """cofaces[k][i]: the positions in level k + 1 of the cells that have
+        cell i of level k as a face, in increasing order (none at the top)."""
+        cofaces = [[[] for _ in cs] for cs in self.cells]
+        for k in range(1, len(self.cells)):
+            up = cofaces[k - 1]
+            for i, fs in enumerate(self.faces[k]):
+                for f in fs:
+                    up[f].append(i)
+        return cofaces
 
 
 @dataclass(frozen=True)
 class Pieces:
-    """The pieces of a closed complex, walked once: the classes of facets
-    joined through codimension-1 faces, each walked depth-first from its
-    first facet, which gets the sign +1."""
+    """The pieces of a closed complex, walked once (`SimplicialComplex.pieces`)."""
 
     piece: tuple[int, ...]        # piece[i]: the piece of facet i, numbered by first facet
     signs: tuple[int, ...]        # signs[i]: facet i's sign from the walk of its piece
@@ -119,11 +142,9 @@ class SimplicialComplex:
 
     @cached_property
     def face_index(self) -> FaceIndex:
-        """The facet closure, enumerated on first use and kept with the complex.
-
-        The top level is the facet list itself and level dim - 1 the ridges;
-        each lower level is one set of vertex combinations of the facets.
-        """
+        """The facet closure, enumerated on first use and kept with the complex:
+        the top level is the facet list itself, level dim - 1 the ridges, and
+        each lower level one set of vertex combinations of the facets."""
         d, facets = self.dim, self.facets
         ridges: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         omitted = range(d, -1, -1)  # combinations drop the last vertex first
@@ -136,19 +157,17 @@ class SimplicialComplex:
         if d:
             cells.append(tuple(sorted(ridges)))
         cells.append(facets)
-        return FaceIndex(tuple(cells), ridges)
+        return FaceIndex(tuple(cells), ridges, set(map(len, ridges.values())) <= {2})
 
     @cached_property
     def pieces(self) -> Pieces:
-        """The pieces of the complex, which must be closed, walked on first
-        use and kept with the complex.
-
-        Two facets on a codimension-1 face are neighbours. Compatible
-        orientations induce opposite signs on the shared face, so a facet's
-        sign is its neighbour's times -1 when the omitted positions have an
-        even sum, and a sign met twice with both values makes its piece
-        non-orientable.
-        """
+        """The pieces of the complex, which must be closed: the classes of
+        facets joined through codimension-1 faces, each walked depth-first
+        from its first facet, which gets the sign +1, on first use and kept
+        with the complex. Compatible orientations induce opposite signs on a
+        shared face, so a facet's sign is its neighbour's times -1 when the
+        omitted positions have an even sum, and a sign met twice with both
+        values makes its piece non-orientable."""
         neighbours = [[] for _ in self.facets]
         for (i, oi), (j, oj) in self.face_index.ridges.values():
             factor = 1 if (oi + oj) % 2 else -1
@@ -234,16 +253,13 @@ class HomologyProfile:
 
 def validate_closed(K: SimplicialComplex) -> bool:
     """True iff every (dim-1)-face lies in exactly two facets."""
-    return set(map(len, K.face_index.ridges.values())) <= {2}
+    return K.face_index.closed
 
 
 def orient(K: SimplicialComplex) -> SimplicialComplex:
-    """Assign facet signs making the signed boundary vanish.
-
-    The signs are those of the walk of each piece (`SimplicialComplex.pieces`):
-    the first facet of each piece gets +1. Raises NotClosed when the input is
-    not closed and NotOrientable when a piece's walk met a contradiction.
-    """
+    """Assign facet signs making the signed boundary vanish: those of the walk
+    of each piece (`SimplicialComplex.pieces`), +1 on its first facet. Raises
+    NotClosed unless K is closed, NotOrientable if a walk met a contradiction."""
     if not validate_closed(K):
         raise NotClosed("orientation requires a closed complex")
     pieces = K.pieces
@@ -253,32 +269,27 @@ def orient(K: SimplicialComplex) -> SimplicialComplex:
 
 
 def check_orientation(K: SimplicialComplex) -> None:
-    """Raise NotOrientable unless the facet signs K carries form a cycle.
-
-    Each facet, with its sign, induces a sign on each of its codimension-1
-    faces; on a closed complex the signs are a fundamental cycle exactly when
-    the two signs induced on every such face cancel.
-    """
+    """Raise NotOrientable unless the facet signs K carries are a fundamental
+    cycle, and NotClosed unless K is closed. They are one exactly when each
+    piece is orientable and carries the signs of its walk
+    (`SimplicialComplex.pieces`) times the sign of its first facet; the first
+    facet at fault is named."""
     if K.orientations is None:
         raise ValueError("complex carries no orientation to check")
-    signs, ridges = K.orientations, K.face_index.ridges
-    bad = [face for face, entries in ridges.items()
-           if sum(-signs[i] if omit % 2 else signs[i] for i, omit in entries)]
-    if bad:  # name the face met first, reading the facets in order and each from its front
-        face = min(bad, key=lambda face: ridges[face][0])
-        raise NotOrientable(f"orientation signs do not cancel on the face {list(face)}")
+    if not validate_closed(K):
+        raise NotClosed("orientation requires a closed complex")
+    signs, pieces = K.orientations, K.pieces
+    for facet, sign, walked, p in zip(K.facets, signs, pieces.signs, pieces.piece):
+        if not pieces.orientable[p] or sign != walked * signs[pieces.first[p]]:
+            raise NotOrientable(f"orientation signs do not cancel at the facet {list(facet)}")
 
 
 def oriented(K: SimplicialComplex) -> SimplicialComplex:
     """K with facet signs forming a fundamental cycle: found by `orient` when
-    K carries none, checked by `check_orientation` when it does.
-
-    Raises NotClosed or NotOrientable.
-    """
+    K carries none, checked by `check_orientation` when it does. Raises
+    NotClosed or NotOrientable."""
     if K.orientations is None:
         return orient(K)
-    if not validate_closed(K):
-        raise NotClosed("orientation requires a closed complex")
     check_orientation(K)
     return K
 
@@ -304,20 +315,20 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> IntMatrix:
 class ChainComplex:
     """The simplicial chain complex of K, reduced before any elimination.
 
-    Incidences are sparse: `faces[k][i]` lists the positions in `cells[k-1]`
-    of the faces of `cells[k][i]`, the face without vertex j at index j, with
-    incidence (-1) ** j. Every incidence is a unit, so cells can be removed in
-    pairs without touching the boundaries of the others, which keeps integral
-    homology, torsion included (Kaczynski, Mrozek, Slusarek 1998):
+    It reads the face index's `faces` and `cofaces` and builds no incidence of
+    its own (`faces` is kept here for the intersection form). The face at
+    index j of a cell has incidence (-1) ** j, a unit, so cells can be removed
+    in pairs without touching the boundaries of the others, which keeps
+    integral homology, torsion included (Kaczynski, Mrozek, Slusarek 1998):
 
-    - first one vertex per connected component goes, each standing for one
-      copy of Z in H_0; `components` counts them;
-    - on a closed complex of dimension n >= 1, one facet of each orientable
-      piece goes, the first, each standing for one copy of Z in H_n;
-      `fundamental` counts them. Its boundary is a boundary of the rest of
-      the piece's fundamental cycle, so no other group changes. Non-orientable
-      pieces such as RP^2 keep all their facets, and in dimension 0 the empty
-      face joins no points;
+    - first one vertex per connected component goes, each one Z in H_0
+      (`components` counts them);
+    - on a closed complex of dimension n >= 1, the first facet of each
+      orientable piece goes, each one Z in H_n (`fundamental` counts them):
+      with the piece's fundamental cycle z = sum of e_s s, the boundary of
+      that facet s0 is -e_0 times that of z - e_0 s0, so nothing else changes.
+      Non-orientable pieces such as RP^2 keep all their facets, and in
+      dimension 0 the empty face joins no points;
     - then coreduction pairs (a cell whose only remaining face is its
       partner) and collapse pairs (a cell whose only remaining coface is its
       partner) go, in FIFO order from the removed vertices and facets
@@ -331,21 +342,9 @@ class ChainComplex:
     """
 
     def __init__(self, K: SimplicialComplex):
-        cells, ridges = K.face_index.cells, K.face_index.ridges
-        n = K.dim
-        self.faces = [[()] * len(cells[0])]
-        for k in range(1, n + 1):
-            # combinations drop the last vertex first
-            face = dict(zip(cells[k - 1], range(len(cells[k - 1])))).__getitem__
-            self.faces.append([tuple(map(face, itertools.combinations(c, k)))[::-1]
-                               for c in cells[k]])
-        cofaces = [[[] for _ in cs] for cs in cells]
-        for k in range(1, n + 1):
-            up = cofaces[k - 1]
-            for i, fs in enumerate(self.faces[k]):
-                for f in fs:
-                    up[f].append(i)
-        faces = self.faces
+        index, n = K.face_index, K.dim
+        cells, faces, cofaces = index.cells, index.faces, index.cofaces
+        self.faces = faces
         alive = [[True] * len(cs) for cs in cells]
         nfaces = [[k + 1 if k else 0] * len(cs) for k, cs in enumerate(cells)]
         ncofaces = [[len(up) for up in cs] for cs in cofaces]
@@ -398,7 +397,7 @@ class ChainComplex:
                 self.components += 1
                 remove(0, v)
         self.fundamental = 0
-        if n and set(map(len, ridges.values())) <= {2}:  # closed
+        if n and index.closed:
             pieces = K.pieces
             for first, orientable in zip(pieces.first, pieces.orientable):
                 if orientable:
@@ -514,9 +513,9 @@ def complex_to_json(K: SimplicialComplex) -> str:
 
 # Bound on the faces `face_index` enumerates for a document, counted as
 # sum(2 ** len(facet)): one facet of d + 1 vertices has 2 ** (d + 1) faces, so
-# an 88-byte dimension-17 document would cost 80 MB. The shipped fixtures
-# count at most 1152 (cp2_9), the benchmark's complexes at most 2304 (the
-# 7-sphere, cp2_9 + cp2_9).
+# an 88-byte dimension-17 document would cost 80 MB (its incidences, up to
+# d + 1 per face, more). The shipped fixtures count at most 1152 (cp2_9), the
+# benchmark's complexes at most 2304 (the 7-sphere, cp2_9 + cp2_9).
 MAX_CLOSURE = 1 << 17
 
 

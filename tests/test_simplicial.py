@@ -42,6 +42,17 @@ def face_incidence_oracle(K):
     return counter
 
 
+def signed_boundary_oracle(K, signs):
+    """Brute-force signed boundary: each facet's codimension-1 faces, summed
+    with the facet's sign times (-1) ** (omitted position)."""
+    boundary = {}
+    for sign, facet in zip(signs, K.facets):
+        for omit in range(len(facet)):
+            face = facet[:omit] + facet[omit + 1:]
+            boundary[face] = boundary.get(face, 0) + sign * (-1) ** omit
+    return boundary
+
+
 def closure_oracle(K):
     """Brute-force facet closure: the sorted k-simplices for each k."""
     return [sorted({c for f in K.facets for c in itertools.combinations(f, k + 1)})
@@ -146,12 +157,17 @@ class TestFaceIndex:
         for k in range(1, K.dim + 1):
             assert boundary_matrix(K, k).to_rows() == boundary_oracle(K, k)
         # faces[k][i][j]: the position in cells[k - 1] of cells[k][i] without its vertex j
-        faces = ChainComplex(K).faces
-        assert faces[0] == [()] * len(cells[0])
-        for k in range(1, K.dim + 1):
-            assert faces[k] == [tuple(cells[k - 1].index(c[:j] + c[j + 1:]) for j in range(k + 1))
-                                for c in cells[k]]
+        faces = [[()] * len(cells[0])] + [
+            [tuple(cells[k - 1].index(c[:j] + c[j + 1:]) for j in range(k + 1)) for c in cells[k]]
+            for k in range(1, K.dim + 1)]
+        assert ChainComplex(K).faces == faces
         index = K.face_index
+        assert index.faces == faces
+        # cofaces[k][i]: the positions in cells[k + 1] of the cells containing cells[k][i]
+        assert index.cofaces == [
+            [[i for i, c in enumerate(cells[k + 1]) if set(f) < set(c)] if k < K.dim else []
+             for f in cells[k]]
+            for k in range(K.dim + 1)]
         # each codimension-1 face: (facet index, omitted vertex position), in facet order
         ridges = {}
         for i, f in enumerate(K.facets):
@@ -200,6 +216,8 @@ class TestOrient:
         K = SimplicialComplex.from_facets(2, [(0, 1, 2)])
         with pytest.raises(NotClosed):
             orient(K)
+        with pytest.raises(NotClosed):
+            check_orientation(SimplicialComplex(2, K.facets, (1,)))
 
     def test_shares_the_face_index(self):
         K = fixtures.torus7()
@@ -209,6 +227,14 @@ class TestOrient:
         assert oriented.reversed_orientation().face_index is K.face_index
         assert oriented.reversed_orientation().pieces is K.pieces
         assert oriented == SimplicialComplex(K.dim, K.facets, oriented.orientations)
+        # the incidences are built once, kept on the index and only read
+        faces, cofaces = K.face_index.faces, K.face_index.cofaces
+        before = repr((faces, cofaces))
+        for copy in (oriented, oriented.reversed_orientation()):
+            assert copy.face_index.faces is faces
+            assert copy.face_index.cofaces is cofaces
+            assert ChainComplex(copy).faces is faces
+        assert repr((faces, cofaces)) == before
 
     @pytest.mark.parametrize("name", list(CLOSED_SUMS))
     def test_pieces_against_brute_force(self, name):
@@ -240,12 +266,30 @@ class TestOrient:
         flipped = SimplicialComplex(K.dim, K.facets, (-K.orientations[0],) + K.orientations[1:])
         with pytest.raises(NotOrientable):
             check_orientation(flipped)
-        boundary = {}
-        for sign, facet in zip(K.orientations, K.facets):
-            for omit in range(len(facet)):
-                face = facet[:omit] + facet[omit + 1:]
-                boundary[face] = boundary.get(face, 0) + sign * (-1) ** omit
-        assert all(total == 0 for total in boundary.values())
+        assert all(total == 0 for total in signed_boundary_oracle(K, K.orientations).values())
+
+    @pytest.mark.parametrize("name", list(CLOSED_SUMS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_check_orientation_against_signed_boundary(self, name, data):
+        # random signs, the walk's signs flipped per piece, and those with one facet flipped
+        K, _ = CLOSED_SUMS[name]
+        pieces, count = K.pieces, len(K.facets)
+        flips = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(pieces.first),
+                                   max_size=len(pieces.first)))
+        signs = [s * flips[p] for s, p in zip(pieces.signs, pieces.piece)]
+        kind = data.draw(st.sampled_from(["random", "per piece", "one flipped"]))
+        if kind == "random":
+            signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=count,
+                                       max_size=count))
+        elif kind == "one flipped":
+            signs[data.draw(st.integers(0, count - 1))] *= -1
+        signed = SimplicialComplex(K.dim, K.facets, tuple(signs))
+        if any(signed_boundary_oracle(K, signs).values()):
+            with pytest.raises(NotOrientable, match="orientation"):
+                check_orientation(signed)
+        else:
+            check_orientation(signed)
 
 
 class TestEulerCharacteristic:
@@ -483,10 +527,14 @@ class TestReduction:
         assert chain.fundamental == (name != "projective_plane6")
 
     def test_points_keep_their_vertices(self):
-        # in dimension 0 the empty face is not a codimension-1 face to walk through
-        chain = ChainComplex(COMPLEXES["points2"])
-        assert (chain.components, chain.fundamental, chain.survivors) == (2, 0, [[]])
-        assert homology(COMPLEXES["points2"]).betti == (2,)
+        # in dimension 0 the empty face is the codimension-1 face: two points
+        # close it and one or three do not, but it is no face to walk through
+        for count in (1, 2, 3):
+            K = SimplicialComplex.from_facets(0, [(v,) for v in range(count)])
+            assert validate_closed(K) == (count == 2)
+            chain = ChainComplex(K)
+            assert (chain.components, chain.fundamental, chain.survivors) == (count, 0, [[]])
+            assert homology(K).betti == (count,)
 
     def test_suspension_moves_torsion_up(self):
         profile = homology(suspension(fixtures.projective_plane6()))
