@@ -45,6 +45,7 @@ _BUILDER = "a test builder; moving it into tests/ would not make the code smalle
 # (module, qualname) -> why the function stays although no request calls it
 KEPT = {
     ("cli", "main"): "the console-script entry point",
+    ("cli", "_help"): "--help, which no golden or deck request asks for; README runs it",
     ("exact_linalg", "IntMatrix.from_rows"): _BUILDER,
     ("exact_linalg", "IntMatrix.to_rows"): _BUILDER,
     ("exact_linalg", "rational_rank"): _TRACER,

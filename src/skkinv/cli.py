@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 a verification found a violation, 2 the input is at
-fault: a usage error, or an `skkinv.InputError`, reported as "error: ...".
+`COMMANDS` states every command: its positionals, its options and its
+handler. `run` reads argv against it in one pass; --help at any level prints
+what the table says. Exit codes: 0 success, 1 a verification found a
+violation, 2 the input is at fault: a usage error (message on standard
+error, empty report), or an `skkinv.InputError`, reported as "error: ...".
 Any other exception is a bug in skkinv and ends in a traceback.
 Scalars print exactly, as rationals or exp(p/q) strings; machine-readable
 reports carry a schema version and are emitted with --json.
@@ -11,12 +14,11 @@ module loads none, and a request pays only for the layers its command uses.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import re
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from . import InputError
 
@@ -62,28 +64,23 @@ def _read(path: str) -> str:
 
 
 def fraction(text: str):
-    """Argument type for exact rationals (`Fraction`): a bad one is a usage error."""
+    """Option type for exact rationals (`Fraction`)."""
     from .rationals import parse_rational
-    try:
-        return parse_rational(text)
-    except InputError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse_rational(text)
 
 
 def surface_expr(text: str):
-    """Argument type for `surfaces.Surface`: g<genus>b<boundary> terms joined by '+'."""
+    """Option type for `surfaces.Surface`: g<genus>b<boundary> terms joined by '+'."""
     if text.count("+") + 1 > MAX_SURFACE_COMPONENTS:
-        raise argparse.ArgumentTypeError(
-            f"a surface expression may have at most {MAX_SURFACE_COMPONENTS} terms")
+        raise InputError(f"a surface expression may have at most {MAX_SURFACE_COMPONENTS} terms")
     comps = []
     for term in text.split("+"):
         match = _SURFACE_TERM.fullmatch(term.strip().lower())
         if match is None:
-            raise argparse.ArgumentTypeError(
-                f"bad surface term {term.strip()!r}; expected like g1b0")
+            raise InputError(f"bad surface term {term.strip()!r}; expected like g1b0")
         comps.append((int(match[1]), int(match[2])))
     if sum(b for _, b in comps) > MAX_SURFACE_CIRCLES:
-        raise argparse.ArgumentTypeError(
+        raise InputError(
             f"a surface expression may have at most {MAX_SURFACE_CIRCLES} boundary circles")
     from .surfaces import surface
     return surface(*comps)
@@ -231,14 +228,10 @@ def _cmd_skk_class(args) -> CommandResult:
     from .simplicial import complex_from_json
     if args.surface is not None and args.file is not None:
         raise InputError("give a complex file or --surface, not both")
-    if args.surface is not None:
-        M = args.surface
-        dim = 2
-    else:
-        if args.file is None:
-            raise InputError("give a complex file or --surface")
-        M = complex_from_json(_read(args.file))
-        dim = M.dim
+    if args.surface is None and args.file is None:
+        raise InputError("give a complex file or --surface")
+    M = args.surface if args.file is None else complex_from_json(_read(args.file))
+    dim = 2 if args.file is None else M.dim
     value = skk.skk_class(M)
     text = f"dim {dim} class: {value}"
     doc = {"schema": SCHEMA, "command": "skk class", "dim": dim,
@@ -273,107 +266,113 @@ def _cmd_selftest(args) -> CommandResult:
     return _checks_result(report, "selftest", seed=args.seed)
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first request.
+# An option's attribute is its name without "--", "-" read as "_". Its value
+# is read by `type`, which raises ValueError on a bad one, and must then be one
+# of `choices` if given. Type None makes a flag; default ... makes it required.
+Option = namedtuple("Option", "type default choices", defaults=(None,))
+_FLAG = Option(None, False)
+_COMMON = {"--json": _FLAG}
+_SCALARS = dict.fromkeys(("--cap", "--cup", "--cap-exp", "--cup-exp"), Option(fraction, None))
+_SEED = {"--seed": Option(int, 0)}
 
-    `parse_args` leaves it unchanged and no argument has a mutable default,
-    so every request can reuse it.
-    """
-    parser = argparse.ArgumentParser(
-        prog="skkinv",
-        description="Exact cut-and-paste, cobordism, and invertible-TQFT checks.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    scalars = argparse.ArgumentParser(add_help=False)
-    scalars.add_argument("--cap", type=fraction)
-    scalars.add_argument("--cup", type=fraction)
-    scalars.add_argument("--cap-exp", dest="cap_exp", type=fraction)
-    scalars.add_argument("--cup-exp", dest="cup_exp", type=fraction)
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, help, positionals, options); every command also takes
+# --json. A positional ending in "?" may be left out and is then None.
+COMMANDS = {
+    "homology": (_cmd_homology, "Betti numbers and torsion of a complex file", ("file",),
+                 {"--coefficients": Option(str, "integers", ("integers", "rationals", "mod2"))}),
+    "invariants": (_cmd_invariants, "chi, semicharacteristic, and sigma (dim 4)", ("file",), {}),
+    "cutpaste": (_cmd_cutpaste, "run a cut/paste script on a surface such as 'g1b0 + g0b3'",
+                 ("script",), {"--start": Option(surface_expr, ...)}),
+    "cob normal-form": (_cmd_cob_normal_form, "classify a word's components", ("word",),
+                        {"--dim": Option(int, 2, (1, 2))}),
+    "cob eval": (_cmd_cob_eval, "evaluate a TQFT on a word", ("word",), _SCALARS),
+    "tqft verify": (_cmd_tqft_verify, "check the functor laws on random words, or with"
+                    " --corrupt on the corrupted negative control", (),
+                    {**_SCALARS, **_SEED, "--budget": Option(int, 200), "--corrupt": _FLAG}),
+    "skk class": (_cmd_skk_class, "class of a complex file or surface expression", ("file?",),
+                  {"--surface": Option(surface_expr, None)}),
+    "skk verify-sequence": (_cmd_skk_verify_sequence, "split exact sequence checks on"
+                            " exponents up to --grid in absolute value", (),
+                            {"--grid": Option(int, 4), **_SEED, "--corrupt-splitting": _FLAG}),
+    "skk demo-bsigma": (_cmd_skk_demo_bsigma, "capping-choice dependence demo", (),
+                        {"--catalog": Option(str, None)}),
+    "selftest": (_cmd_selftest, "run every property suite", (), _SEED),
+}
+_GROUPS = {name.split()[0] for name in COMMANDS if " " in name}
 
-    p = sub.add_parser("homology", parents=[common],
-                       help="Betti numbers and torsion of a complex file")
-    p.add_argument("file")
-    p.add_argument("--coefficients", choices=("integers", "rationals", "mod2"),
-                   default="integers")
-    p.set_defaults(func=_cmd_homology)
 
-    p = sub.add_parser("invariants", parents=[common],
-                       help="chi, semicharacteristic, and sigma (dim 4)")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_invariants)
+class _Stop(Exception):
+    """Ends a request before its command: (0, help) or (2, usage error)."""
 
-    p = sub.add_parser("cutpaste", parents=[common],
-                       help="run a cut/paste script on a surface")
-    p.add_argument("script")
-    p.add_argument("--start", required=True, type=surface_expr,
-                   help="surface expression, e.g. 'g1b0 + g0b3'")
-    p.set_defaults(func=_cmd_cutpaste)
 
-    cob = sub.add_parser("cob", help="cobordism word operations")
-    cob_sub = cob.add_subparsers(dest="cob_command", required=True)
-    p = cob_sub.add_parser("normal-form", parents=[common],
-                           help="classify a word's components")
-    p.add_argument("word")
-    p.add_argument("--dim", type=int, choices=(1, 2), default=2)
-    p.set_defaults(func=_cmd_cob_normal_form)
-    p = cob_sub.add_parser("eval", parents=[common, scalars],
-                           help="evaluate a TQFT on a word")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_cob_eval)
+def _help(prefix: str) -> str:
+    """Usage and purpose of the commands whose words start with `prefix`."""
+    lines = ["Exact cut-and-paste, cobordism, and invertible-TQFT checks."]
+    for name, (_, text, positionals, options) in COMMANDS.items():
+        if (name + " ").startswith(prefix):
+            usage = [f"skkinv {name}"]
+            for flag, o in {**_COMMON, **options}.items():
+                meta = ("" if o.type is None else " {%s}" % ",".join(map(str, o.choices))
+                        if o.choices else " " + o.type.__name__.upper())
+                usage.append(flag + meta if o.default is ... else f"[{flag}{meta}]")
+            usage += [f"[{p[:-1]}]" if p[-1] == "?" else p for p in positionals]
+            lines += ["", " ".join(usage), "    " + text]
+    return "\n".join(lines)
 
-    tq = sub.add_parser("tqft", help="TQFT verification")
-    tq_sub = tq.add_subparsers(dest="tqft_command", required=True)
-    p = tq_sub.add_parser("verify", parents=[common, scalars],
-                          help="check the functor laws on random words")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--corrupt", action="store_true",
-                   help="use the corrupted negative control")
-    p.set_defaults(func=_cmd_tqft_verify)
 
-    sk = sub.add_parser("skk", help="class computations and sequence checks")
-    sk_sub = sk.add_subparsers(dest="skk_command", required=True)
-    p = sk_sub.add_parser("class", parents=[common],
-                          help="class of a complex file or surface expression")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--surface", type=surface_expr, help="surface expression, e.g. 'g2b0'")
-    p.set_defaults(func=_cmd_skk_class)
-    p = sk_sub.add_parser("verify-sequence", parents=[common],
-                          help="split exact sequence checks")
-    p.add_argument("--grid", type=int, default=4, help="exponent half-width")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt-splitting", action="store_true", dest="corrupt_splitting")
-    p.set_defaults(func=_cmd_skk_verify_sequence)
-    p = sk_sub.add_parser("demo-bsigma", parents=[common],
-                          help="capping-choice dependence demo")
-    p.add_argument("--catalog")
-    p.set_defaults(func=_cmd_skk_demo_bsigma)
-
-    p = sub.add_parser("selftest", parents=[common], help="run every property suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_selftest)
-
-    return parser
+def _parse(argv: list):
+    """The handler of a request and its arguments as a namespace; raises _Stop."""
+    n = 2 if argv[:1] and argv[0] in _GROUPS else 1
+    name = " ".join(argv[:n])
+    if name not in COMMANDS:
+        if argv[n - 1:n] in (["-h"], ["--help"]):
+            raise _Stop(0, _help(" ".join(argv[:n - 1] + [""])))
+        raise _Stop(2, f"skkinv: no command {name!r}; see skkinv --help")
+    handler, _, positionals, options = COMMANDS[name]
+    options = {**_COMMON, **options}
+    values = {flag[2:].replace("-", "_"): o.default for flag, o in options.items()}
+    values.update((p.rstrip("?"), None if p[-1] == "?" else ...) for p in positionals)
+    words, given = iter(argv[n:]), 0
+    for word in words:
+        flag, eq, text = word.partition("=")
+        option = options.get(flag)
+        if word in ("-h", "--help"):
+            raise _Stop(0, _help(name + " "))
+        if word[:1] != "-" and given < len(positionals):
+            values[positionals[given].rstrip("?")] = word
+            given += 1
+        elif option is None or (option.type is None and eq):
+            raise _Stop(2, f"skkinv {name}: unrecognized argument {word!r}")
+        elif option.type is None:
+            values[flag[2:].replace("-", "_")] = True
+        elif (text := text if eq else next(words, None)) is None:
+            raise _Stop(2, f"skkinv {name}: {flag} expects a value")
+        else:
+            try:
+                values[flag[2:].replace("-", "_")] = value = option.type(text)
+            except ValueError as exc:
+                raise _Stop(2, f"skkinv {name}: argument {flag}: {exc}") from None
+            if option.choices and value not in option.choices:
+                raise _Stop(2, f"skkinv {name}: argument {flag}: invalid choice {text!r}")
+    missing = [key for key, value in values.items() if value is ...]
+    if missing:
+        raise _Stop(2, f"skkinv {name}: {missing[0]} is required; see skkinv {name} --help")
+    return handler, SimpleNamespace(**values)
 
 
 def run(argv) -> CommandResult:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return CommandResult(2 if exc.code else 0, "")
+        handler, args = _parse(list(argv))
+    except _Stop as stop:
+        print(stop.args[1], file=sys.stderr if stop.args[0] else sys.stdout)
+        return CommandResult(stop.args[0], "")
     try:
-        result = args.func(args)
+        result = handler(args)
     except InputError as exc:
         return CommandResult(2, f"error: {exc}")
     if args.json and result.json_report is not None:
-        return CommandResult(result.exit_code,
-                             json.dumps(result.json_report, separators=(",", ":"),
-                                        sort_keys=True),
-                             result.json_report)
+        return result._replace(report=json.dumps(result.json_report, separators=(",", ":"),
+                                                 sort_keys=True))
     return result
 
 

@@ -124,26 +124,26 @@ class CobordismWord:
 
 
 def parse_word(text: str, dim: int = 2) -> CobordismWord:
-    """Parse the layer DSL; raises WordSyntaxError with a character position."""
-    layers = []
-    offset = 0
-    for chunk in text.split(";"):
-        gens = []
-        tok_off = offset
-        for token in chunk.split("|"):
+    """Parse the layer DSL; raises WordSyntaxError with a character position.
+
+    `CobordismWord` looks each stripped token's arities up once; only if
+    that fails is the text scanned again for the first token not of `dim`,
+    else its `ArityMismatch` stands. Layers are tuples of lists, since
+    tuple(map(...)) resizes as it grows and left the heap fragmented.
+    """
+    layers = tuple([tuple([*map(str.strip, chunk.split("|"))]) for chunk in text.split(";")])
+    try:
+        return CobordismWord(dim, layers)
+    except ValueError:
+        at = 0
+        for token in text.replace(";", "|").split("|"):
             name = token.strip()
-            at = tok_off + (token.index(name) if name else 0)
-            if not name:
-                raise WordSyntaxError("empty generator", at)
-            if name not in GENERATORS:
-                raise WordSyntaxError(f"unknown generator {name!r}", at)
-            if GENERATORS[name][0] != dim:
-                raise WordSyntaxError(f"generator {name!r} is not dimension {dim}", at)
-            gens.append(name)
-            tok_off += len(token) + 1
-        layers.append(tuple(gens))
-        offset += len(chunk) + 1
-    return CobordismWord(dim, tuple(layers))
+            if name not in ARITIES.get(dim, ()):
+                message = (f"generator {name!r} is not dimension {dim}" if name in GENERATORS
+                           else f"unknown generator {name!r}" if name else "empty generator")
+                raise WordSyntaxError(message, at + token.index(name)) from None
+            at += len(token) + 1
+        raise
 
 
 def empty_word(dim: int = 2) -> CobordismWord:

@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from skkinv import fixtures
 from skkinv.cli import (
+    COMMANDS,
     MAX_SURFACE_CIRCLES,
     MAX_SURFACE_COMPONENTS,
     MAX_TRACE_WEIGHT,
     TRACE_COMPONENT_WEIGHT,
-    _build_parser,
+    _parse,
     run,
 )
 from skkinv.rationals import int_text
@@ -589,15 +590,13 @@ class TestDeterminism:
         assert run(args).report == run(args).report
 
 
-def _namespace(parser, argv):
-    try:
-        return vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        return exc.code
+def _namespace(argv):
+    """The arguments `run` would hand the command's handler, as a dict."""
+    return vars(_parse(list(argv))[1])
 
 
 class TestParserReuse:
-    """`run` builds one parser per process; no request sees what an earlier one set."""
+    """`COMMANDS` is read, never written: no request sees what an earlier one set."""
 
     @pytest.fixture
     def sequence(self, torus_file, tmp_path):
@@ -633,20 +632,22 @@ class TestParserReuse:
             ["invariants", torus_file, "--json"],
         ]
 
-    def test_results_match_a_fresh_parser(self, sequence):
-        fresh = []
+    def test_results_do_not_depend_on_earlier_requests(self, sequence, capsys):
+        table = repr(COMMANDS)
+        alone = []
         for argv in sequence:
-            _build_parser.cache_clear()
-            fresh.append(run(argv))
-        _build_parser.cache_clear()
-        assert [run(argv) for argv in sequence + sequence] == fresh + fresh
-        assert _build_parser.cache_info().misses == 1
+            result = run(argv)
+            alone.append((result, capsys.readouterr()))
+        twice = [(run(argv), capsys.readouterr()) for argv in sequence + sequence]
+        interleaved = [(run(argv), capsys.readouterr())
+                       for pair in zip(sequence, reversed(sequence)) for argv in pair]
+        assert twice == alone + alone
+        assert interleaved == [x for pair in zip(alone, reversed(alone)) for x in pair]
+        assert repr(COMMANDS) == table
 
     def test_defaults_do_not_leak(self, sequence):
-        parser = _build_parser()
         for argv in sequence:
             run(argv)
-            assert _namespace(parser, argv) == _namespace(_build_parser.__wrapped__(), argv)
         unset = {
             ("homology", "f"): {"coefficients": "integers"},
             ("cob", "normal-form", "w"): {"dim": 2},
@@ -657,10 +658,9 @@ class TestParserReuse:
             ("skk", "class"): {"file": None, "surface": None},
         }
         for argv, expected in unset.items():
-            namespace = vars(parser.parse_args(list(argv)))
+            namespace = _namespace(argv)
             assert {key: namespace[key] for key in expected} == expected
             assert namespace["json"] is False
-        assert _build_parser() is parser
 
     def test_import_builds_nothing_and_selftest_loads_on_demand(self):
         # what the import adds, so that a site which preloads a module passes
@@ -669,15 +669,15 @@ class TestParserReuse:
             "before = set(sys.modules)\n"
             "import skkinv.cli as cli\n"
             "added = set(sys.modules) - before\n"
-            "facts = {'parsers': cli._build_parser.cache_info().currsize,\n"
-            "         'loaded': sorted({'skkinv.selftest', 'skkinv.fixtures'} & set(sys.modules)),\n"
+            "facts = {'loaded': sorted({'skkinv.selftest', 'skkinv.fixtures'} & set(sys.modules)),\n"
             "         'package': sorted(m for m in added if m.split('.')[0] == 'skkinv'),\n"
-            "         'heavy': sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & added)}\n"
+            "         'heavy': sorted({'dataclasses', 'inspect', 'fractions', 'decimal',\n"
+            "                          'argparse', 'gettext'} & added)}\n"
             "facts['selftest_exit'] = cli.run(['selftest', '--seed', '0']).exit_code\n"
             "print(json.dumps(facts))\n"
         )
         assert json.loads(_fresh_python(code)) == {
-            "parsers": 0, "loaded": [], "package": ["skkinv", "skkinv.cli"], "heavy": [],
+            "loaded": [], "package": ["skkinv", "skkinv.cli"], "heavy": [],
             "selftest_exit": 0}
 
 
@@ -774,6 +774,73 @@ class TestUsageErrors:
 
     def test_eval_without_scalars(self):
         assert run(["cob", "eval", "cap ; cup"]).exit_code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["cob", "eval", "cap ; cup", "--cap", "2", "--cup", "3", "--bogus"],  # unknown option
+        ["cob", "eval", "cap ; cup", "--cap", "2", "--cup"],  # missing value
+        ["homology", "f.json", "--coefficients", "reals"],  # bad choice
+        ["cob", "normal-form", "cap ; cup", "--dim", "3"],  # bad choice
+        ["homology", "f.json", "--coefficients"],  # missing value
+        ["homology"],  # missing positional
+        ["homology", "f.json", "g.json"],  # one positional too many
+        ["homology", "f.json", "--json=1"],  # a flag takes no value
+        ["tqft", "verify", "--cap", "2", "--cup", "3", "--cor"],  # prefixes are refused
+        ["cob", "eval", "cap ; cup", "--cap-e", "2", "--cup-exp", "3"],
+        ["cob"], ["--json", "homology", "f.json"], [],
+    ])
+    def test_usage_errors_go_to_standard_error(self, argv, capsys):
+        assert run(argv) == (2, "", None)
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("skkinv")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tqft", "verify", "--seed", "1" * 5000], "argument --seed: Exceeds the limit"),
+        (["skk", "verify-sequence", "--grid", "x"], "argument --grid: invalid literal for int()"),
+        (["skk", "class", "--surface", "g" + "1" * 5000 + "b0"], "argument --surface: Exceeds"),
+        (["cob", "eval", "cap", "--cap", "1/0", "--cup", "2"], "argument --cap: "),
+    ])
+    def test_bad_option_values_are_usage_errors(self, argv, message, capsys):
+        assert run(argv) == (2, "", None)
+        assert message in capsys.readouterr().err
+
+    def test_an_option_takes_the_next_word_as_its_value(self):
+        sphere = ["cob", "eval", "cap ; cup"]
+        assert run(sphere + ["--cap", "-2", "--cup", "3"]).report == "-6"
+        assert run(sphere + ["--cap=-1/2", "--cup", "3"]).report == "-3/2"
+        assert run(sphere + ["--cap", "-1/2", "--cup", "3"]).report == "-3/2"
+        assert (run(sphere + ["--cap-exp", "1", "--cup-exp", "-9/5"]).report
+                == run(sphere + ["--cap-exp", "1", "--cup-exp=-9/5"]).report == "exp(-4/5)")
+
+    def test_options_and_positionals_mix_in_any_order(self, torus_file):
+        expected = run(["homology", torus_file, "--coefficients", "mod2", "--json"])
+        assert expected.exit_code == 0
+        for argv in (["homology", "--json", torus_file, "--coefficients", "mod2"],
+                     ["homology", "--coefficients=mod2", "--json", torus_file]):
+            assert run(argv) == expected
+
+    @pytest.mark.parametrize("argv, listed", [
+        (["--help"], list(COMMANDS)),
+        (["-h"], list(COMMANDS)),
+        (["cob", "--help"], ["cob normal-form", "cob eval"]),
+        (["cob", "eval", "--help"], ["cob eval"]),
+        (["cob", "eval", "cap ; cup", "-h", "--bogus"], ["cob eval"]),
+        (["skk", "class", "--help"], ["skk class"]),
+    ])
+    def test_help_lists_the_table_on_standard_output(self, argv, listed, capsys):
+        assert run(argv) == (0, "", None)
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [line.split(" [")[0] for line in out.splitlines()
+                if line.startswith("skkinv ")] == [f"skkinv {name}" for name in listed]
+        for name in listed:
+            assert COMMANDS[name][1] in out
+
+    def test_help_through_the_console_entry_point(self):
+        done = subprocess.run([sys.executable, "-m", "skkinv.cli", "cob", "eval", "--help"],
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "skkinv cob eval [--json] [--cap FRACTION]" in done.stdout
 
 
 def _dim8_catalog_doc():

@@ -48,6 +48,69 @@ class TestParse:
         assert cb.parse_word("cap;cup") == cb.parse_word("  cap  ;   cup ")
 
 
+def parse_word_reference(text, dim=2):
+    """The token-by-token parser `parse_word` replaced, kept as its oracle."""
+    layers = []
+    offset = 0
+    for chunk in text.split(";"):
+        gens = []
+        tok_off = offset
+        for token in chunk.split("|"):
+            name = token.strip()
+            at = tok_off + (token.index(name) if name else 0)
+            if not name:
+                raise cb.WordSyntaxError("empty generator", at)
+            if name not in cb.GENERATORS:
+                raise cb.WordSyntaxError(f"unknown generator {name!r}", at)
+            if cb.GENERATORS[name][0] != dim:
+                raise cb.WordSyntaxError(f"generator {name!r} is not dimension {dim}", at)
+            gens.append(name)
+            tok_off += len(token) + 1
+        layers.append(tuple(gens))
+        offset += len(chunk) + 1
+    return cb.CobordismWord(dim, tuple(layers))
+
+
+def _outcome(parse, text, dim):
+    try:
+        word = parse(text, dim)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return word, word.widths
+
+
+_SPACES = ("", " ", "  ", "\t", " \n ")
+_MUTANTS = {
+    "unknown": lambda rng, dim: rng.choice(("capp", "Cap", "x", "id|", "pid;", "0")),
+    "empty": lambda rng, dim: rng.choice(_SPACES),
+    "wrong dimension": lambda rng, dim: rng.choice(tuple(cb.ARITIES[3 - dim])),
+    "arity break": lambda rng, dim: rng.choice(tuple(cb.ARITIES[dim])),
+}
+
+
+class TestParseMatchesReference:
+    """Over random words with one token mutated, `parse_word` raises what the old
+    parser raised, with the same message and position, or builds the same word."""
+
+    @pytest.mark.parametrize("kind", list(_MUTANTS))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_mutated_token(self, kind, dim):
+        rng = random.Random(f"{kind}-{dim}")
+        for _ in range(300):
+            layers = [list(layer) for layer in cb.random_word(rng, dim=dim).layers]
+            i = rng.randrange(len(layers))
+            layers[i][rng.randrange(len(layers[i]))] = _MUTANTS[kind](rng, dim)
+            text = ";".join("|".join(rng.choice(_SPACES) + g + rng.choice(_SPACES)
+                                     for g in layer) for layer in layers)
+            assert _outcome(cb.parse_word, text, dim) == _outcome(parse_word_reference, text, dim)
+
+    @pytest.mark.parametrize("text", ["", ";", "|", "cap ; ", "pants ; pants ; bogus",
+                                      "pants ; pants ; acap", "cap ; cup ; ; cup", "cap | "])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_edge_cases(self, text, dim):
+        assert _outcome(cb.parse_word, text, dim) == _outcome(parse_word_reference, text, dim)
+
+
 class TestCompose:
     def test_sphere_from_disks(self):
         w = cb.compose(cb.parse_word("cap"), cb.parse_word("cup"))
