@@ -41,13 +41,14 @@ _TRACER = "bench/tracer.py resolves it by getattr"
 _SCRIPTS = "scripts/ or the CI fixture step use it"
 _GROUP = "the scalar and TQFT group law"
 _BUILDER = "a test builder; moving it into tests/ would not make the code smaller"
+_DENSE = "the tests' dense builder and reader; no request path holds a dense matrix"
 
 # (module, qualname) -> why the function stays although no request calls it
 KEPT = {
     ("cli", "main"): "the console-script entry point",
     ("cli", "_help"): "--help, which no golden or deck request asks for; README runs it",
-    ("exact_linalg", "IntMatrix.from_rows"): _BUILDER,
-    ("exact_linalg", "IntMatrix.to_rows"): _BUILDER,
+    ("exact_linalg", "IntMatrix.from_rows"): _DENSE,
+    ("exact_linalg", "IntMatrix.to_rows"): _DENSE,
     ("exact_linalg", "rational_rank"): _TRACER,
     ("fixtures", "circle"): _SCRIPTS,
     ("fixtures", "projective_plane6"): _SCRIPTS,

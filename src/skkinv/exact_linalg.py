@@ -9,11 +9,13 @@ kernels and independence tests, and the inertia (signature) of a symmetric
 rational form under congruence diagonalization.
 
 Smith normal form, rational rank, `left_kernel` and `independent_modulo`
-share one sparse elimination kernel over the integers. A matrix is held as
-sparse rows (`{column: entry}` dicts) with an index from each column to the
-rows that use it, and entries equal to +1 or -1 are eliminated first, in
-order of least Markowitz cost (row count - 1) * (column count - 1). The
-simplicial layer hands over boundary matrices only after its own reduction
+share one sparse elimination kernel over the integers. A matrix
+(`IntMatrix`) is held as sparse rows, `{column: entry}` dicts of the nonzero
+entries, and so is every vector the kernel takes or returns; no dense form is
+built. The kernel copies each row once, indexes the rows that use each
+column, and eliminates entries equal to +1 or -1 first, in order of least
+Markowitz cost (row count - 1) * (column count - 1). The simplicial layer
+hands over boundary matrices only after its own reduction
 (`simplicial.ChainComplex`) has removed one vertex per component, one facet
 per closed orientable piece and the cells it can pair through a unit
 incidence. On closed orientable manifolds what arrives here is empty or a
@@ -39,29 +41,30 @@ class NonSymmetricMatrix(ValueError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix as sparse rows: entries[i] maps each column
+    of row i that holds a nonzero entry to it. Nothing mutates the rows."""
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    entries: tuple[dict[int, int], ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match rows * cols")
+        if len(self.entries) != self.rows:
+            raise ValueError("row count does not match the number of row dicts")
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
+        """The matrix with these dense rows; `from_rows([])` is 0 x 0."""
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        flat = tuple(int(x) for r in rows for x in r)
-        return cls(len(rows), ncols, flat)
+        return cls(len(rows), ncols, tuple({j: int(x) for j, x in enumerate(r) if x} for r in rows))
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
+        return [[row.get(j, 0) for j in range(self.cols)] for row in self.entries]
 
 
 @dataclass(frozen=True)
@@ -78,14 +81,6 @@ class SignatureTriple:
 
 
 # -- sparse elimination kernel ---------------------------------------------------
-
-def _sparse_rows(A: IntMatrix) -> list[dict[int, int]]:
-    """One {column: nonzero entry} dict per row of A."""
-    cols, e = A.cols, A.entries
-    if cols == 0:
-        return [{} for _ in range(A.rows)]
-    return [{j: x for j, x in enumerate(e[s:s + cols]) if x} for s in range(0, len(e), cols)]
-
 
 def _multipliers(a: int, p: int) -> tuple[int, int]:
     """(scale, f) such that scale * a - f * p == 0, with scale > 0 as small as possible."""
@@ -124,18 +119,19 @@ class _Elimination:
     therefore free of the pivot columns retired before it, so one pass over
     `pivots` in order reduces any vector. With `track`, every row carries a
     tag recording which combination of the input rows it is; tags of rows
-    that become zero are collected in `kernel`.
+    that become zero are collected in `kernel`. The rows of A are copied
+    once, here, so A is left as it was.
     """
 
-    def __init__(self, rows: list[dict[int, int]], track: bool = False):
+    def __init__(self, A: IntMatrix, track: bool = False):
         self.rows: dict[int, dict[int, int]] = {}
         self.tags = {} if track else None
         self.kernel: list[dict[int, int]] = []
         self.where: dict[int, set[int]] = {}
         self.pivots: list[tuple[int, int, dict[int, int]]] = []  # (column, entry, row)
-        for i, row in enumerate(rows):
+        for i, row in enumerate(A.entries):
             if row:
-                self.rows[i] = row
+                self.rows[i] = row = dict(row)
                 if track:
                     self.tags[i] = {i: 1}
                 for c in row:
@@ -301,7 +297,7 @@ class _Elimination:
 def smith_normal_form(A: IntMatrix) -> tuple[int, ...]:
     """Nonzero invariant factors of A over the integers, each dividing the next,
     by sparse elimination (`_Elimination.invariant_factors`)."""
-    return _Elimination(_sparse_rows(A)).invariant_factors()
+    return _Elimination(A).invariant_factors()
 
 
 def rational_rank(A: IntMatrix) -> int:
@@ -309,31 +305,26 @@ def rational_rank(A: IntMatrix) -> int:
     return len(smith_normal_form(A))
 
 
-def _dense(vector: dict[int, int], length: int) -> tuple[int, ...]:
-    out = [0] * length
-    for k, x in vector.items():
-        out[k] = x
-    return tuple(out)
-
-
-def left_kernel(A: IntMatrix) -> list[tuple[int, ...]]:
-    """Integer vectors y forming a rational basis of {y : y * A = 0}."""
-    elim = _Elimination(_sparse_rows(A), track=True)
+def left_kernel(A: IntMatrix) -> list[dict[int, int]]:
+    """Integer vectors y forming a rational basis of {y : y * A = 0}, each a
+    `{row: entry}` dict of its nonzero entries."""
+    elim = _Elimination(A, track=True)
     elim.eliminate()
-    return [_dense(tag, A.rows) for tag in elim.kernel]
+    return elim.kernel
 
 
-def independent_modulo(span: IntMatrix, vectors) -> list[tuple[int, ...]]:
+def independent_modulo(span: IntMatrix, vectors) -> list[dict[int, int]]:
     """The vectors, in order, that are rationally independent modulo the row
-    span of `span` together with the vectors kept before them."""
-    elim = _Elimination(_sparse_rows(span))
+    span of `span` together with the vectors kept before them. Each vector is
+    a `{column: entry}` dict, which is not changed; one with a column outside
+    `span.cols` is refused."""
+    elim = _Elimination(span)
     elim.eliminate()
     kept = []
     for vector in vectors:
-        vector = tuple(vector)
-        if len(vector) != span.cols:
-            raise ValueError("vector length does not match the span's column count")
-        v = elim.reduce({k: x for k, x in enumerate(vector) if x})
+        if not all(0 <= k < span.cols for k in vector):
+            raise ValueError("vector has a column outside the span's columns")
+        v = elim.reduce({k: x for k, x in vector.items() if x})
         if v:
             elim.append(v)
             kept.append(vector)

@@ -42,15 +42,16 @@ class IntersectionMatrix:
 
 def _h2_representatives(chain: ChainComplex) -> list[tuple[int, ...]]:
     """Integer cocycle representatives of a rational basis of H^2 of a
-    complex of dimension at least 3, read from its reduced chain complex.
+    complex of dimension at least 3, read from its reduced chain complex, each
+    a dense cochain on all 2-cells.
 
     The reduction keeps cohomology in degree 2. On the surviving cells, a
     2-cochain is a cocycle when it annihilates the boundaries of the 3-cells,
-    so the cocycles are the left kernel of the degree-3 boundary matrix;
-    kernel vectors are kept when independent modulo the coboundaries, the
-    rows of the degree-2 boundary matrix. Each one is then extended over the
-    removed cells. The kernel order is deterministic, which makes the choice
-    reproducible.
+    so the cocycles are the left kernel of the degree-3 boundary matrix, as
+    `{survivor position: value}` dicts; kernel vectors are kept when
+    independent modulo the coboundaries, the rows of the degree-2 boundary
+    matrix. Each one is then extended over the removed cells. The kernel order
+    is deterministic, which makes the choice reproducible.
     """
     cocycles = left_kernel(chain.boundary(3))    # C_3 -> C_2, rows are 2-cells
     return [chain.cocycle(2, z) for z in independent_modulo(chain.boundary(2), cocycles)]

@@ -300,16 +300,15 @@ def euler_characteristic(K: SimplicialComplex) -> int:
 
 
 def boundary_matrix(K: SimplicialComplex, k: int) -> IntMatrix:
-    """Matrix of the boundary map from k-chains to (k-1)-chains."""
+    """Matrix of the boundary map from k-chains to (k-1)-chains on all cells."""
     kcells, k1cells = K.simplices(k), K.simplices(k - 1)
-    cols = len(kcells)
-    entries = [0] * (len(k1cells) * cols)
+    entries = tuple({} for _ in k1cells)
     if 0 < k <= K.dim:
         row = dict(zip(k1cells, range(len(k1cells))))
         for j, c in enumerate(kcells):
             for i in range(len(c)):
-                entries[row[c[:i] + c[i + 1:]] * cols + j] += -1 if i % 2 else 1
-    return IntMatrix(len(k1cells), cols, tuple(entries))
+                entries[row[c[:i] + c[i + 1:]]][j] = -1 if i % 2 else 1
+    return IntMatrix(len(k1cells), len(kcells), entries)
 
 
 class ChainComplex:
@@ -413,21 +412,23 @@ class ChainComplex:
         self.survivors = [[i for i, flag in enumerate(flags) if flag] for flags in alive]
 
     def boundary(self, k: int) -> IntMatrix:
-        """Matrix of the degree-k boundary map on the surviving cells."""
+        """Matrix of the degree-k boundary map on the surviving cells, its row
+        dicts filled straight from the incidences."""
         rows, cols = self.survivors[k - 1], self.survivors[k]
         row_of = {f: r for r, f in enumerate(rows)}
-        width = len(cols)
-        entries = [0] * (len(rows) * width)
+        entries = tuple({} for _ in rows)
         for c, i in enumerate(cols):
             for j, f in enumerate(self.faces[k][i]):
                 r = row_of.get(f)
                 if r is not None:
-                    entries[r * width + c] = -1 if j % 2 else 1
-        return IntMatrix(len(rows), width, tuple(entries))
+                    entries[r][c] = -1 if j % 2 else 1
+        return IntMatrix(len(rows), len(cols), entries)
 
-    def cocycle(self, k: int, values) -> tuple[int, ...]:
-        """Extend a cocycle on the surviving k-cells, 1 <= k < dim, to one on
-        all k-cells. (In degree dim the removed facets' classes are missing.)
+    def cocycle(self, k: int, values: dict[int, int]) -> tuple[int, ...]:
+        """Extend a cocycle on the surviving k-cells, 1 <= k < dim, given as
+        `{position in survivors[k]: value}` (a `left_kernel` vector), to a dense
+        one on all k-cells. (In degree dim the removed facets' classes are
+        missing.)
 
         The pairs are undone in reverse order. A removed (k+1)-cell b takes the
         value 0, and its partner a in degree k the value that makes the cochain
@@ -436,8 +437,8 @@ class ChainComplex:
         reverse pass.
         """
         cochain = [0] * len(self.faces[k])
-        for i, x in zip(self.survivors[k], values):
-            cochain[i] = x
+        for s, x in values.items():
+            cochain[self.survivors[k][s]] = x
         for degree, a, b in reversed(self.pairs):
             if degree == k:
                 fs = self.faces[k + 1][b]

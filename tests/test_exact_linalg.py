@@ -4,6 +4,7 @@ The Smith normal form oracle is the determinantal-divisor description:
 the k-th invariant factor is gcd(k-minors) / gcd((k-1)-minors).
 """
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -26,11 +27,20 @@ from skkinv.simplicial import SimplicialComplex, boundary_matrix
 
 
 def zeros(rows, cols):
-    return IntMatrix(rows, cols, (0,) * (rows * cols))
+    return IntMatrix(rows, cols, tuple({} for _ in range(rows)))
 
 
 def element(A, i, j):
-    return A.entries[i * A.cols + j]
+    return A.entries[i].get(j, 0)
+
+
+def sparse(vector):
+    """The {position: entry} dict of a dense vector's nonzero entries."""
+    return {k: x for k, x in enumerate(vector) if x}
+
+
+def dense(vector, length):
+    return [vector.get(k, 0) for k in range(length)]
 
 
 def determinant(A):
@@ -84,12 +94,16 @@ def snf_oracle(rows):
 
 
 def identity(n):
-    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+    return IntMatrix(n, n, tuple({i: 1} for i in range(n)))
 
 
 def transpose(A):
-    return IntMatrix(A.cols, A.rows,
-                     tuple(element(A, i, j) for j in range(A.cols) for i in range(A.rows)))
+    """A.cols x A.rows, also when either is 0."""
+    columns = tuple({} for _ in range(A.cols))
+    for i, row in enumerate(A.entries):
+        for j, x in row.items():
+            columns[j][i] = x
+    return IntMatrix(A.cols, A.rows, columns)
 
 
 def _min_pivot(m, t, rows, cols):
@@ -307,7 +321,8 @@ class TestSmithNormalForm:
         A = boundary_matrix(relabelled(make(), seed), degree)
         assert smith_normal_form(A) == diag
         assert rational_rank(A) == rank_oracle(A.to_rows()) == len(diag)
-        doubled = IntMatrix(A.rows, A.cols, tuple(2 * x for x in A.entries))
+        doubled = IntMatrix(A.rows, A.cols,
+                            tuple({j: 2 * x for j, x in row.items()} for row in A.entries))
         assert smith_normal_form(doubled) == tuple(2 * d for d in diag)
 
     def test_boundary_matrix_against_dense_loop(self):
@@ -363,16 +378,17 @@ class TestKernelAndIndependence:
         kernel = left_kernel(A)
         assert len(kernel) == A.rows - rank_oracle(A.to_rows())
         for y in kernel:
-            assert len(y) == A.rows
-            assert all(sum(y[i] * element(A, i, j) for i in range(A.rows)) == 0
+            assert set(y) <= set(range(A.rows)) and all(y.values())
+            assert all(sum(x * element(A, i, j) for i, x in y.items()) == 0
                        for j in range(A.cols))
-        assert rank_oracle([list(y) for y in kernel]) == len(kernel)
+        assert rank_oracle([dense(y, A.rows) for y in kernel]) == len(kernel)
 
     def test_left_kernel_of_a_cycle(self):
         # the orientation cycle of the torus spans the kernel of its top boundary
         A = transpose(boundary_matrix(fixtures.torus7(), 2))
         (y,) = left_kernel(A)
-        assert set(map(abs, y)) == {1}
+        assert set(y) == set(range(A.rows))
+        assert set(map(abs, y.values())) == {1}
 
     @given(st.one_of(any_matrices, sparse_matrices(max_dim=8)), st.data())
     @settings(max_examples=100, deadline=None)
@@ -380,17 +396,35 @@ class TestKernelAndIndependence:
         vectors = data.draw(st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)),
                                               min_size=span.cols, max_size=span.cols),
                                      max_size=5))
-        kept = independent_modulo(span, vectors)
+        kept = independent_modulo(span, [sparse(v) for v in vectors])
         base = rank_oracle(span.to_rows())
         assert len(kept) == rank_oracle(span.to_rows() + vectors) - base
-        assert rank_oracle(span.to_rows() + [list(v) for v in kept]) == base + len(kept)
+        assert rank_oracle(span.to_rows() + [dense(v, span.cols) for v in kept]) == base + len(kept)
         # kept vectors are a subsequence of the input
-        it = iter(tuple(v) for v in vectors)
+        it = iter(map(sparse, vectors))
         assert all(any(k == v for v in it) for k in kept)
 
-    def test_independent_modulo_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            independent_modulo(identity(2), [(1, 0, 0)])
+    def test_independent_modulo_rejects_a_column_outside_the_span(self):
+        for column in (2, -1):
+            with pytest.raises(ValueError):
+                independent_modulo(identity(2), [{0: 1}, {column: 1}])
+
+    def test_independent_modulo_ignores_stored_zeros(self):
+        assert independent_modulo(identity(1), [{0: 0}]) == []
+        assert independent_modulo(zeros(0, 2), [{0: 0, 1: 3}, {1: 1}]) == [{0: 0, 1: 3}]
+
+    @given(st.one_of(any_matrices, sparse_matrices(max_dim=8)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_the_kernel_leaves_its_input_unchanged(self, A, data):
+        vectors = [sparse(v) for v in data.draw(st.lists(
+            st.lists(small_entries, min_size=A.cols, max_size=A.cols), max_size=4))]
+        entries, before = copy.deepcopy(A.entries), copy.deepcopy(vectors)
+        smith_normal_form(A)
+        rational_rank(A)
+        left_kernel(A)
+        independent_modulo(A, vectors)
+        assert A.entries == entries
+        assert vectors == before
 
 
 class TestSymmetricSignature:

@@ -468,7 +468,27 @@ class TestReduction:
             if reps:
                 product = matrix_product(reps, boundary_matrix(K, k + 1))
                 assert all(x == 0 for row in product for x in row)
+                reps = [{i: x for i, x in enumerate(r) if x} for r in reps]
                 assert independent_modulo(boundary_matrix(K, k), reps) == reps
+
+    @staticmethod
+    def assert_boundary_restricts_the_full_map(K):
+        # the reduced map is the full one on the surviving rows and columns,
+        # and its row dicts store no 0
+        chain = ChainComplex(K)
+        for k in range(1, K.dim + 1):
+            reduced = chain.boundary(k)
+            assert (reduced.rows, reduced.cols) == (len(chain.survivors[k - 1]),
+                                                    len(chain.survivors[k]))
+            full = boundary_matrix(K, k).to_rows()
+            assert reduced.to_rows() == [[full[r][c] for c in chain.survivors[k]]
+                                         for r in chain.survivors[k - 1]]
+            assert all(all(row.values()) for row in reduced.entries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_complexes())
+    def test_random_boundaries_restrict_the_full_map(self, K):
+        self.assert_boundary_restricts_the_full_map(K)
 
     @settings(max_examples=100, deadline=None)
     @given(random_complexes())
@@ -515,6 +535,7 @@ class TestReduction:
         assert ChainComplex(K).fundamental == orientable
         self.assert_matches_reference(K)
         self.assert_cocycles_extend(K)
+        self.assert_boundary_restricts_the_full_map(K)
 
     @pytest.mark.parametrize("name,survivors", [
         ("torus7", [0, 2, 0]),
